@@ -6,10 +6,14 @@ Cell-center sampling keeps everything reproducible; the bias per band edge is
 at most half a cell diagonal times the gradient bound, which the refinement
 series makes observable.
 
-Circle-type bands get an exact scanline fast path (per-row interval
-arithmetic) so unions over thousands of centers stay cheap and the per-cell
-cover counts come out exact.  Everything else goes through a vectorized
-predicate on cell centers.
+A 2-D geometric band (circle, square boundary, circle family, filled
+triangle) is given by its spans: on each grid row, the x-intervals [lo, hi]
+it covers.  GridSpec.index_range maps a span to the cells whose center it
+contains, and spans_to_cells turns the spans of any number of shapes into
+cells with a difference array (np.add.at, then a cumulative sum) per block
+of rows.  It gives the union, the exact per-cell cover counts, each shape's
+cell total and a weighted deposit.  Phase bands and distance-only shapes go
+through a vectorized predicate on cell centers instead.
 
 3-D set measures use Monte Carlo instead of dense grids; see
 monte_carlo_intersection.
@@ -31,6 +35,8 @@ MAX_CELLS_3D = 512
 MIN_CELLS = 16
 
 _ROW_CHUNK = 64          # rows per predicate-evaluation chunk (memory bound)
+_SPAN_CHUNK = 1 << 14    # shapes x rows whose spans are built at once (memory bound)
+_BLOCK_CELLS = 1 << 22   # cells per row block of the span difference array (memory bound)
 
 
 @dataclass(frozen=True)
@@ -72,12 +78,16 @@ class GridSpec:
         return lo[axis] + (np.arange(self.cells_per_axis) + 0.5) * h
 
     def index_range(self, lo_val, hi_val, axis: int):
-        """Inclusive cell-index range whose centers lie in [lo_val, hi_val]."""
+        """Inclusive cell-index range whose centers lie in [lo_val, hi_val].
+
+        Works elementwise on arrays.  The clips are one-sided, so an interval
+        that misses every center keeps i0 > i1.
+        """
         lo, hi = self.box
         h = (hi[axis] - lo[axis]) / self.cells_per_axis
-        i0 = int(np.ceil((lo_val - lo[axis]) / h - 0.5))
-        i1 = int(np.floor((hi_val - lo[axis]) / h - 0.5))
-        return max(i0, 0), min(i1, self.cells_per_axis - 1)
+        i0 = np.ceil((np.asarray(lo_val) - lo[axis]) / h - 0.5).astype(np.int64)
+        i1 = np.floor((np.asarray(hi_val) - lo[axis]) / h - 0.5).astype(np.int64)
+        return np.maximum(i0, 0), np.minimum(i1, self.cells_per_axis - 1)
 
 
 @dataclass
@@ -117,18 +127,8 @@ class Circle:
     center: tuple
     radius: float
 
-    def row_intervals(self, y: float, delta: float):
-        cx, cy = self.center
-        dy = y - cy
-        ro2 = (self.radius + delta) ** 2 - dy * dy
-        if ro2 <= 0.0:
-            return []
-        b = float(np.sqrt(ro2))
-        ri2 = (self.radius - delta) ** 2 - dy * dy
-        a = float(np.sqrt(ri2)) if ri2 > 0.0 else 0.0
-        if a == 0.0:
-            return [(cx - b, cx + b)]
-        return [(cx - b, cx - a), (cx + a, cx + b)]
+    def spans(self, ys, delta: float):
+        return _circle_spans(np.array([[*self.center, self.radius]], float), ys, delta)[1:]
 
 
 @dataclass(frozen=True)
@@ -138,21 +138,21 @@ class SquareBoundary:
     center: tuple
     half_side: float
 
-    def row_intervals(self, y: float, delta: float):
+    def spans(self, ys, delta: float):
         cx, cy = self.center
         h = self.half_side
-        ady = abs(y - cy)
-        if ady > h + delta:
-            return []
-        if ady > h:
-            # outside the square: rounded corners
-            w = float(np.sqrt(delta * delta - (ady - h) ** 2))
-            return [(cx - h - w, cx + h + w)]
-        if ady >= h - delta:
-            # inside points this close to the top/bottom edge are all in band
-            return [(cx - h - delta, cx + h + delta)]
+        ady = np.abs(np.asarray(ys) - cy)
+        # rows within delta of the top/bottom edge are covered across the
+        # square, out to the rounded corners outside it
+        one = np.nonzero((ady >= h - delta) & (ady <= h + delta))[0]
+        d = ady[one]
+        w = np.where(d > h, np.sqrt(np.maximum(delta * delta - (d - h) ** 2, 0.0)), delta)
         # middle rows: only the two vertical edges contribute
-        return [(cx - h - delta, cx - h + delta), (cx + h - delta, cx + h + delta)]
+        two = np.nonzero(ady < h - delta)[0]
+        left, right = np.full(len(two), cx - h), np.full(len(two), cx + h)
+        return (np.concatenate([one, two, two]),
+                np.concatenate([(cx - h) - w, left - delta, right - delta]),
+                np.concatenate([(cx + h) + w, left + delta, right + delta]))
 
 
 @dataclass(frozen=True)
@@ -200,31 +200,86 @@ class CircleFamily:
     y0: float
     radius: float
 
-    def row_intervals(self, y: float, delta: float):
-        probe = Circle((0.0, self.y0), self.radius).row_intervals(y, delta)
-        if not probe:
-            return []
-        out = []
-        starts, ends = self.intervals.as_arrays()
-        for lo_off, hi_off in probe:
-            for u, v in zip(starts, ends):
-                out.append((u + lo_off, v + hi_off))
-        return _merge_intervals(out)
+    def spans(self, ys, delta: float):
+        # the circle at (0, y0) covers [-b, -a] and [a, b] (or [-b, b]) per row
+        rows, lo, hi = Circle((0.0, self.y0), self.radius).spans(ys, delta)
+        u, v = self.intervals.as_arrays()
+        return _merge_spans(np.repeat(rows, len(u)), (lo[:, None] + u).ravel(),
+                            (hi[:, None] + v).ravel())
 
 
 def _cross(v, pts_rel):
     return v[0] * pts_rel[:, 1] - v[1] * pts_rel[:, 0]
 
 
-def _merge_intervals(ivals):
-    ivals = sorted(ivals)
-    out = [list(ivals[0])]
-    for lo, hi in ivals[1:]:
-        if lo <= out[-1][1]:
-            out[-1][1] = max(out[-1][1], hi)
-        else:
-            out.append([lo, hi])
-    return [tuple(p) for p in out]
+def _merge_spans(rows, lo, hi):
+    """Disjoint spans covering the same points as (rows, lo, hi), per row.
+
+    Spans that overlap or touch merge, so one shape covers each cell once.
+    """
+    order = np.lexsort((lo, rows))
+    rows, lo, hi = rows[order], lo[order], hi[order]
+    # running max of hi within each row: rank hi by (row, hi), so earlier
+    # rows always rank lower than the current one
+    by_hi = np.lexsort((hi, rows))
+    rank = np.empty(len(hi), dtype=np.int64)
+    rank[by_hi] = np.arange(len(hi))
+    reach = hi[by_hi][np.maximum.accumulate(rank)]
+    first = np.ones(len(lo), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (lo[1:] > reach[:-1])
+    last = np.ones(len(lo), dtype=bool)
+    last[:-1] = first[1:]
+    return rows[first], lo[first], reach[last]
+
+
+def _circle_spans(circles, ys, delta):
+    """(shape, row, lo, hi) of the delta-bands of circles given as (cx, cy, r) rows."""
+    cx, cy, r = circles.T
+    dy = np.asarray(ys)[:, None] - cy
+    ro2 = (r + delta) ** 2 - dy * dy
+    hit = ro2 > 0.0
+    rows, shape = np.nonzero(hit)
+    b = np.sqrt(ro2[hit])
+    cx, dy = cx[shape], dy[hit]
+    # a radius under delta leaves no hole inside the band
+    ri2 = np.maximum(r[shape] - delta, 0.0) ** 2 - dy * dy
+    a = np.sqrt(np.maximum(ri2, 0.0))
+    ring = ri2 > 0.0
+    # spans [cx - b, cx - a] and [cx + a, cx + b]; one span [cx - b, cx + b]
+    # on rows that miss the inner circle
+    return (np.concatenate([shape, shape[ring]]), np.concatenate([rows, rows[ring]]),
+            np.concatenate([cx - b, (cx + a)[ring]]),
+            np.concatenate([np.where(ring, cx - a, cx + b), (cx + b)[ring]]))
+
+
+def _triangle_spans(triangles, ys):
+    """(shape, row, lo, hi) of filled triangles given as (k, 3, 2) vertices.
+
+    A horizontal line meets a triangle in [min, max] of its edge crossings.
+    """
+    y = np.asarray(ys)[:, None]
+    xlo = np.full((len(y), len(triangles)), np.inf)
+    xhi = np.full((len(y), len(triangles)), -np.inf)
+    for k in range(3):
+        (x1, y1), (x2, y2) = triangles[:, k].T, triangles[:, (k + 1) % 3].T
+        hit = (y >= np.minimum(y1, y2)) & (y <= np.maximum(y1, y2))
+        flat = y1 == y2         # a horizontal edge covers its extent on its row
+        with np.errstate(all="ignore"):     # inf/nan only where flat or ~hit discard it
+            xc = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+        xlo = np.where(hit, np.minimum(xlo, np.where(flat, np.minimum(x1, x2), xc)), xlo)
+        xhi = np.where(hit, np.maximum(xhi, np.where(flat, np.maximum(x1, x2), xc)), xhi)
+    hit = xlo <= xhi
+    rows, shape = np.nonzero(hit)
+    return shape, rows, xlo[hit], xhi[hit]
+
+
+def shape_spans(shapes, delta: float):
+    """spans_of for spans_to_cells over shape objects with a spans method."""
+    def spans_of(k0, k1, ys):
+        parts = [shape.spans(ys, delta) for shape in shapes[k0:k1]]
+        tags = np.repeat(np.arange(k1 - k0), [len(rows) for rows, _, _ in parts])
+        return (tags,) + tuple(np.concatenate(col) for col in zip(*parts))
+    return spans_of
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +308,8 @@ def rasterize_band(obj, x, t, delta: float, grid: GridSpec) -> GridRaster:
     _check_delta(delta, grid)
     if isinstance(obj, PhaseSpec):
         return _rasterize_phase(obj, x, t, delta, grid)
-    if hasattr(obj, "row_intervals"):
-        return _rasterize_scanline(obj, delta, grid)
+    if hasattr(obj, "spans"):
+        return GridRaster(grid, spans_to_cells(grid, 1, shape_spans([obj], delta))[0])
     if hasattr(obj, "distances"):
         return _rasterize_distance(obj, delta, grid)
     raise ArgumentError(f"cannot rasterize object of type {type(obj).__name__}")
@@ -288,19 +343,6 @@ def _rasterize_phase(spec: PhaseSpec, x, t, delta, grid) -> GridRaster:
     return GridRaster(grid, bits)
 
 
-def _rasterize_scanline(shape, delta, grid) -> GridRaster:
-    if grid.dim != 2:
-        raise ArgumentError("scanline shapes are 2-D only")
-    n = grid.cells_per_axis
-    bits = np.zeros((n, n), dtype=bool)
-    for j, y in enumerate(grid.centers(1)):
-        for lo, hi in shape.row_intervals(float(y), delta):
-            i0, i1 = grid.index_range(lo, hi, axis=0)
-            if i0 <= i1:
-                bits[j, i0 : i1 + 1] = True
-    return GridRaster(grid, bits)
-
-
 def _rasterize_distance(shape, delta, grid) -> GridRaster:
     if grid.dim != 2:
         raise ArgumentError("distance shapes are 2-D only")
@@ -316,24 +358,87 @@ def _rasterize_distance(shape, delta, grid) -> GridRaster:
     return GridRaster(grid, bits)
 
 
-def union_scanline(shapes, delta: float, grid: GridSpec) -> GridRaster:
-    """Union of many scanline shapes without building per-shape rasters."""
-    _check_delta(delta, grid)
+def spans_to_cells(grid: GridSpec, count: int, spans_of, weights=None, counts=False):
+    """Cells whose center lies in the row spans of `count` 2-D shapes.
+
+    spans_of(k0, k1, ys) -> (shape, row, lo, hi) arrays: shape k0 + shape[i]
+    covers [lo[i], hi[i]] on the grid row whose center is ys[row[i]].  The
+    spans of one shape on one row must not overlap, or its cells count twice
+    in the cover counts and totals (CircleFamily merges its own).  Returns (union bits, int32 cover counts if counts else None, per-shape
+    cell totals, weighted deposit if weights is given else None).  The
+    deposit spreads weights[k] evenly over the cells of shape k as a density
+    (weight per cell volume) and is zero off the union.
+
+    Rows go a block at a time and shapes a chunk at a time, so the only
+    full-grid arrays are the outputs.  The difference array of a block is
+    one buffer, reused and filled in place by np.add.at: np.bincount would
+    allocate a block-sized array per chunk, and freeing those leaves the
+    heap fragmented and the process larger for the rest of its run.
+    """
     if grid.dim != 2:
-        raise ArgumentError("scanline shapes are 2-D only")
+        raise ArgumentError("spans are 2-D only")
     n = grid.cells_per_axis
-    bits = np.zeros((n, n), dtype=bool)
-    for j, y in enumerate(grid.centers(1)):
-        ivals = []
-        for shape in shapes:
-            ivals.extend(shape.row_intervals(float(y), delta))
-        if not ivals:
-            continue
-        for lo, hi in _merge_intervals(ivals):
+    ycent = grid.centers(1)
+
+    def chunks(j0, j1):
+        """(k0, k1, shape, start, cells) per shape chunk: start is the flat
+        index of a span's first cell in rows j0..j1-1."""
+        step = max(1, _SPAN_CHUNK // (j1 - j0))
+        for k0 in range(0, count, step):
+            k1 = min(k0 + step, count)
+            shape, row, lo, hi = spans_of(k0, k1, ycent[j0:j1])
             i0, i1 = grid.index_range(lo, hi, axis=0)
-            if i0 <= i1:
-                bits[j, i0 : i1 + 1] = True
-    return GridRaster(grid, bits)
+            keep = i0 <= i1
+            yield k0, k1, shape[keep], row[keep] * n + i0[keep], (i1 - i0 + 1)[keep]
+
+    if weights is not None:
+        # a shape's weight per cell needs its cell total over all rows first
+        first = np.zeros(count)
+        for k0, k1, shape, _, cells in chunks(0, n):
+            first[k0:k1] = np.bincount(shape, cells, minlength=k1 - k0)
+        density = np.divide(weights, first * grid.cell_volume, out=np.zeros(count),
+                            where=first > 0)
+    totals = np.zeros(count, dtype=np.int64)
+    bits = np.zeros((n, n), dtype=bool)
+    cover = np.zeros((n, n), dtype=np.int32) if counts else None
+    mass = None if weights is None else np.zeros((n, n))
+    block = max(1, _BLOCK_CELLS // n)
+    run = np.zeros(block * n + 1, dtype=np.int64)
+    dep = None if mass is None else np.zeros(block * n + 1)
+    for j0 in range(0, n, block):
+        j1 = min(j0 + block, n)
+        run[:] = 0
+        if dep is not None:
+            dep[:] = 0.0
+        for k0, k1, shape, start, cells in chunks(j0, j1):
+            totals[k0:k1] += np.bincount(shape, cells, minlength=k1 - k0).astype(np.int64)
+            np.add.at(run, start, 1)
+            np.subtract.at(run, start + cells, 1)
+            if dep is not None:
+                w = density[k0 + shape]
+                np.add.at(dep, start, w)
+                np.subtract.at(dep, start + cells, w)
+        np.cumsum(run, out=run)
+        block_counts = run[: (j1 - j0) * n].reshape(j1 - j0, n)
+        np.greater(block_counts, 0, out=bits[j0:j1])
+        if cover is not None:
+            cover[j0:j1] = block_counts
+        if mass is not None:
+            np.cumsum(dep, out=dep)
+            mass[j0:j1] = dep[: (j1 - j0) * n].reshape(j1 - j0, n)
+    if mass is not None:
+        # the integer cover pins the support, so prefix-sum roundoff dust
+        # cannot leak outside the banded cells
+        mass[~bits] = 0.0
+        np.maximum(mass, 0.0, out=mass)
+    return bits, cover, totals, mass
+
+
+def union_scanline(shapes, delta: float, grid: GridSpec) -> GridRaster:
+    """Union of many span shapes without building per-shape rasters."""
+    _check_delta(delta, grid)
+    shapes = list(shapes)
+    return GridRaster(grid, spans_to_cells(grid, len(shapes), shape_spans(shapes, delta))[0])
 
 
 def rasterize_circles(circles, delta: float, grid: GridSpec):
@@ -345,92 +450,18 @@ def rasterize_circles(circles, delta: float, grid: GridSpec):
     sampled at cell centers.
     """
     _check_delta(delta, grid)
-    if grid.dim != 2:
-        raise ArgumentError("circle batches are 2-D only")
-    n = grid.cells_per_axis
-    ycent = grid.centers(1)
-    lo0 = grid.box[0][0]
-    h0 = float(grid.cell_sizes[0])
-    starts_all, ends_all = [], []
-    per_band = np.zeros(len(circles), dtype=np.int64)
-    for idx, (cx, cy, r) in enumerate(np.asarray(circles, dtype=float)):
-        dy = ycent - cy
-        ro2 = (r + delta) ** 2 - dy * dy
-        rows = np.nonzero(ro2 > 0.0)[0]
-        if len(rows) == 0:
-            continue
-        b = np.sqrt(ro2[rows])
-        ri2 = (r - delta) ** 2 - dy[rows] ** 2
-        a = np.sqrt(np.maximum(ri2, 0.0))
-        merged = ri2 <= 0.0
-        # interval pairs [cx-b, cx-a], [cx+a, cx+b]; one interval where a = 0
-        seg_lo = [cx - b, np.where(merged, np.nan, cx + a)]
-        seg_hi = [np.where(merged, cx + b, cx - a), cx + b]
-        for los, his in zip(seg_lo, seg_hi):
-            keep = ~np.isnan(los)
-            if not np.any(keep):
-                continue
-            r_keep = rows[keep]
-            i0 = np.ceil((los[keep] - lo0) / h0 - 0.5).astype(np.int64)
-            i1 = np.floor((his[keep] - lo0) / h0 - 0.5).astype(np.int64)
-            # one-sided clips: an interval fully outside must stay i0 > i1
-            np.maximum(i0, 0, out=i0)
-            np.minimum(i1, n - 1, out=i1)
-            ok = i0 <= i1
-            if not np.any(ok):
-                continue
-            base = r_keep[ok] * n
-            starts_all.append(base + i0[ok])
-            ends_all.append(base + i1[ok] + 1)
-            per_band[idx] += int(np.sum(i1[ok] - i0[ok] + 1))
-    counts = np.zeros(n * n + 1, dtype=np.int32)
-    if starts_all:
-        np.add.at(counts, np.concatenate(starts_all), 1)
-        np.subtract.at(counts, np.concatenate(ends_all), 1)
-    counts = np.cumsum(counts[:-1], dtype=np.int32).reshape(n, n)
-    union = GridRaster(grid, counts > 0)
-    return union, counts, per_band
+    circles = np.asarray(circles, dtype=float).reshape(-1, 3)
+    bits, counts, per_band, _ = spans_to_cells(
+        grid, len(circles), lambda k0, k1, ys: _circle_spans(circles[k0:k1], ys, delta),
+        counts=True)
+    return GridRaster(grid, bits), counts, per_band
 
 
 def rasterize_triangles(triangles, grid: GridSpec) -> GridRaster:
-    """Exact filled union of 2-D triangles (no band thickness) by scanline."""
-    if grid.dim != 2:
-        raise ArgumentError("triangle rasterization is 2-D only")
-    n = grid.cells_per_axis
-    bits = np.zeros((n, n), dtype=bool)
-    ycent = grid.centers(1)
-    lo0 = grid.box[0][0]
-    h0 = float(grid.cell_sizes[0])
-    for tri in triangles:
-        vs = np.asarray(tri, dtype=float)
-        ymin, ymax = vs[:, 1].min(), vs[:, 1].max()
-        rows = np.nonzero((ycent >= ymin) & (ycent <= ymax))[0]
-        if len(rows) == 0:
-            continue
-        ys = ycent[rows]
-        # a horizontal line meets a triangle in [min, max] of its edge crossings
-        xlo = np.full(len(rows), np.inf)
-        xhi = np.full(len(rows), -np.inf)
-        for k in range(3):
-            x1, y1 = vs[k]
-            x2, y2 = vs[(k + 1) % 3]
-            if y1 == y2:
-                on = ys == y1
-                xlo[on] = np.minimum(xlo[on], min(x1, x2))
-                xhi[on] = np.maximum(xhi[on], max(x1, x2))
-                continue
-            span = (ys >= min(y1, y2)) & (ys <= max(y1, y2))
-            xc = x1 + (ys - y1) * (x2 - x1) / (y2 - y1)
-            xlo[span] = np.minimum(xlo[span], xc[span])
-            xhi[span] = np.maximum(xhi[span], xc[span])
-        good = np.nonzero(xlo <= xhi)[0]
-        i0 = np.ceil((xlo[good] - lo0) / h0 - 0.5).astype(np.int64)
-        i1 = np.floor((xhi[good] - lo0) / h0 - 0.5).astype(np.int64)
-        np.maximum(i0, 0, out=i0)
-        np.minimum(i1, n - 1, out=i1)
-        for j, a, b in zip(rows[good], i0, i1):
-            if a <= b:
-                bits[j, a : b + 1] = True
+    """Exact filled union of 2-D triangles (no band thickness) by spans."""
+    triangles = np.asarray(triangles, dtype=float).reshape(-1, 3, 2)
+    bits = spans_to_cells(grid, len(triangles),
+                          lambda k0, k1, ys: _triangle_spans(triangles[k0:k1], ys))[0]
     return GridRaster(grid, bits)
 
 

@@ -60,7 +60,8 @@ class ExperimentReport:
                 )
 
     def all_passed(self) -> bool:
-        return all(v.passed for v in self.verdicts)
+        """True when there is at least one verdict and every verdict passed."""
+        return bool(self.verdicts) and all(v.passed for v in self.verdicts)
 
     def summary_line(self) -> str:
         n_pass = sum(1 for v in self.verdicts if v.passed)

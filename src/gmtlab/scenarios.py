@@ -396,7 +396,7 @@ def run_interior_failure(depths, grid: GridSpec, deltas,
                          probe_n: int = 8192,
                          probe_box=(-1.05, -0.905, 2.05, 0.905),
                          run_band: float = 0.9, area_floor: float = 0.3,
-                         out_dir=None) -> ExperimentReport:
+                         seed: int = 0, out_dir=None) -> ExperimentReport:
     """Unit circles centered on a fat Cantor set sitting on the x-axis.
 
     The union keeps positive area at every depth, but each horizontal slice
@@ -464,7 +464,7 @@ def run_interior_failure(depths, grid: GridSpec, deltas,
               "box": _flat_box(grid), "probe_n": int(probe_n),
               "probe_box": (px0, py0, px1, py1), "run_band": run_band,
               "area_floor": area_floor}
-    return _finish("interior-failure", params, series, verdicts, artifacts, 0, t0)
+    return _finish("interior-failure", params, series, verdicts, artifacts, seed, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +472,7 @@ def run_interior_failure(depths, grid: GridSpec, deltas,
 # ---------------------------------------------------------------------------
 
 def run_kakeya_compression(stages, grid: GridSpec, samples: int = 100,
-                           compression_ratio: float = 0.35,
+                           compression_ratio: float = 0.35, seed: int = 0,
                            out_dir=None) -> ExperimentReport:
     """Perron tree per stage: union area shrinks, direction coverage holds."""
     t0 = time.perf_counter()
@@ -516,7 +516,7 @@ def run_kakeya_compression(stages, grid: GridSpec, samples: int = 100,
     _pgm(final_union, "kakeya-compression", 0.0, out_dir, artifacts)
     params = {"stages": stages, "n": grid.cells_per_axis, "box": _flat_box(grid),
               "samples": int(samples), "compression_ratio": compression_ratio}
-    return _finish("kakeya-compression", params, series, verdicts, artifacts, 0, t0)
+    return _finish("kakeya-compression", params, series, verdicts, artifacts, seed, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +597,8 @@ def _offset_map(curve: str, ts, us):
 
 def run_transversality(curve: str = "line", samples: int = 100,
                        fd_step: float = 1e-6, min_floor: float = 0.49,
-                       err_tol: float = 1e-3, out_dir=None) -> ExperimentReport:
+                       err_tol: float = 1e-3, seed: int = 0,
+                       out_dir=None) -> ExperimentReport:
     """Finite-difference Jacobian of the unit-offset map on a (t, u) grid."""
     t0 = time.perf_counter()
     if curve not in _CURVE_FRAMES:
@@ -630,7 +631,7 @@ def run_transversality(curve: str = "line", samples: int = 100,
     ]
     params = {"curve": curve, "samples": samples, "fd_step": h,
               "min_floor": min_floor, "err_tol": err_tol}
-    return _finish("transversality", params, series, verdicts, [], 0, t0)
+    return _finish("transversality", params, series, verdicts, [], seed, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -713,15 +714,15 @@ def run_scenario(scenario_id: str, overrides=None, seed: int = 0,
         return run_interior_failure(
             p["depths"], _grid_from(p), p["deltas"], probe_n=p["probe_n"],
             probe_box=p["probe_box"], run_band=p["run_band"],
-            area_floor=p["area_floor"], out_dir=out_dir)
+            area_floor=p["area_floor"], seed=seed, out_dir=out_dir)
     if scenario_id == "kakeya-compression":
         return run_kakeya_compression(
             p["stages"], _grid_from(p), samples=p["samples"],
-            compression_ratio=p["compression_ratio"], out_dir=out_dir)
+            compression_ratio=p["compression_ratio"], seed=seed, out_dir=out_dir)
     if scenario_id == "bourgain-compression":
         return run_bourgain_compression(
             p["samples"], seed=seed, residual_tol=p["residual_tol"],
             out_dir=out_dir)
     return run_transversality(
         p["curve"], p["samples"], fd_step=p["fd_step"],
-        min_floor=p["min_floor"], err_tol=p["err_tol"], out_dir=out_dir)
+        min_floor=p["min_floor"], err_tol=p["err_tol"], seed=seed, out_dir=out_dir)

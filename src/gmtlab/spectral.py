@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ArgumentError, EmptyLevelError, FitError
 from .phase import PhaseSpec
-from .raster import Circle, GridSpec, rasterize_band
+from .raster import GridSpec, rasterize_band, shape_spans, spans_to_cells
 
 # Relative half-width of each window's cosine transition.  Wider transitions
 # smear band energy across neighbours: for a flat spectrum the deficit in
@@ -168,11 +168,13 @@ def fit_decay(abscissae, norms) -> DecayFit:
 def incidence_density(obj, centers, level, delta: float, grid: GridSpec) -> GriddedDensity:
     """Weighted superposition of level bands, one per center.
 
-    obj is either a PhaseSpec (band = {y : |phi(x_i, y) - level_i| <= delta})
-    or a scanline shape class such as Circle, instantiated per center as
-    obj(center, level_i).  Each center's weight is spread uniformly over its
-    band's filled cells.  Centers whose band misses the grid are dropped with
-    a warning count; if all bands are empty the measure is undefined.
+    obj is either a PhaseSpec (band = {y : |phi(x_i, y) - level_i| <= delta},
+    rasterized per center) or a span shape class such as Circle, instantiated
+    per center as obj(center, level_i) and deposited by
+    raster.spans_to_cells.  Each center's weight is spread uniformly over
+    its band's filled cells.  Centers whose band misses the grid are
+    dropped with a warning count; if all bands are empty the measure is
+    undefined.
     """
     import warnings
 
@@ -182,10 +184,13 @@ def incidence_density(obj, centers, level, delta: float, grid: GridSpec) -> Grid
     pts = np.asarray(centers.points, float)
     weights = np.asarray(centers.weights, float)
     levels = np.broadcast_to(np.asarray(level, float), (len(pts),))
-    if obj is Circle and grid.dim == 2:
-        values, dropped = _incidence_circles(pts, levels, weights, delta, grid)
+    if isinstance(obj, PhaseSpec):
+        values, dropped = _incidence_phase(obj, pts, levels, weights, delta, grid)
     else:
-        values, dropped = _incidence_generic(obj, pts, levels, weights, delta, grid)
+        shapes = [obj(tuple(x), float(t)) for x, t in zip(pts, levels)]
+        _, _, cells, values = spans_to_cells(
+            grid, len(shapes), shape_spans(shapes, delta), weights=weights)
+        dropped = int(np.count_nonzero(cells == 0))
     if dropped == len(pts):
         raise EmptyLevelError("every center's band misses the grid")
     if dropped:
@@ -193,72 +198,16 @@ def incidence_density(obj, centers, level, delta: float, grid: GridSpec) -> Grid
     return GriddedDensity(grid, values)
 
 
-def _incidence_generic(obj, pts, levels, weights, delta, grid):
+def _incidence_phase(spec, pts, levels, weights, delta, grid):
     n = grid.cells_per_axis
     values = np.zeros((n,) * grid.dim)
     dropped = 0
     for x, t, w in zip(pts, levels, weights):
-        if isinstance(obj, PhaseSpec):
-            band = rasterize_band(obj, x, float(t), delta, grid)
-        else:
-            band = rasterize_band(obj(tuple(x), float(t)), None, None, delta, grid)
+        band = rasterize_band(spec, x, float(t), delta, grid)
         if band.filled_count == 0:
             dropped += 1
             continue
         values[band.bits] += w / (band.filled_count * grid.cell_volume)
-    return values, dropped
-
-
-def _incidence_circles(pts, radii, weights, delta, grid):
-    """Vectorized two-pass deposit: count each band's cells, then add
-    weight/(count x cell volume) over its row segments by prefix sums."""
-    n = grid.cells_per_axis
-    ycent = grid.centers(1)
-    lo0 = grid.box[0][0]
-    h0 = float(grid.cell_sizes[0])
-
-    def segments(cx, cy, r):
-        dy = ycent - cy
-        ro2 = (r + delta) ** 2 - dy * dy
-        rows = np.nonzero(ro2 > 0.0)[0]
-        if len(rows) == 0:
-            return None
-        b = np.sqrt(ro2[rows])
-        ri2 = (r - delta) ** 2 - dy[rows] ** 2
-        a = np.sqrt(np.maximum(ri2, 0.0))
-        merged = ri2 <= 0.0
-        los = np.concatenate([cx - b, np.where(merged, np.nan, cx + a)])
-        his = np.concatenate([np.where(merged, cx + b, cx - a), cx + b])
-        rr = np.concatenate([rows, rows])
-        keep = ~np.isnan(los)
-        i0 = np.ceil((los[keep] - lo0) / h0 - 0.5).astype(np.int64)
-        i1 = np.floor((his[keep] - lo0) / h0 - 0.5).astype(np.int64)
-        np.maximum(i0, 0, out=i0)
-        np.minimum(i1, n - 1, out=i1)
-        ok = i0 <= i1
-        return rr[keep][ok] * n + i0[ok], rr[keep][ok] * n + i1[ok] + 1
-
-    events = np.zeros(n * n + 1)
-    cover = np.zeros(n * n + 1, dtype=np.int32)
-    dropped = 0
-    for (cx, cy), r, w in zip(pts, radii, weights):
-        seg = segments(float(cx), float(cy), float(r))
-        if seg is None or len(seg[0]) == 0:
-            dropped += 1
-            continue
-        starts, ends = seg
-        cells = int(np.sum(ends - starts))
-        v = w / (cells * grid.cell_volume)
-        np.add.at(events, starts, v)
-        np.add.at(events, ends, -v)
-        np.add.at(cover, starts, 1)
-        np.add.at(cover, ends, -1)
-    values = np.cumsum(events[:-1]).reshape(n, n)
-    # the integer cover count is exact; it pins the support so prefix-sum
-    # roundoff dust cannot leak outside the banded cells
-    supported = np.cumsum(cover[:-1]).reshape(n, n) > 0
-    values[~supported] = 0.0
-    np.maximum(values, 0.0, out=values)
     return values, dropped
 
 

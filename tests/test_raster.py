@@ -58,6 +58,12 @@ def test_index_range_inclusive_on_centers():
     assert i0 > i1
     i0, i1 = g.index_range(-5.0, -1.0, axis=0)         # fully outside
     assert i0 > i1
+    # elementwise on arrays, with the same one-sided clips
+    i0, i1 = g.index_range(np.array([0.03125, 0.05, 0.04, -5.0, 0.9]),
+                           np.array([0.15625, 0.12, 0.09, -1.0, 7.0]), axis=0)
+    assert i0.tolist()[:2] == [0, 1] and i1.tolist()[:2] == [2, 1]
+    assert np.all(i0[2:4] > i1[2:4])
+    assert (i0[4], i1[4]) == (14, 15)
 
 
 def test_grid_raster_validation_and_area():
@@ -248,6 +254,14 @@ def test_triangle_vertex_order_irrelevant():
     r1 = ra.rasterize_triangles([tri], grid)
     r2 = ra.rasterize_triangles([tri[::-1]], grid)
     assert np.array_equal(r1.bits, r2.bits)
+
+
+def test_triangle_flat_edge_on_a_row_center_is_filled():
+    # the base lies exactly on the row-0 centers: a closed triangle keeps it
+    grid = ra.GridSpec(((0.0, 0.0), (1.0, 1.0)), 16)
+    r = ra.rasterize_triangles([((0.0, 1 / 32), (1.0, 1 / 32), (0.5, 0.9))], grid)
+    assert r.bits[0].all()
+    assert r.bits[1, 0] == False and r.bits[1, 1:15].all()   # noqa: E712
 
 
 def test_triangle_outside_box_is_empty():

@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,24 @@ def test_out_dir_collects_pgm_artifact(tmp_path):
                           {"n": 256, "stages": [0, 1]}, out_dir=tmp_path)
     assert rep.artifacts == ["kakeya-compression_256_0.pgm"]
     assert (tmp_path / rep.artifacts[0]).stat().st_size > 0
+
+
+def test_every_report_records_the_run_seed():
+    small = {
+        "fixed-level-positivity": {"n": 256, "depths": [2], "deltas": [0.04, 0.02]},
+        "flat-counterexample": {"n": 256, "depths": [2, 3], "deltas": [0.08, 0.04]},
+        "discrete-incidence": {"n": 256, "qs": [8]},
+        "intersection-hypothesis": {"samples": 1000},
+        "interior-failure": {"n": 256, "probe_n": 256, "depths": [2], "deltas": [0.04]},
+        "kakeya-compression": {"n": 256, "stages": [0, 1]},
+        "bourgain-compression": {"samples": 100},
+        "transversality": {"samples": 16},
+    }
+    assert list(small) == sc.scenario_ids()
+    for sid, overrides in small.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")     # coarse grids alias on purpose
+            assert sc.run_scenario(sid, overrides, seed=4).seed == 4, sid
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +298,11 @@ def test_interior_failure_depth2_bound_bookkeeping():
 
 def test_interior_failure_rows_beyond_radius_are_empty():
     fam = ra.CircleFamily(fr.fat_cantor(3), 0.0, 1.0)
-    assert fam.row_intervals(1.2, 0.01) == []
-    assert fam.row_intervals(-1.2, 0.01) == []
+    ys = np.array([1.2, -1.2, 1.0 + 0.0101, -1.0 - 0.0101, 1.0, 0.0])
+    rows, lo, hi = fam.spans(ys, 0.01)
+    # only the rows with |y| <= 1 + delta carry spans
+    assert sorted(set(rows.tolist())) == [4, 5]
+    assert np.all(lo <= hi)
 
 
 def test_interior_failure_rejects_small_box():
