@@ -194,6 +194,7 @@ class CircleFamily:
 
     The union over a center interval [u, v] has exact per-row coverage
     [u + a, v + b] and [u - b, v - a]: a continuum union, not a sampled one.
+    These spans may overlap, so a family is meant for unions, not counts.
     """
 
     intervals: IntervalSet
@@ -204,32 +205,11 @@ class CircleFamily:
         # the circle at (0, y0) covers [-b, -a] and [a, b] (or [-b, b]) per row
         rows, lo, hi = Circle((0.0, self.y0), self.radius).spans(ys, delta)
         u, v = self.intervals.as_arrays()
-        return _merge_spans(np.repeat(rows, len(u)), (lo[:, None] + u).ravel(),
-                            (hi[:, None] + v).ravel())
+        return np.repeat(rows, len(u)), (lo[:, None] + u).ravel(), (hi[:, None] + v).ravel()
 
 
 def _cross(v, pts_rel):
     return v[0] * pts_rel[:, 1] - v[1] * pts_rel[:, 0]
-
-
-def _merge_spans(rows, lo, hi):
-    """Disjoint spans covering the same points as (rows, lo, hi), per row.
-
-    Spans that overlap or touch merge, so one shape covers each cell once.
-    """
-    order = np.lexsort((lo, rows))
-    rows, lo, hi = rows[order], lo[order], hi[order]
-    # running max of hi within each row: rank hi by (row, hi), so earlier
-    # rows always rank lower than the current one
-    by_hi = np.lexsort((hi, rows))
-    rank = np.empty(len(hi), dtype=np.int64)
-    rank[by_hi] = np.arange(len(hi))
-    reach = hi[by_hi][np.maximum.accumulate(rank)]
-    first = np.ones(len(lo), dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]) | (lo[1:] > reach[:-1])
-    last = np.ones(len(lo), dtype=bool)
-    last[:-1] = first[1:]
-    return rows[first], lo[first], reach[last]
 
 
 def _circle_spans(circles, ys, delta):
@@ -362,10 +342,12 @@ def spans_to_cells(grid: GridSpec, count: int, spans_of, weights=None, counts=Fa
     """Cells whose center lies in the row spans of `count` 2-D shapes.
 
     spans_of(k0, k1, ys) -> (shape, row, lo, hi) arrays: shape k0 + shape[i]
-    covers [lo[i], hi[i]] on the grid row whose center is ys[row[i]].  The
-    spans of one shape on one row must not overlap, or its cells count twice
-    in the cover counts and totals (CircleFamily merges its own).  Returns (union bits, int32 cover counts if counts else None, per-shape
-    cell totals, weighted deposit if weights is given else None).  The
+    covers [lo[i], hi[i]] on the grid row whose center is ys[row[i]].
+    Returns (union bits, int32 cover counts if counts else None, per-shape
+    cell totals, weighted deposit if weights is given else None).  Spans
+    count one by one: a cell under two overlapping spans of one shape (as a
+    CircleFamily gives) counts twice in the cover counts, totals and deposit,
+    and only the union ignores the overlap.  The
     deposit spreads weights[k] evenly over the cells of shape k as a density
     (weight per cell volume) and is zero off the union.
 

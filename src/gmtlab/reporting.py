@@ -60,8 +60,7 @@ class ExperimentReport:
                 )
 
     def all_passed(self) -> bool:
-        """True when there is at least one verdict and every verdict passed."""
-        return bool(self.verdicts) and all(v.passed for v in self.verdicts)
+        return all(v.passed for v in self.verdicts)
 
     def summary_line(self) -> str:
         n_pass = sum(1 for v in self.verdicts if v.passed)

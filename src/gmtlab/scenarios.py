@@ -316,7 +316,9 @@ def run_intersection_hypothesis(deltas, separations, samples: int, seed: int = 0
     spheres keep their ratios bounded; the degenerate paraboloid family
     picks the same surface at every parameter, so its intersection equals a
     single band and the ratio inflates as delta shrinks.  sep = 0 rows are
-    degenerate (intersection = band) and stay out of both verdicts.
+    degenerate (intersection = band) and stay out of both verdicts.  A
+    verdict with a low-confidence Monte Carlo cell is withheld, and a failing
+    `inconclusive` verdict counts those cells instead.
     """
     t0 = time.perf_counter()
     deltas = sorted((float(d) for d in deltas), reverse=True)
@@ -381,10 +383,14 @@ def run_intersection_hypothesis(deltas, separations, samples: int, seed: int = 0
         least = min(growth_vals)
         verdicts.append(_verdict("degenerate-growth", growth_floor, least,
                                 least >= growth_floor))
+    low = int(low_diffeo + low_parab)
+    if low:
+        # a withheld verdict leaves the run undecided, and undecided is no pass
+        verdicts.append(_verdict("inconclusive", 0, low, False))
 
     params = {"deltas": deltas, "separations": separations, "samples": samples,
               "kappa": kappa, "c_pass": c_pass, "growth_floor": growth_floor,
-              "low_confidence_cells": int(low_diffeo + low_parab)}
+              "low_confidence_cells": low}
     return _finish("intersection-hypothesis", params, series, verdicts, [], seed, t0)
 
 

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -121,13 +122,15 @@ def test_threshold_sabotage_exits_one(tmp_path, capsys):
     assert "intersection-hypothesis: FAIL" in capsys.readouterr().out
 
 
-def test_no_decidable_verdict_exits_one(tmp_path, capsys):
+def test_low_confidence_run_exits_one(tmp_path, capsys):
     # 20000 samples leave the Monte Carlo cells low-confidence, so both
     # verdicts are withheld: a run that decides nothing must not pass
     code = run_cli(["run", "intersection-hypothesis", "--out", str(tmp_path / "r"),
                     "--set", "samples=20000"])
     assert code == 1
-    assert "intersection-hypothesis: FAIL (0/0 verdicts)" in capsys.readouterr().out
+    assert "intersection-hypothesis: FAIL (0/1 verdicts)" in capsys.readouterr().out
+    report = json.loads((tmp_path / "r" / "intersection-hypothesis" / "report.json").read_text())
+    assert [v["name"] for v in report["verdicts"]] == ["inconclusive"]
 
 
 def test_runtime_error_exits_three_with_marker(tmp_path, capsys):

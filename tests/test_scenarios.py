@@ -243,8 +243,11 @@ def test_intersection_zero_separation_reported_not_judged():
 def test_intersection_low_confidence_withholds_verdicts():
     rep = sc.run_scenario("intersection-hypothesis",
                           {"samples": 2000, "separations": [0.0, 1.0]})
-    assert rep.verdicts == []
-    assert rep.params["low_confidence_cells"] > 0
+    # both decisions are withheld; one failing verdict counts the weak cells
+    assert [v.name for v in rep.verdicts] == ["inconclusive"]
+    assert not rep.verdicts[0].passed
+    assert rep.verdicts[0].measured == rep.params["low_confidence_cells"] > 0
+    assert not rep.all_passed()
 
 
 def test_intersection_validates_inputs():

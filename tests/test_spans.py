@@ -5,6 +5,8 @@ into cells by raster.spans_to_cells and, independently, by evaluating each
 shape's distance function at every cell center.  Union bits, int32 cover
 counts, per-shape cell totals and the weighted incidence deposit must agree
 except at centers within EDGE_TOL of a band edge, where rounding decides.
+A circle family's spans may overlap, so for families only the union is
+compared.
 The kernel's block and chunk sizes are shrunk so that every example crosses
 row-block and shape-chunk boundaries.
 """
@@ -36,8 +38,8 @@ def intervals(draw):
 shape = st.one_of(
     st.builds(ra.Circle, st.tuples(coord, coord), length),
     st.builds(ra.SquareBoundary, st.tuples(coord, coord), length),
-    st.builds(ra.CircleFamily, intervals(), coord, length),
 )
+family = st.builds(ra.CircleFamily, intervals(), coord, length)
 triangle = st.tuples(*[st.tuples(coord, coord)] * 3)
 
 
@@ -125,6 +127,23 @@ def test_span_kernel_matches_brute_force(shapes, n, delta, rows, chunk, weights)
             ref[b] += w[k] / (totals[k] * grid.cell_volume)
     assert np.allclose(mass[sure], ref[sure], rtol=1e-9, atol=1e-12)
     assert np.all(mass[~bits] == 0.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(shapes=st.lists(st.one_of(family, shape), min_size=1, max_size=5),
+       n=st.integers(16, 48), delta=st.floats(0.13, 0.4),
+       rows=st.integers(1, 5), chunk=st.integers(1, 9))
+def test_circle_family_union_matches_brute_force(shapes, n, delta, rows, chunk):
+    # a family's spans may overlap, so only its union is checked
+    grid = ra.GridSpec(BOX, n)
+    x, y = _centers(grid)
+    dist = [_distance(s, x, y) for s in shapes]
+    with mock.patch.object(ra, "_BLOCK_CELLS", rows * n), \
+            mock.patch.object(ra, "_SPAN_CHUNK", chunk):
+        union = ra.union_scanline(shapes, delta, grid)
+    sure = ~np.logical_or.reduce([np.abs(d - delta) <= EDGE_TOL for d in dist])
+    brute = np.logical_or.reduce([d <= delta for d in dist])
+    assert np.array_equal(union.bits[sure], brute[sure])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
