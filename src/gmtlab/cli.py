@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .reporting import write_report
-from .scenarios import DEFAULTS, run_scenario, scenario_ids
+from .scenarios import SCENARIOS, run_scenario, scenario_ids
 
 
 class UsageError(Exception):
@@ -82,8 +82,8 @@ def _coerce(key, default, text):
 
 def _param_template():
     tmpl = {}
-    for params in DEFAULTS.values():
-        tmpl.update(params)
+    for defaults, _ in SCENARIOS.values():
+        tmpl.update(defaults)
     return tmpl
 
 
@@ -105,7 +105,7 @@ def _parse_file(path) -> dict:
     return raw
 
 
-def parse_config(argv, config_file=None) -> RunConfig:
+def parse_config(argv) -> RunConfig:
     parser = argparse.ArgumentParser(
         prog="gmt-lab",
         description="run reproducible measure-geometry experiments")
@@ -135,9 +135,8 @@ def parse_config(argv, config_file=None) -> RunConfig:
     settings = dict(_FILE_SETTINGS)
     overrides = {}
 
-    file_path = args.config if args.config is not None else config_file
-    if file_path is not None:
-        for key, text in _parse_file(file_path).items():
+    if args.config is not None:
+        for key, text in _parse_file(args.config).items():
             if key in settings:
                 settings[key] = _coerce(key, _FILE_SETTINGS[key], text)
             elif key in template:
@@ -154,7 +153,7 @@ def parse_config(argv, config_file=None) -> RunConfig:
             raise UsageError(f"unknown key {key!r}")
         overrides[key] = _coerce(key, template[key], text)
 
-    if args.scenario != "all" and args.scenario not in DEFAULTS:
+    if args.scenario != "all" and args.scenario not in SCENARIOS:
         raise UsageError(f"unknown scenario {args.scenario!r}; "
                          f"try one of: {', '.join(scenario_ids())}")
     return RunConfig(
@@ -172,8 +171,8 @@ def _run_one(sid: str, config: RunConfig):
     sub = config.output_dir / sid
     try:
         sub.mkdir(parents=True, exist_ok=True)
-        keys = DEFAULTS[sid]
-        local = {k: v for k, v in config.overrides.items() if k in keys}
+        defaults, _ = SCENARIOS[sid]
+        local = {k: v for k, v in config.overrides.items() if k in defaults}
         report = run_scenario(sid, local, seed=config.seed, out_dir=sub)
         write_report(report, sub)
         return report.summary_line(), report.all_passed(), False

@@ -13,7 +13,6 @@ cell with uniform weights.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from math import log
 
@@ -289,14 +288,6 @@ def frostman_ratio(points: PointSet, a: float, radii) -> float:
     return best
 
 
-def frostman_profile(points: PointSet, a: float, radii):
-    """Per-radius worst ratio, largest radius first; used for growth diagnostics."""
-    out = []
-    for r in sorted(np.asarray(radii, dtype=float), reverse=True):
-        out.append((float(r), frostman_ratio(points, a, [r])))
-    return out
-
-
 def box_dimension(points: PointSet, scales) -> float:
     """OLS slope of log(occupied box count) against log(1/scale)."""
     scales = np.asarray(scales, dtype=float)
@@ -377,23 +368,3 @@ def verify_direction_coverage(tree: TriangleSet, samples: int = 100) -> bool:
             if not point_in_triangle(p, tri, slack=1e-9):
                 return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# CSV export (one row per point / interval)
-# ---------------------------------------------------------------------------
-
-def interval_set_to_csv(iset: IntervalSet, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index", "a", "b"])
-        for i, (a, b) in enumerate(iset.intervals):
-            writer.writerow([i, repr(a), repr(b)])
-
-
-def point_set_to_csv(ps: PointSet, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"x{k}" for k in range(ps.dim)] + ["weight"])
-        for p, w in zip(ps.points, ps.weights):
-            writer.writerow([repr(float(v)) for v in p] + [repr(float(w))])

@@ -3,8 +3,8 @@
 A raster marks the cells whose center lies inside a band (|phi(x, c) - t| <=
 delta for phase bands, point-to-shape distance <= delta for geometric bands).
 Cell-center sampling keeps everything reproducible; the bias per band edge is
-at most half a cell diagonal times the gradient bound, which the refinement
-series makes observable.
+at most half a cell diagonal times the gradient bound, which refining the
+grid makes observable.
 
 A 2-D geometric band (circle, square boundary, circle family, filled
 triangle) is given by its spans: on each grid row, the x-intervals [lo, hi]
@@ -111,10 +111,6 @@ class GridRaster:
 
     def check_count(self) -> bool:
         return self.filled_count == int(np.count_nonzero(self.bits))
-
-
-def empty_raster(grid: GridSpec) -> GridRaster:
-    return GridRaster(grid, np.zeros((grid.cells_per_axis,) * grid.dim, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +477,7 @@ def intersection_area(a: GridRaster, b: GridRaster) -> float:
 
 
 # ---------------------------------------------------------------------------
-# interior probes and refinement
+# interior probes
 # ---------------------------------------------------------------------------
 
 def max_inscribed_interval(raster: GridRaster, axis: int = 0, within=None) -> float:
@@ -511,14 +507,6 @@ def max_inscribed_interval(raster: GridRaster, axis: int = 0, within=None) -> fl
         runs = edges[1::2] - edges[0::2]
         best = max(best, int(runs.max()))
     return best * cell
-
-
-def refinement_series(builder, grids) -> list:
-    """[(n, area)] for a raster builder evaluated on successively finer grids."""
-    ns = [g.cells_per_axis for g in grids]
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ArgumentError("grids must be strictly increasing in cells_per_axis")
-    return [(g.cells_per_axis, builder(g).area()) for g in grids]
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,20 @@
 """Named end-to-end experiments with pass/fail verdicts.
 
-Each run_* function binds phase families, fractal constructions, rasters,
-and Monte Carlo into one reproducible experiment.  Given identical params
-and seed the returned series are bit-identical, so the CSVs written by
-reporting.write_report reproduce byte for byte.
+SCENARIOS is the one registry: scenario id -> (defaults, runner).  Each
+runner is registered with its defaults by the @_scenario line above it, and
+those defaults are the only place a parameter or threshold gets its value.
+run_scenario overlays the caller's overrides on a copy of the defaults and
+calls runner(p, seed, out_dir) on the resolved dict p.  The runner reads
+everything from p, writes the normalised values back into it (sorted
+ladders, integer sizes, float boxes), may add derived entries, and returns
+its series, verdicts and PGM names.  p becomes the report's params.
 
-All thresholds are keyword arguments with documented defaults (collected in
-DEFAULTS); none are buried in the code paths.  A verdict can legitimately
-fail: the report records the measured value either way.  Passing out_dir
-writes PGM snapshots of final unions and lists them in report.artifacts;
-manifest/CSV writing is the caller's job.
+Given identical params and seed the returned series are bit-identical, so
+the CSVs written by reporting.write_report reproduce byte for byte.  A
+verdict can legitimately fail: the report records the measured value either
+way, and a run that decides no verdict fails with an `undecided` one.
+Passing out_dir writes PGM snapshots of final unions and lists them in
+report.artifacts; manifest/CSV writing is the caller's job.
 """
 
 from __future__ import annotations
@@ -28,31 +33,70 @@ from .reporting import ExperimentReport, Verdict
 
 
 # ---------------------------------------------------------------------------
-# shared plumbing
+# registry and shared plumbing
 # ---------------------------------------------------------------------------
 
-def _flat_box(grid: GridSpec):
-    (x0, y0), (x1, y1) = grid.box
-    return (float(x0), float(y0), float(x1), float(y1))
+SCENARIOS = {}
+
+
+def _scenario(scenario_id: str, **defaults):
+    """Register runner(p, seed, out_dir) -> (series, verdicts, artifacts)."""
+    def register(runner):
+        SCENARIOS[scenario_id] = (defaults, runner)
+        return runner
+    return register
+
+
+def scenario_ids():
+    return list(SCENARIOS)
+
+
+def run_scenario(scenario_id: str, overrides=None, seed: int = 0,
+                 out_dir=None) -> ExperimentReport:
+    """Run one scenario on its registry defaults overlaid by overrides."""
+    if scenario_id not in SCENARIOS:
+        raise ArgumentError(f"unknown scenario {scenario_id!r}")
+    defaults, runner = SCENARIOS[scenario_id]
+    p = dict(defaults)
+    for key, value in (overrides or {}).items():
+        if key not in p:
+            raise ArgumentError(f"unknown key {key!r} for scenario {scenario_id}")
+        p[key] = value
+
+    t0 = time.perf_counter()
+    series, verdicts, artifacts = runner(p, seed, out_dir)
+    if not verdicts:
+        # a run that decides nothing is no pass
+        p["decided_verdicts"] = 0
+        verdicts = [_verdict("undecided", 1, 0, False)]
+    # numpy scalars break json.dump and repr-based CSVs; flatten to builtins
+    clean = {
+        name: [(a if isinstance(a, int) else float(a), float(v)) for a, v in rows]
+        for name, rows in series.items()
+    }
+    return ExperimentReport(scenario_id, p, clean, verdicts, artifacts, seed,
+                            time.perf_counter() - t0)
 
 
 def _verdict(name, threshold, measured, passed) -> Verdict:
     return Verdict(name, float(threshold), float(measured), bool(passed))
 
 
-def _finish(scenario_id, params, series, verdicts, artifacts, seed, t0):
-    # numpy scalars break json.dump and repr-based CSVs; flatten to builtins
-    clean = {
-        name: [(a if isinstance(a, int) else float(a), float(v)) for a, v in rows]
-        for name, rows in series.items()
-    }
-    return ExperimentReport(scenario_id, params, clean, verdicts, artifacts,
-                            seed, time.perf_counter() - t0)
+def _grid(p, box: str = "box", n: str = "n") -> GridSpec:
+    """The grid p[box], p[n] describe; both are normalised in place."""
+    p[n] = int(p[n])
+    p[box] = tuple(float(v) for v in p[box])
+    x0, y0, x1, y1 = p[box]
+    return GridSpec(((x0, y0), (x1, y1)), p[n])
 
 
-def _grid_from(params) -> GridSpec:
-    x0, y0, x1, y1 = params["box"]
-    return GridSpec(((x0, y0), (x1, y1)), int(params["n"]))
+def _depths_and_deltas(p):
+    """p's depths sorted up and deltas sorted down, normalised in place."""
+    p["depths"] = sorted(int(d) for d in p["depths"])
+    p["deltas"] = sorted((float(d) for d in p["deltas"]), reverse=True)
+    if not p["depths"] or not p["deltas"]:
+        raise ArgumentError("need at least one depth and one delta")
+    return p["depths"], p["deltas"]
 
 
 def _require_box(grid: GridSpec, lo, hi, why: str):
@@ -61,12 +105,13 @@ def _require_box(grid: GridSpec, lo, hi, why: str):
         raise ArgumentError(f"box {grid.box} must contain {why}")
 
 
-def _pgm(rst, scenario_id: str, delta: float, out_dir, artifacts: list):
+def _pgm(rst, scenario_id: str, delta: float, out_dir) -> list:
+    """Write rst as a PGM snapshot into out_dir; returns the names written."""
     if out_dir is None:
-        return
+        return []
     name = raster.pgm_band_filename(scenario_id, rst.grid.cells_per_axis, delta)
     raster.write_pgm(rst, Path(out_dir) / name)
-    artifacts.append(name)
+    return [name]
 
 
 def _circle_rows(points, radius: float):
@@ -81,14 +126,19 @@ def _cantor_cloud(depth: int, seed: int, on_line: bool = False):
     return fractal.product_point_cloud(c, cols, seed=seed)
 
 
+def _step_ratios(rows):
+    """(abscissa, value / previous value) for consecutive rows, skipping zeros."""
+    return [(b[0], b[1] / a[1]) for a, b in zip(rows, rows[1:]) if a[1] > 0]
+
+
 # ---------------------------------------------------------------------------
 # 1. fixed-level positivity: curved unions keep area, thin center sets lose it
 # ---------------------------------------------------------------------------
 
-def run_fixed_level_positivity(depths, grid: GridSpec, deltas, seed: int = 0,
-                               area_floor: float = 0.5, stability_tol: float = 0.05,
-                               control_ratio: float = 0.5,
-                               out_dir=None) -> ExperimentReport:
+@_scenario("fixed-level-positivity", depths=[6], deltas=[0.04, 0.02, 0.01],
+           n=2048, box=(-1.1, -1.1, 2.1, 2.1), area_floor=0.5,
+           stability_tol=0.05, control_ratio=0.5)
+def _fixed_level_positivity(p, seed, out_dir):
     """Unit-circle unions over a planar Cantor product vs a Cantor line.
 
     The product centers give a union whose area stabilizes as the band
@@ -98,17 +148,11 @@ def run_fixed_level_positivity(depths, grid: GridSpec, deltas, seed: int = 0,
     rate 4^(1 - log 2/log 3) ~ 1.67x, so that verdict fails by design and
     documents the gap between the qualitative claim and this center set.
     """
-    t0 = time.perf_counter()
-    depths = sorted(int(d) for d in depths)
-    deltas = sorted((float(d) for d in deltas), reverse=True)
-    if not depths or not deltas:
-        raise ArgumentError("need at least one depth and one delta")
+    depths, deltas = _depths_and_deltas(p)
+    grid = _grid(p)
     _require_box(grid, (-1.0, -1.0), (2.0, 2.0), "all unit circles around [0,1]^2")
 
     series = {}
-    artifacts = []
-    verdicts = []
-    final_union = None
     for depth in depths:
         cloud = _cantor_cloud(depth, seed)
         line = _cantor_cloud(depth, seed, on_line=True)
@@ -118,8 +162,6 @@ def run_fixed_level_positivity(depths, grid: GridSpec, deltas, seed: int = 0,
             cxc_rows.append((d, union.area()))
             lu, _, _ = raster.rasterize_circles(_circle_rows(line.points, 1.0), d, grid)
             line_rows.append((d, lu.area()))
-            if depth == depths[-1] and d == deltas[-1]:
-                final_union = union
         series[f"cxc-area-depth{depth}"] = cxc_rows
         series[f"line-area-depth{depth}"] = line_rows
         series[f"cxc-stability-depth{depth}"] = [
@@ -127,40 +169,34 @@ def run_fixed_level_positivity(depths, grid: GridSpec, deltas, seed: int = 0,
             for (coarse, ac), (fine, af) in zip(cxc_rows, cxc_rows[1:])
         ]
 
-    last = depths[-1]
-    cxc_rows = series[f"cxc-area-depth{last}"]
-    line_rows = series[f"line-area-depth{last}"]
+    # the loop leaves the deepest depth's rows and its finest union behind
     floor_measured = cxc_rows[-1][1]
-    verdicts.append(_verdict("union-area-floor", area_floor, floor_measured,
-                            floor_measured >= area_floor))
-    changes = [v for _, v in series[f"cxc-stability-depth{last}"]]
+    verdicts = [_verdict("union-area-floor", p["area_floor"], floor_measured,
+                         floor_measured >= p["area_floor"])]
+    changes = [v for _, v in series[f"cxc-stability-depth{depth}"]]
     if changes:
         worst = max(changes)
-        verdicts.append(_verdict("union-area-stability", stability_tol, worst,
-                                worst <= stability_tol))
+        verdicts.append(_verdict("union-area-stability", p["stability_tol"], worst,
+                                 worst <= p["stability_tol"]))
     # control pair: finest delta against the entry nearest 4x coarser
     d_lo, a_lo = line_rows[-1]
     d_hi, a_hi = min(line_rows, key=lambda row: abs(row[0] - 4.0 * d_lo))
     if d_hi > d_lo and a_hi > 0.0:
         shrink = a_lo / a_hi
-        series[f"line-shrink-depth{last}"] = [(d_lo, shrink)]
-        verdicts.append(_verdict("control-shrink", control_ratio, shrink,
-                                shrink <= control_ratio))
+        series[f"line-shrink-depth{depth}"] = [(d_lo, shrink)]
+        verdicts.append(_verdict("control-shrink", p["control_ratio"], shrink,
+                                 shrink <= p["control_ratio"]))
 
-    _pgm(final_union, "fixed-level-positivity", deltas[-1], out_dir, artifacts)
-    params = {"depths": depths, "deltas": deltas, "n": grid.cells_per_axis,
-              "box": _flat_box(grid), "area_floor": area_floor,
-              "stability_tol": stability_tol, "control_ratio": control_ratio}
-    return _finish("fixed-level-positivity", params, series, verdicts, artifacts, seed, t0)
+    return series, verdicts, _pgm(union, "fixed-level-positivity", deltas[-1], out_dir)
 
 
 # ---------------------------------------------------------------------------
 # 2. flat counterexample: square boundaries refuse to lose area like curves do
 # ---------------------------------------------------------------------------
 
-def run_flat_counterexample(depths, deltas, grid: GridSpec, seed: int = 0,
-                            shrink_ratio: float = 0.8, intercept_tol: float = 0.05,
-                            out_dir=None) -> ExperimentReport:
+@_scenario("flat-counterexample", depths=[3, 4, 5], deltas=[0.08, 0.04, 0.02, 0.01],
+           n=2048, box=(-1.5, -1.5, 2.5, 2.5), shrink_ratio=0.8, intercept_tol=0.05)
+def _flat_counterexample(p, seed, out_dir):
     """Square-boundary bands over the Cantor product, circles as contrast.
 
     At band width 0.01 every Cantor gap below 3^-4 is bridged, so deeper
@@ -169,18 +205,12 @@ def run_flat_counterexample(depths, deltas, grid: GridSpec, seed: int = 0,
     the idealized flat-collapse signature and fail at this scale.  The
     circle substitute gives the curvature contrast: its areas grow.
     """
-    t0 = time.perf_counter()
-    depths = sorted(int(d) for d in depths)
-    deltas = sorted((float(d) for d in deltas), reverse=True)
-    if not depths or not deltas:
-        raise ArgumentError("need at least one depth and one delta")
+    depths, deltas = _depths_and_deltas(p)
+    grid = _grid(p)
     _require_box(grid, (-1.5, -1.5), (2.5, 2.5), "[-1.5, 2.5]^2")
 
     d_min = deltas[-1]
-    series = {}
-    artifacts = []
     square_rows, circle_rows = [], []
-    final_union = None
     for depth in depths:
         cloud = _cantor_cloud(depth, seed)
         squares = [raster.SquareBoundary((x, y), 1.0) for x, y in cloud.points]
@@ -188,56 +218,44 @@ def run_flat_counterexample(depths, deltas, grid: GridSpec, seed: int = 0,
         square_rows.append((depth, union.area()))
         cu, _, _ = raster.rasterize_circles(_circle_rows(cloud.points, 1.0), d_min, grid)
         circle_rows.append((depth, cu.area()))
-        if depth == depths[-1]:
-            final_union = union
-    series[f"square-area-d{d_min:g}"] = square_rows
-    series[f"circle-area-d{d_min:g}"] = circle_rows
+    series = {f"square-area-d{d_min:g}": square_rows,
+              f"circle-area-d{d_min:g}": circle_rows}
 
     verdicts = []
-    sq_ratios = [(b[0], b[1] / a[1]) for a, b in zip(square_rows, square_rows[1:]) if a[1] > 0]
+    sq_ratios = _step_ratios(square_rows)
     if sq_ratios:
         series["square-step-ratio"] = sq_ratios
         worst = max(v for _, v in sq_ratios)
-        verdicts.append(_verdict("flat-shrink", shrink_ratio, worst, worst <= shrink_ratio))
-    ci_ratios = [(b[0], b[1] / a[1]) for a, b in zip(circle_rows, circle_rows[1:]) if a[1] > 0]
+        verdicts.append(_verdict("flat-shrink", p["shrink_ratio"], worst,
+                                 worst <= p["shrink_ratio"]))
+    ci_ratios = _step_ratios(circle_rows)
     if ci_ratios:
         series["circle-step-ratio"] = ci_ratios
         least = min(v for _, v in ci_ratios)
         verdicts.append(_verdict("curved-growth", 1.0, least, least >= 1.0))
 
-    # delta ladder at the deepest level, extrapolated linearly to delta = 0
-    deep = depths[-1]
-    cloud = _cantor_cloud(deep, seed)
-    squares = [raster.SquareBoundary((x, y), 1.0) for x, y in cloud.points]
-    ladder = []
-    for d in deltas:
-        if d == d_min:
-            ladder.append((d, square_rows[-1][1]))
-        else:
-            ladder.append((d, raster.union_scanline(squares, d, grid).area()))
-    series[f"square-ladder-depth{deep}"] = ladder
+    # delta ladder over the deepest level's squares, extrapolated to delta = 0
+    ladder = [(d, square_rows[-1][1] if d == d_min
+               else raster.union_scanline(squares, d, grid).area()) for d in deltas]
+    series[f"square-ladder-depth{depths[-1]}"] = ladder
     if len(ladder) >= 2:
         xs = np.array([d for d, _ in ladder])
         ys = np.array([a for _, a in ladder])
         intercept = float(np.polyfit(xs, ys, 1)[1])
         series["zero-area-intercept"] = [(0.0, intercept)]
-        verdicts.append(_verdict("zero-area-intercept", intercept_tol, intercept,
-                                intercept <= intercept_tol))
+        verdicts.append(_verdict("zero-area-intercept", p["intercept_tol"], intercept,
+                                 intercept <= p["intercept_tol"]))
 
-    _pgm(final_union, "flat-counterexample", d_min, out_dir, artifacts)
-    params = {"depths": depths, "deltas": deltas, "n": grid.cells_per_axis,
-              "box": _flat_box(grid), "shrink_ratio": shrink_ratio,
-              "intercept_tol": intercept_tol}
-    return _finish("flat-counterexample", params, series, verdicts, artifacts, seed, t0)
+    return series, verdicts, _pgm(union, "flat-counterexample", d_min, out_dir)
 
 
 # ---------------------------------------------------------------------------
 # 3. discrete incidence: separated lattices keep a fixed share of the plane
 # ---------------------------------------------------------------------------
 
-def run_discrete_incidence(qs, s: float, r: float = 1.0, seed: int = 0,
-                           grid: GridSpec = None, c0: float = 6.0,
-                           ratio_bound: float = 2.0, out_dir=None) -> ExperimentReport:
+@_scenario("discrete-incidence", qs=[8, 16, 32], s=1.5, r=1.0, n=2048,
+           box=(-1.1, -1.1, 2.1, 2.1), c0=6.0, ratio_bound=2.0)
+def _discrete_incidence(p, seed, out_dir):
     """Annuli of width q^(-2/s) around a 1-separated lattice, unit frame.
 
     Everything is rescaled by 1/q: centers land in [0,1]^2, radii stay r,
@@ -245,20 +263,17 @@ def run_discrete_incidence(qs, s: float, r: float = 1.0, seed: int = 0,
     calibration constant frozen from the q=8 run (measured 7.73, kept with
     a 20 percent margin), not a derived bound.
     """
-    t0 = time.perf_counter()
-    qs = sorted(int(q) for q in qs)
+    p["qs"] = qs = sorted(int(q) for q in p["qs"])
     if not qs:
         raise ArgumentError("need at least one q")
+    s, r = p["s"], p["r"]
     if not 1.0 < s < 2.0:
         raise ArgumentError("s must lie in (1, 2)")
-    if grid is None:
-        grid = GridSpec(((-1.1, -1.1), (2.1, 2.1)), 2048)
+    grid = _grid(p)
     _require_box(grid, (-r, -r), (1.0 + r, 1.0 + r), "all annuli around [0,1]^2")
 
     series = {"unit-area": [], "incidence-integral": [], "incidence-slack": [],
               "band-width": []}
-    artifacts = []
-    final_union = None
     for q in qs:
         lattice = fractal.separated_lattice(q, seed=seed)
         rho = fractal.thickening_radius(q, s)
@@ -270,24 +285,18 @@ def run_discrete_incidence(qs, s: float, r: float = 1.0, seed: int = 0,
         series["incidence-integral"].append((q, integral))
         series["incidence-slack"].append((q, integral - area))
         series["band-width"].append((q, rho))
-        final_union = union
 
     areas = [a for _, a in series["unit-area"]]
     least = min(areas)
     spread = max(areas) / least
     series["area-spread"] = [(qs[-1], spread)]
-    verdicts = [
-        _verdict("area-floor", c0, least, least >= c0),
-        _verdict("area-spread", ratio_bound, spread, spread <= ratio_bound),
-    ]
     slack = min(v for _, v in series["incidence-slack"])
-    verdicts.append(_verdict("incidence-dominates", 0.0, slack, slack >= 0.0))
-
-    _pgm(final_union, "discrete-incidence", fractal.thickening_radius(qs[-1], s),
-         out_dir, artifacts)
-    params = {"qs": qs, "s": s, "r": r, "n": grid.cells_per_axis,
-              "box": _flat_box(grid), "c0": c0, "ratio_bound": ratio_bound}
-    return _finish("discrete-incidence", params, series, verdicts, artifacts, seed, t0)
+    verdicts = [
+        _verdict("area-floor", p["c0"], least, least >= p["c0"]),
+        _verdict("area-spread", p["ratio_bound"], spread, spread <= p["ratio_bound"]),
+        _verdict("incidence-dominates", 0.0, slack, slack >= 0.0),
+    ]
+    return series, verdicts, _pgm(union, "discrete-incidence", rho, out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +315,10 @@ def _mc_boxes(sep: float, d_max: float):
     return diffeo, paraboloid
 
 
-def run_intersection_hypothesis(deltas, separations, samples: int, seed: int = 0,
-                                kappa: float = 0.3, c_pass: float = 50.0,
-                                growth_floor: float = 1.8,
-                                out_dir=None) -> ExperimentReport:
+@_scenario("intersection-hypothesis", deltas=[0.04, 0.02],
+           separations=[0.0, 0.25, 0.5, 1.0], samples=2_000_000, kappa=0.3,
+           c_pass=50.0, growth_floor=1.8)
+def _intersection_hypothesis(p, seed, out_dir):
     """Monte Carlo measure of band intersections for two sphere selections.
 
     ratio(delta, sep) = measure x (delta + sep) / delta^2.  The warped
@@ -320,9 +329,8 @@ def run_intersection_hypothesis(deltas, separations, samples: int, seed: int = 0
     verdict with a low-confidence Monte Carlo cell is withheld, and a failing
     `inconclusive` verdict counts those cells instead.
     """
-    t0 = time.perf_counter()
-    deltas = sorted((float(d) for d in deltas), reverse=True)
-    separations = [float(v) for v in separations]
+    p["deltas"] = deltas = sorted((float(d) for d in p["deltas"]), reverse=True)
+    p["separations"] = separations = [float(v) for v in p["separations"]]
     if not deltas or not separations:
         raise ArgumentError("need at least one delta and one separation")
     if min(deltas) < 0.01:
@@ -330,9 +338,9 @@ def run_intersection_hypothesis(deltas, separations, samples: int, seed: int = 0
     for sep in separations:
         if sep != 0.0 and not 0.25 <= sep <= 1.5:
             raise ArgumentError(f"separation {sep} outside [0.25, 1.5]")
-    samples = int(samples)
+    p["samples"] = samples = int(p["samples"])
 
-    sphere = phase.PhaseSpec(phase.KIND_DIFFEO_DISTANCE, 3, {"kappa": kappa})
+    sphere = phase.PhaseSpec(phase.KIND_DIFFEO_DISTANCE, 3, {"kappa": p["kappa"]})
     parab = phase.PhaseSpec(phase.KIND_PARABOLOID, 3)
     d_max = max(deltas)
     series = {"paraboloid-growth": []}
@@ -378,31 +386,27 @@ def run_intersection_hypothesis(deltas, separations, samples: int, seed: int = 0
     verdicts = []
     if diffeo_vals and not low_diffeo:
         worst = max(diffeo_vals)
-        verdicts.append(_verdict("intersection-bound", c_pass, worst, worst <= c_pass))
+        verdicts.append(_verdict("intersection-bound", p["c_pass"], worst,
+                                 worst <= p["c_pass"]))
     if growth_vals and not low_parab:
         least = min(growth_vals)
-        verdicts.append(_verdict("degenerate-growth", growth_floor, least,
-                                least >= growth_floor))
-    low = int(low_diffeo + low_parab)
+        verdicts.append(_verdict("degenerate-growth", p["growth_floor"], least,
+                                 least >= p["growth_floor"]))
+    p["low_confidence_cells"] = low = int(low_diffeo + low_parab)
     if low:
         # a withheld verdict leaves the run undecided, and undecided is no pass
         verdicts.append(_verdict("inconclusive", 0, low, False))
-
-    params = {"deltas": deltas, "separations": separations, "samples": samples,
-              "kappa": kappa, "c_pass": c_pass, "growth_floor": growth_floor,
-              "low_confidence_cells": low}
-    return _finish("intersection-hypothesis", params, series, verdicts, [], seed, t0)
+    return series, verdicts, []
 
 
 # ---------------------------------------------------------------------------
 # 5. interior failure: positive area, yet no horizontal breathing room
 # ---------------------------------------------------------------------------
 
-def run_interior_failure(depths, grid: GridSpec, deltas,
-                         probe_n: int = 8192,
-                         probe_box=(-1.05, -0.905, 2.05, 0.905),
-                         run_band: float = 0.9, area_floor: float = 0.3,
-                         seed: int = 0, out_dir=None) -> ExperimentReport:
+@_scenario("interior-failure", depths=[3, 4, 5, 6], deltas=[0.04, 0.02, 0.01],
+           n=2048, box=(-1.5, -1.5, 2.5, 1.5), probe_n=8192,
+           probe_box=(-1.05, -0.905, 2.05, 0.905), run_band=0.9, area_floor=0.3)
+def _interior_failure(p, seed, out_dir):
     """Unit circles centered on a fat Cantor set sitting on the x-axis.
 
     The union keeps positive area at every depth, but each horizontal slice
@@ -413,98 +417,79 @@ def run_interior_failure(depths, grid: GridSpec, deltas,
     gaps, so the measured run parks near that coarser scale and the bound
     verdict fails at this resolution.
     """
-    t0 = time.perf_counter()
-    depths = sorted(int(d) for d in depths)
-    deltas = sorted((float(d) for d in deltas), reverse=True)
-    if not depths or not deltas:
-        raise ArgumentError("need at least one depth and one delta")
+    depths, deltas = _depths_and_deltas(p)
+    grid = _grid(p)
     _require_box(grid, (-1.5, -1.5), (2.5, 1.5), "[-1.5, 2.5] x [-1.5, 1.5]")
-    px0, py0, px1, py1 = (float(v) for v in probe_box)
-    probe = GridSpec(((px0, py0), (px1, py1)), int(probe_n))
-    probe_cell = float(np.max(probe.cell_sizes))
-    d_run = probe_cell / 4.0
+    probe = _grid(p, "probe_box", "probe_n")
+    d_run = float(np.max(probe.cell_sizes)) / 4.0
     d_min = deltas[-1]
 
-    series = {f"area-d{d_min:g}": [], "max-run": [], "run-bound": []}
-    artifacts = []
-    verdicts = []
-    final_union = None
+    areas, runs, bounds = [], [], []
     for depth in depths:
         f_set = fractal.fat_cantor(depth)
         family = raster.CircleFamily(f_set, 0.0, 1.0)
         union = raster.rasterize_band(family, None, None, d_min, grid)
-        series[f"area-d{d_min:g}"].append((depth, union.area()))
+        areas.append((depth, union.area()))
         with warnings.catch_warnings():
-            # the probe band sits at the resolution floor on purpose
+            # the probe band sits at the resolution floor on purpose; no name
+            # holds the probe raster, so it is freed before the next depth's
             warnings.simplefilter("ignore")
-            fine = raster.rasterize_band(family, None, None, d_run, probe)
-        run = raster.max_inscribed_interval(fine, axis=0, within=(-run_band, run_band))
-        bound = 2.0 * f_set.max_interval_length() + 4.0 * float(probe.cell_sizes[0])
-        series["max-run"].append((depth, run))
-        series["run-bound"].append((depth, bound))
-        if depth == depths[-1]:
-            final_union = union
+            run = raster.max_inscribed_interval(
+                raster.rasterize_band(family, None, None, d_run, probe),
+                axis=0, within=(-p["run_band"], p["run_band"]))
+        runs.append((depth, run))
+        bounds.append((depth, 2.0 * f_set.max_interval_length()
+                       + 4.0 * float(probe.cell_sizes[0])))
+    series = {f"area-d{d_min:g}": areas, "max-run": runs, "run-bound": bounds}
+    # the loop leaves the deepest family behind for its delta ladder
+    series[f"area-ladder-depth{depths[-1]}"] = [
+        (d, areas[-1][1] if d == d_min
+         else raster.rasterize_band(family, None, None, d, grid).area())
+        for d in deltas]
 
-    deep = depths[-1]
-    ladder = [(d, series[f"area-d{d_min:g}"][-1][1]) if d == d_min
-              else (d, raster.rasterize_band(raster.CircleFamily(
-                  fractal.fat_cantor(deep), 0.0, 1.0), None, None, d, grid).area())
-              for d in deltas]
-    series[f"area-ladder-depth{deep}"] = ladder
-
-    floor_measured = dict(series[f"area-d{d_min:g}"])[deep]
-    verdicts.append(_verdict("area-floor", area_floor, floor_measured,
-                            floor_measured >= area_floor))
-    runs = series["max-run"]
-    ratios = [(b[0], b[1] / a[1]) for a, b in zip(runs, runs[1:]) if a[1] > 0]
+    floor_measured = areas[-1][1]
+    verdicts = [_verdict("area-floor", p["area_floor"], floor_measured,
+                         floor_measured >= p["area_floor"])]
+    ratios = _step_ratios(runs)
     if ratios:
         series["run-step-ratio"] = ratios
         worst = max(v for _, v in ratios)
         verdicts.append(_verdict("run-monotone", 1.0, worst, worst <= 1.0))
-    run_deep = dict(runs)[deep]
-    bound_deep = dict(series["run-bound"])[deep]
+    run_deep, bound_deep = runs[-1][1], bounds[-1][1]
     verdicts.append(_verdict("run-bound", bound_deep, run_deep, run_deep <= bound_deep))
-
-    _pgm(final_union, "interior-failure", d_min, out_dir, artifacts)
-    params = {"depths": depths, "deltas": deltas, "n": grid.cells_per_axis,
-              "box": _flat_box(grid), "probe_n": int(probe_n),
-              "probe_box": (px0, py0, px1, py1), "run_band": run_band,
-              "area_floor": area_floor}
-    return _finish("interior-failure", params, series, verdicts, artifacts, seed, t0)
+    return series, verdicts, _pgm(union, "interior-failure", d_min, out_dir)
 
 
 # ---------------------------------------------------------------------------
 # 6. kakeya compression: the sliding-wedge tree sheds area, keeps directions
 # ---------------------------------------------------------------------------
 
-def run_kakeya_compression(stages, grid: GridSpec, samples: int = 100,
-                           compression_ratio: float = 0.35, seed: int = 0,
-                           out_dir=None) -> ExperimentReport:
+@_scenario("kakeya-compression", stages=[0, 1, 2, 3, 4, 5], n=2048,
+           box=(-2.0, -1.0, 2.0, 1.5), samples=100, compression_ratio=0.35)
+def _kakeya_compression(p, seed, out_dir):
     """Perron tree per stage: union area shrinks, direction coverage holds."""
-    t0 = time.perf_counter()
-    stages = sorted(int(s) for s in stages)
+    p["stages"] = stages = sorted(int(s) for s in p["stages"])
     if not stages:
         raise ArgumentError("need at least one stage")
     if stages[-1] > 6:
         raise ArgumentError("stages beyond 6 are not part of this experiment")
     if stages[0] < 0:
         raise ArgumentError("stages must be nonnegative")
+    grid = _grid(p)
+    p["samples"] = int(p["samples"])
 
     series = {"union-area": [], "direction-coverage": [], "directions": []}
-    artifacts = []
-    final_union = None
     for stage in stages:
         tree = fractal.perron_tree(stage)
         union = raster.rasterize_triangles(tree.triangles, grid)
-        covered = fractal.verify_direction_coverage(tree, samples)
+        covered = fractal.verify_direction_coverage(tree, p["samples"])
         series["union-area"].append((stage, union.area()))
         series["direction-coverage"].append((stage, 1.0 if covered else 0.0))
         series["directions"].append((stage, float(len(tree.triangles))))
-        final_union = union
 
     areas = series["union-area"]
     verdicts = []
-    steps = [(b[0], b[1] / a[1]) for a, b in zip(areas, areas[1:]) if a[1] > 0]
+    steps = _step_ratios(areas)
     if steps:
         series["area-step-ratio"] = steps
         worst = max(v for _, v in steps)
@@ -514,56 +499,37 @@ def run_kakeya_compression(stages, grid: GridSpec, samples: int = 100,
     if 0 in by_stage and 5 in by_stage and by_stage[0] > 0:
         compression = by_stage[5] / by_stage[0]
         series["compression"] = [(5, compression)]
-        verdicts.append(_verdict("stage-compression", compression_ratio, compression,
-                                compression <= compression_ratio))
+        verdicts.append(_verdict("stage-compression", p["compression_ratio"],
+                                 compression, compression <= p["compression_ratio"]))
     coverage = min(v for _, v in series["direction-coverage"])
     verdicts.append(_verdict("direction-coverage", 1.0, coverage, coverage >= 1.0))
-
-    _pgm(final_union, "kakeya-compression", 0.0, out_dir, artifacts)
-    params = {"stages": stages, "n": grid.cells_per_axis, "box": _flat_box(grid),
-              "samples": int(samples), "compression_ratio": compression_ratio}
-    return _finish("kakeya-compression", params, series, verdicts, artifacts, seed, t0)
+    return series, verdicts, _pgm(union, "kakeya-compression", 0.0, out_dir)
 
 
 # ---------------------------------------------------------------------------
 # 7. bourgain compression: a 3-parameter curve family trapped in a surface
 # ---------------------------------------------------------------------------
 
-def run_bourgain_compression(grid_of_params, seed: int = 0,
-                             residual_tol: float = 1e-12,
-                             out_dir=None) -> ExperimentReport:
+@_scenario("bourgain-compression", samples=10_000, residual_tol=1e-12)
+def _bourgain_compression(p, seed, out_dir):
     """Curves (w1 - t*y2 - t^2*y1, w2 - t*y1, t), w1 = 0, w2 = -y2.
 
     Every point satisfies X = Y*Z exactly; the verdict checks the residual
-    stays at rounding level over the sampled parameters.  grid_of_params is
-    either an (k, 3) array of (y1, y2, t) rows or an integer sample count
-    drawn uniformly from [-2, 2]^2 x [0, 1] under the seed.
+    stays at rounding level over `samples` parameters (y1, y2, t) drawn
+    uniformly from [-2, 2]^2 x [0, 1] under the seed.
     """
-    t0 = time.perf_counter()
-    if isinstance(grid_of_params, (int, np.integer)):
-        count = int(grid_of_params)
-        if count < 1:
-            raise ArgumentError("sample count must be positive")
-        rng = np.random.default_rng(seed)
-        y1 = rng.uniform(-2.0, 2.0, count)
-        y2 = rng.uniform(-2.0, 2.0, count)
-        t = rng.uniform(0.0, 1.0, count)
-    else:
-        pts = np.asarray(grid_of_params, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) == 0:
-            raise ArgumentError("grid_of_params must be (k, 3) rows of (y1, y2, t)")
-        y1, y2, t = pts[:, 0], pts[:, 1], pts[:, 2]
-
-    x_val = -t * y2 - t * t * y1
-    y_val = -y2 - t * y1
-    z_val = t
-    residuals = np.abs(x_val - y_val * z_val)
-    worst = float(residuals.max())
-    series = {"max-residual": [(int(len(y1)), worst)]}
-    verdicts = [_verdict("hypersurface-identity", residual_tol, worst,
-                        worst <= residual_tol)]
-    params = {"samples": int(len(y1)), "residual_tol": residual_tol}
-    return _finish("bourgain-compression", params, series, verdicts, [], seed, t0)
+    p["samples"] = count = int(p["samples"])
+    if count < 1:
+        raise ArgumentError("sample count must be positive")
+    rng = np.random.default_rng(seed)
+    y1 = rng.uniform(-2.0, 2.0, count)
+    y2 = rng.uniform(-2.0, 2.0, count)
+    t = rng.uniform(0.0, 1.0, count)
+    x, y, z = phase.bourgain_curve(y1, y2, t)
+    worst = float(np.abs(x - y * z).max())
+    tol = p["residual_tol"]
+    verdicts = [_verdict("hypersurface-identity", tol, worst, worst <= tol)]
+    return {"max-residual": [(count, worst)]}, verdicts, []
 
 
 # ---------------------------------------------------------------------------
@@ -601,18 +567,17 @@ def _offset_map(curve: str, ts, us):
     return g + cu * tan + su * nor
 
 
-def run_transversality(curve: str = "line", samples: int = 100,
-                       fd_step: float = 1e-6, min_floor: float = 0.49,
-                       err_tol: float = 1e-3, seed: int = 0,
-                       out_dir=None) -> ExperimentReport:
+@_scenario("transversality", curve="line", samples=100, fd_step=1e-6,
+           min_floor=0.49, err_tol=1e-3)
+def _transversality(p, seed, out_dir):
     """Finite-difference Jacobian of the unit-offset map on a (t, u) grid."""
-    t0 = time.perf_counter()
+    curve = p["curve"]
     if curve not in _CURVE_FRAMES:
         raise ArgumentError(f"curve must be one of {_CURVE_FRAMES}")
-    samples = int(samples)
+    p["samples"] = samples = int(p["samples"])
     if samples < 4:
         raise ArgumentError("need at least a 4x4 grid")
-    h = float(fd_step)
+    p["fd_step"] = h = float(p["fd_step"])
 
     ts = np.linspace(0.0, 1.0, samples)[:, None]
     us = np.linspace(0.0, np.pi / 2.0, samples)[None, :]
@@ -632,103 +597,8 @@ def run_transversality(curve: str = "line", samples: int = 100,
     worst_err = max(v for _, v in series["jacobian-err-by-u"])
     floor = min(v for u, v in series["jacobian-min-by-u"] if np.pi / 6 <= u <= np.pi / 3)
     verdicts = [
-        _verdict("jacobian-matches-cosine", err_tol, worst_err, worst_err <= err_tol),
-        _verdict("transversal-floor", min_floor, floor, floor >= min_floor),
+        _verdict("jacobian-matches-cosine", p["err_tol"], worst_err,
+                 worst_err <= p["err_tol"]),
+        _verdict("transversal-floor", p["min_floor"], floor, floor >= p["min_floor"]),
     ]
-    params = {"curve": curve, "samples": samples, "fd_step": h,
-              "min_floor": min_floor, "err_tol": err_tol}
-    return _finish("transversality", params, series, verdicts, [], seed, t0)
-
-
-# ---------------------------------------------------------------------------
-# registry: one flat, overridable param dict per scenario
-# ---------------------------------------------------------------------------
-
-DEFAULTS = {
-    "fixed-level-positivity": {
-        "depths": [6], "deltas": [0.04, 0.02, 0.01], "n": 2048,
-        "box": (-1.1, -1.1, 2.1, 2.1), "area_floor": 0.5,
-        "stability_tol": 0.05, "control_ratio": 0.5,
-    },
-    "flat-counterexample": {
-        "depths": [3, 4, 5], "deltas": [0.08, 0.04, 0.02, 0.01], "n": 2048,
-        "box": (-1.5, -1.5, 2.5, 2.5), "shrink_ratio": 0.8, "intercept_tol": 0.05,
-    },
-    "discrete-incidence": {
-        "qs": [8, 16, 32], "s": 1.5, "r": 1.0, "n": 2048,
-        "box": (-1.1, -1.1, 2.1, 2.1), "c0": 6.0, "ratio_bound": 2.0,
-    },
-    "intersection-hypothesis": {
-        "deltas": [0.04, 0.02], "separations": [0.0, 0.25, 0.5, 1.0],
-        "samples": 2_000_000, "kappa": 0.3, "c_pass": 50.0, "growth_floor": 1.8,
-    },
-    "interior-failure": {
-        "depths": [3, 4, 5, 6], "deltas": [0.04, 0.02, 0.01], "n": 2048,
-        "box": (-1.5, -1.5, 2.5, 1.5), "probe_n": 8192,
-        "probe_box": (-1.05, -0.905, 2.05, 0.905), "run_band": 0.9,
-        "area_floor": 0.3,
-    },
-    "kakeya-compression": {
-        "stages": [0, 1, 2, 3, 4, 5], "n": 2048, "box": (-2.0, -1.0, 2.0, 1.5),
-        "samples": 100, "compression_ratio": 0.35,
-    },
-    "bourgain-compression": {
-        "samples": 10_000, "residual_tol": 1e-12,
-    },
-    "transversality": {
-        "curve": "line", "samples": 100, "fd_step": 1e-6,
-        "min_floor": 0.49, "err_tol": 1e-3,
-    },
-}
-
-
-def scenario_ids():
-    return list(DEFAULTS)
-
-
-def run_scenario(scenario_id: str, overrides=None, seed: int = 0,
-                 out_dir=None) -> ExperimentReport:
-    """Dispatch one scenario with DEFAULTS overlaid by overrides."""
-    if scenario_id not in DEFAULTS:
-        raise ArgumentError(f"unknown scenario {scenario_id!r}")
-    p = dict(DEFAULTS[scenario_id])
-    for key, value in (overrides or {}).items():
-        if key not in p:
-            raise ArgumentError(f"unknown key {key!r} for scenario {scenario_id}")
-        p[key] = value
-
-    if scenario_id == "fixed-level-positivity":
-        return run_fixed_level_positivity(
-            p["depths"], _grid_from(p), p["deltas"], seed=seed,
-            area_floor=p["area_floor"], stability_tol=p["stability_tol"],
-            control_ratio=p["control_ratio"], out_dir=out_dir)
-    if scenario_id == "flat-counterexample":
-        return run_flat_counterexample(
-            p["depths"], p["deltas"], _grid_from(p), seed=seed,
-            shrink_ratio=p["shrink_ratio"], intercept_tol=p["intercept_tol"],
-            out_dir=out_dir)
-    if scenario_id == "discrete-incidence":
-        return run_discrete_incidence(
-            p["qs"], p["s"], r=p["r"], seed=seed, grid=_grid_from(p),
-            c0=p["c0"], ratio_bound=p["ratio_bound"], out_dir=out_dir)
-    if scenario_id == "intersection-hypothesis":
-        return run_intersection_hypothesis(
-            p["deltas"], p["separations"], p["samples"], seed=seed,
-            kappa=p["kappa"], c_pass=p["c_pass"], growth_floor=p["growth_floor"],
-            out_dir=out_dir)
-    if scenario_id == "interior-failure":
-        return run_interior_failure(
-            p["depths"], _grid_from(p), p["deltas"], probe_n=p["probe_n"],
-            probe_box=p["probe_box"], run_band=p["run_band"],
-            area_floor=p["area_floor"], seed=seed, out_dir=out_dir)
-    if scenario_id == "kakeya-compression":
-        return run_kakeya_compression(
-            p["stages"], _grid_from(p), samples=p["samples"],
-            compression_ratio=p["compression_ratio"], seed=seed, out_dir=out_dir)
-    if scenario_id == "bourgain-compression":
-        return run_bourgain_compression(
-            p["samples"], seed=seed, residual_tol=p["residual_tol"],
-            out_dir=out_dir)
-    return run_transversality(
-        p["curve"], p["samples"], fd_step=p["fd_step"],
-        min_floor=p["min_floor"], err_tol=p["err_tol"], seed=seed, out_dir=out_dir)
+    return series, verdicts, []

@@ -321,28 +321,3 @@ def surface_fourier_decay(mode: str, freqs, directions: int, seed: int = 0) -> D
         raise FitError("need at least 2 octaves of frequencies")
     mags = surface_spectrum(mode, freqs, directions, seed)
     return fit_decay([math.log2(f) for f, _ in mags], [m for _, m in mags])
-
-
-# ---------------------------------------------------------------------------
-# exports
-# ---------------------------------------------------------------------------
-
-def norm_series_to_csv(fit: DecayFit, path):
-    """CSV with columns level,norm,fitted_value (LF endings, repr floats)."""
-    lines = ["level,norm,fitted_value"]
-    for a, v in zip(fit.abscissae, fit.norms):
-        lines.append(f"{a!r},{v!r},{fit.fitted(a)!r}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def spectrum_pgm(density: GriddedDensity, path):
-    """log10(1+|DFT|) magnitude image, DC centered, scaled so 255 = max."""
-    mag = np.log10(1.0 + np.abs(np.fft.fftshift(np.fft.fft2(density.values))))
-    top = mag.max()
-    img = np.zeros_like(mag, dtype=np.uint8) if top <= 0 else (
-        np.round(255.0 * mag / top).astype(np.uint8)
-    )
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
-        fh.write(img[::-1, :].tobytes())

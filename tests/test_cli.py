@@ -1,11 +1,16 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import gmtlab
 from gmtlab import cli
 from gmtlab.cli import RunConfig, UsageError, parse_config
+from gmtlab.reporting import ExperimentReport
+from gmtlab.scenarios import SCENARIOS
 
 
 FAST_KAKEYA = ["--set", "n=256", "--set", "stages=0,1,2"]
@@ -57,6 +62,15 @@ def test_parse_rejects_bad_values():
         parse_config(["run", "all", "--set", "box=1,2,3"])  # needs 4 entries
     with pytest.raises(UsageError):
         parse_config(["run", "all", "--set", "deltas="])
+
+
+def test_every_registry_default_parses_back_to_itself():
+    for sid, (defaults, _) in SCENARIOS.items():
+        for key, value in defaults.items():
+            text = (",".join(map(str, value)) if isinstance(value, (list, tuple))
+                    else str(value))
+            cfg = parse_config(["run", sid, "--set", f"{key}={text}"])
+            assert cfg.overrides == {key: value}, (sid, key)
 
 
 def test_parse_list_modes():
@@ -133,6 +147,24 @@ def test_low_confidence_run_exits_one(tmp_path, capsys):
     assert [v["name"] for v in report["verdicts"]] == ["inconclusive"]
 
 
+@pytest.mark.parametrize("sid, sets", [
+    # one depth and one delta leave no step ratio and no ladder to fit
+    ("flat-counterexample", ["depths=3", "deltas=0.02", "n=256"]),
+    # every pair is the degenerate sep = 0 row, which no verdict judges
+    ("intersection-hypothesis", ["separations=0.0", "samples=20000"]),
+])
+def test_run_that_decides_nothing_exits_one(tmp_path, capsys, sid, sets):
+    args = ["run", sid, "--out", str(tmp_path / "r")]
+    for item in sets:
+        args += ["--set", item]
+    assert run_cli(args) == 1
+    assert f"{sid}: FAIL (0/1 verdicts)" in capsys.readouterr().out
+    report = json.loads((tmp_path / "r" / sid / "report.json").read_text())
+    assert report["verdicts"] == [{"name": "undecided", "threshold": 1.0,
+                                   "measured": 0.0, "passed": False}]
+    assert report["params"]["decided_verdicts"] == 0
+
+
 def test_runtime_error_exits_three_with_marker(tmp_path, capsys):
     code = run_cli(["run", "kakeya-compression", "--out", str(tmp_path / "r"),
                     "--set", "stages=7"])
@@ -190,8 +222,34 @@ def test_jobs_flag_runs_all_scenarios_in_order(tmp_path, capsys):
         assert (tmp_path / "r" / sid / "report.json").exists()
 
 
+def test_run_all_gives_each_scenario_only_its_own_keys(tmp_path, monkeypatch):
+    seen = {}
+
+    def record(sid, overrides, seed, out_dir):
+        seen[sid] = overrides
+        return ExperimentReport(sid, dict(overrides), {}, [])
+
+    monkeypatch.setattr(cli, "run_scenario", record)
+    cfg = parse_config(["run", "all", "--out", str(tmp_path / "r"), "--set", "n=64",
+                        "--set", "probe_n=256", "--set", "curve=arc"])
+    assert cli.execute(cfg) == 0
+    assert seen == {
+        "fixed-level-positivity": {"n": 64},
+        "flat-counterexample": {"n": 64},
+        "discrete-incidence": {"n": 64},
+        "intersection-hypothesis": {},
+        "interior-failure": {"n": 64, "probe_n": 256},
+        "kakeya-compression": {"n": 64},
+        "bourgain-compression": {},
+        "transversality": {"curve": "arc"},
+    }
+
+
 def test_module_entry_point():
+    # the package's own parent directory, whatever the caller's environment
+    src = str(Path(gmtlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-m", "gmtlab.cli", "list"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "bourgain-compression" in proc.stdout

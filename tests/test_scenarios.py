@@ -1,3 +1,4 @@
+import copy
 import functools
 import math
 import warnings
@@ -9,7 +10,6 @@ from gmtlab import fractal as fr
 from gmtlab import raster as ra
 from gmtlab import scenarios as sc
 from gmtlab.errors import ArgumentError
-from gmtlab.raster import GridSpec
 
 
 # small grids keep the suite quick; acceptance reruns the full defaults
@@ -57,6 +57,14 @@ def test_unknown_override_key_rejected_by_name():
         sc.run_scenario("kakeya-compression", {"bogus": 1})
 
 
+def test_run_that_decides_nothing_fails_as_undecided():
+    # one depth and one delta: no step ratio, no ladder fit, so no verdict
+    rep = sc.run_scenario("flat-counterexample", {"depths": [0], "deltas": [0.05], "n": 64})
+    assert [(v.name, v.threshold, v.passed) for v in rep.verdicts] == [("undecided", 1.0, False)]
+    assert rep.verdicts[0].measured == rep.params["decided_verdicts"] == 0
+    assert rep.summary_line() == "flat-counterexample: FAIL (0/1 verdicts)"
+
+
 def test_out_dir_collects_pgm_artifact(tmp_path):
     rep = sc.run_scenario("kakeya-compression",
                           {"n": 256, "stages": [0, 1]}, out_dir=tmp_path)
@@ -64,22 +72,52 @@ def test_out_dir_collects_pgm_artifact(tmp_path):
     assert (tmp_path / rep.artifacts[0]).stat().st_size > 0
 
 
+# every scenario at a small size; ladders unsorted and boxes as int lists, so
+# the reports show the normalised values
+SMALL = {
+    "fixed-level-positivity": {"n": 256, "depths": [2], "deltas": [0.02, 0.04]},
+    "flat-counterexample": {"n": 256, "depths": [3, 2], "deltas": [0.04, 0.08]},
+    "discrete-incidence": {"n": 256, "qs": [8]},
+    "intersection-hypothesis": {"samples": 1000, "deltas": [0.02, 0.04]},
+    "interior-failure": {"n": 256, "probe_n": 256, "depths": [2], "deltas": [0.04]},
+    "kakeya-compression": {"n": 256, "stages": [1, 0], "box": [-2, -1, 2, 2]},
+    "bourgain-compression": {"samples": 100},
+    "transversality": {"samples": 16},
+}
+
+
+def run_small(sid, seed=0):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # coarse grids alias on purpose
+        return sc.run_scenario(sid, SMALL[sid], seed=seed)
+
+
 def test_every_report_records_the_run_seed():
-    small = {
-        "fixed-level-positivity": {"n": 256, "depths": [2], "deltas": [0.04, 0.02]},
-        "flat-counterexample": {"n": 256, "depths": [2, 3], "deltas": [0.08, 0.04]},
-        "discrete-incidence": {"n": 256, "qs": [8]},
-        "intersection-hypothesis": {"samples": 1000},
-        "interior-failure": {"n": 256, "probe_n": 256, "depths": [2], "deltas": [0.04]},
-        "kakeya-compression": {"n": 256, "stages": [0, 1]},
-        "bourgain-compression": {"samples": 100},
-        "transversality": {"samples": 16},
-    }
-    assert list(small) == sc.scenario_ids()
-    for sid, overrides in small.items():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")     # coarse grids alias on purpose
-            assert sc.run_scenario(sid, overrides, seed=4).seed == 4, sid
+    assert list(SMALL) == sc.scenario_ids()
+    for sid in SMALL:
+        assert run_small(sid, seed=4).seed == 4, sid
+
+
+def normalised(key, value):
+    if key in ("depths", "qs", "stages"):
+        return sorted(int(v) for v in value)
+    if key == "deltas":
+        return sorted((float(v) for v in value), reverse=True)
+    if key in ("box", "probe_box"):
+        return tuple(float(v) for v in value)
+    return value
+
+
+def test_report_params_hold_every_resolved_default():
+    registry = copy.deepcopy({sid: defaults for sid, (defaults, _) in sc.SCENARIOS.items()})
+    for sid, defaults in registry.items():
+        params = run_small(sid).params
+        assert set(params) - set(defaults) <= {"low_confidence_cells", "decided_verdicts"}
+        for key, default in defaults.items():
+            expected = normalised(key, SMALL[sid].get(key, default))
+            assert repr(params[key]) == repr(expected), (sid, key)
+    # runs write into their own copy, never into the registry
+    assert registry == {sid: defaults for sid, (defaults, _) in sc.SCENARIOS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -116,15 +154,14 @@ def test_fixed_level_line_areas_fall_with_band():
 
 
 def test_fixed_level_rejects_tight_box():
-    grid = GridSpec(((-0.5, -0.5), (1.5, 1.5)), 64)
-    with pytest.raises(ArgumentError):
-        sc.run_fixed_level_positivity([2], grid, [0.04])
+    with pytest.raises(ArgumentError, match="box"):
+        sc.run_scenario("fixed-level-positivity", {
+            "depths": [2], "deltas": [0.04], "n": 64, "box": (-0.5, -0.5, 1.5, 1.5)})
 
 
 def test_fixed_level_rejects_empty_lists():
-    grid = GridSpec(((-1.1, -1.1), (2.1, 2.1)), 64)
     with pytest.raises(ArgumentError):
-        sc.run_fixed_level_positivity([], grid, [0.04])
+        sc.run_scenario("fixed-level-positivity", {"depths": [], "deltas": [0.04], "n": 64})
 
 
 def test_fixed_level_deterministic():
@@ -140,8 +177,8 @@ def test_fixed_level_deterministic():
 # ---------------------------------------------------------------------------
 
 def test_flat_single_center_matches_offset_square():
-    grid = GridSpec(((-1.5, -1.5), (2.5, 2.5)), 1024)
-    rep = sc.run_flat_counterexample([0], [0.05], grid)
+    rep = sc.run_scenario("flat-counterexample",
+                          {"depths": [0], "deltas": [0.05], "n": 1024})
     area = rep.series["square-area-d0.05"][0][1]
     # band area 8 * half_side * 2*delta + 4 corners (2*delta)^2 = 0.81
     assert area == pytest.approx(0.81, rel=0.05)
@@ -203,9 +240,9 @@ def test_discrete_incidence_integral_dominates_each_q():
 
 def test_discrete_incidence_rejects_bad_s():
     with pytest.raises(ArgumentError):
-        sc.run_discrete_incidence([8], 2.5)
+        sc.run_scenario("discrete-incidence", {"qs": [8], "s": 2.5})
     with pytest.raises(ArgumentError):
-        sc.run_discrete_incidence([], 1.5)
+        sc.run_scenario("discrete-incidence", {"qs": [], "s": 1.5})
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +289,11 @@ def test_intersection_low_confidence_withholds_verdicts():
 
 def test_intersection_validates_inputs():
     with pytest.raises(ArgumentError):
-        sc.run_intersection_hypothesis([0.005], [1.0], 1000)
+        sc.run_scenario("intersection-hypothesis",
+                        {"deltas": [0.005], "separations": [1.0], "samples": 1000})
     with pytest.raises(ArgumentError):
-        sc.run_intersection_hypothesis([0.04], [0.1], 1000)
+        sc.run_scenario("intersection-hypothesis",
+                        {"deltas": [0.04], "separations": [0.1], "samples": 1000})
 
 
 def test_intersection_deterministic_per_seed():
@@ -292,8 +331,8 @@ def test_interior_failure_run_bound_fails_by_translate_chaining():
 
 
 def test_interior_failure_depth2_bound_bookkeeping():
-    grid = GridSpec(((-1.5, -1.5), (2.5, 1.5)), 512)
-    rep = sc.run_interior_failure([2], grid, [0.04], probe_n=2048)
+    rep = sc.run_scenario("interior-failure",
+                          {"depths": [2], "deltas": [0.04], "n": 512, "probe_n": 2048})
     assert fr.fat_cantor(2).max_interval_length() == 0.15625
     h = 3.1 / 2048
     assert dict(rep.series["run-bound"])[2] == pytest.approx(0.3125 + 4 * h, rel=1e-12)
@@ -309,9 +348,9 @@ def test_interior_failure_rows_beyond_radius_are_empty():
 
 
 def test_interior_failure_rejects_small_box():
-    grid = GridSpec(((-1.0, -1.0), (2.0, 1.0)), 64)
-    with pytest.raises(ArgumentError):
-        sc.run_interior_failure([3], grid, [0.04])
+    with pytest.raises(ArgumentError, match="box"):
+        sc.run_scenario("interior-failure", {
+            "depths": [3], "deltas": [0.04], "n": 64, "box": (-1.0, -1.0, 2.0, 1.0)})
 
 
 # ---------------------------------------------------------------------------
@@ -338,24 +377,13 @@ def test_kakeya_directions_double_per_stage():
 
 
 def test_kakeya_rejects_deep_stages():
-    grid = GridSpec(((-2.0, -1.0), (2.0, 1.5)), 64)
     with pytest.raises(ArgumentError):
-        sc.run_kakeya_compression([7], grid)
+        sc.run_scenario("kakeya-compression", {"stages": [7], "n": 64})
 
 
 # ---------------------------------------------------------------------------
 # bourgain compression
 # ---------------------------------------------------------------------------
-
-def test_bourgain_identity_at_witness_points():
-    rep = sc.run_bourgain_compression([(1.0, 2.0, 0.5), (1.0, 2.0, 0.0)])
-    assert rep.series["max-residual"][0][1] == 0.0
-    # the named witness lands exactly on the surface X = Y*Z
-    y1, y2, t = 1.0, 2.0, 0.5
-    x, y, z = -t * y2 - t * t * y1, -y2 - t * y1, t
-    assert (x, y, z) == (-1.25, -2.5, 0.5)
-    assert x - y * z == 0.0
-
 
 def test_bourgain_seeded_sweep_stays_on_surface():
     rep = quick("bourgain-compression")
@@ -366,10 +394,8 @@ def test_bourgain_seeded_sweep_stays_on_surface():
 
 
 def test_bourgain_rejects_malformed_params():
-    with pytest.raises(ArgumentError):
-        sc.run_bourgain_compression(np.zeros((3, 2)))
-    with pytest.raises(ArgumentError):
-        sc.run_bourgain_compression(0)
+    with pytest.raises(ArgumentError, match="positive"):
+        sc.run_scenario("bourgain-compression", {"samples": 0})
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +411,7 @@ def test_transversality_line_matches_cosine():
 def test_transversality_arc_matches_cosine_too():
     # moving-frame offset: curvature cancels in the determinant, so the
     # arc obeys the same |cos u| law as the straight line
-    rep = sc.run_transversality("arc", 100)
+    rep = sc.run_scenario("transversality", {"curve": "arc"})
     assert verdict(rep, "jacobian-matches-cosine").passed
     assert verdict(rep, "transversal-floor").measured >= 0.49
 
@@ -400,7 +426,7 @@ def test_transversality_degenerate_and_clean_angles():
 
 
 def test_transversality_validates_curve_and_grid():
-    with pytest.raises(ArgumentError):
-        sc.run_transversality("helix", 100)
-    with pytest.raises(ArgumentError):
-        sc.run_transversality("line", 3)
+    with pytest.raises(ArgumentError, match="curve"):
+        sc.run_scenario("transversality", {"curve": "helix"})
+    with pytest.raises(ArgumentError, match="4x4"):
+        sc.run_scenario("transversality", {"samples": 3})

@@ -322,30 +322,3 @@ def test_surface_validation():
         sp.surface_fourier_decay("circle-2d", [-4.0, 8.0], 16, seed=0)
     with pytest.raises(FitError):
         sp.surface_fourier_decay("circle-2d", [8.0, 16.0], 16, seed=0)
-
-
-# ---------------------------------------------------------------------------
-# exports
-# ---------------------------------------------------------------------------
-
-def test_norm_series_csv_layout(tmp_path):
-    fit = sp.fit_decay([3.0, 4.0, 5.0], [1.0, 0.5, 0.25])
-    path = tmp_path / "series.csv"
-    sp.norm_series_to_csv(fit, path)
-    text = path.read_text()
-    lines = text.split("\n")
-    assert lines[0] == "level,norm,fitted_value"
-    assert len(lines) == 5 and lines[-1] == ""
-    assert "\r" not in text
-    level, norm, fitted = lines[1].split(",")
-    assert float(level) == 3.0 and float(norm) == 1.0
-    assert float(fitted) == pytest.approx(1.0, rel=1e-9)
-
-
-def test_spectrum_pgm(tmp_path):
-    d = dirac_density(n=64)
-    path = tmp_path / "spec.pgm"
-    sp.spectrum_pgm(d, path)
-    data = path.read_bytes()
-    assert data.startswith(b"P5\n64 64\n255\n")
-    assert len(data) - len(b"P5\n64 64\n255\n") == 64 * 64
