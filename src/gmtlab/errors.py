@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: bad arguments / unknown config keys are
-usage errors (exit 2), everything else raised mid-run is a runtime failure
-(exit 3).
+The CLI rejects bad flags, unknown keys and unparseable values while it
+parses arguments (exit 2).  Any exception a scenario raises while it runs,
+ArgumentError included (e.g. `--set deltas=0.001`), is a runtime failure:
+exit 3, with a FAILED marker in that scenario's directory.
 """
 
 

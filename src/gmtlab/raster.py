@@ -16,11 +16,12 @@ cell total and a weighted deposit.  Phase bands and distance-only shapes go
 through a vectorized predicate on cell centers instead.
 
 3-D set measures use Monte Carlo instead of dense grids; see
-monte_carlo_intersection.
+monte_carlo_intersection, and monte_carlo_volumes for many volumes at once.
 """
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -527,7 +528,7 @@ class MCResult:
 
 MC_MIN_SAMPLES = 100_000
 MC_MIN_HITS = 100
-_MC_CHUNK = 1 << 18
+_MC_CHUNK = 1 << 14     # samples per draw: fits in cache, keeps per-thread arenas small
 
 
 def monte_carlo_intersection(family, delta: float, box, samples: int, seed: int = 0) -> MCResult:
@@ -535,10 +536,14 @@ def monte_carlo_intersection(family, delta: float, box, samples: int, seed: int 
 
     family: pair of (PhaseSpec, x, t) triples.  A hit satisfies both band
     conditions |phi_i(x_i, y) - t_i| <= delta.  Returns a low-confidence
-    result (never raises) when samples or hits are too few to trust.
+    result (never raises) when samples or hits are too few to trust.  Each
+    chunk draws the next points of the seed's stream, so the result does not
+    depend on the chunk size.
     """
     if delta <= 0:
         raise ArgumentError("delta must be positive")
+    if samples < 1:
+        raise ArgumentError("samples must be at least 1")
     (spec_a, xa, ta), (spec_b, xb, tb) = family
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
@@ -562,6 +567,33 @@ def monte_carlo_intersection(family, delta: float, box, samples: int, seed: int 
     std_error = vol * float(np.sqrt(max(p * (1.0 - p), 0.0) / samples))
     low = samples < MC_MIN_SAMPLES or hits < MC_MIN_HITS
     return MCResult(estimate, std_error, hits, samples, low)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:              # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def monte_carlo_volumes(calls) -> list:
+    """monte_carlo_intersection over many independent volumes at once.
+
+    calls: (family, delta, box, samples, seed) tuples; the results come back
+    in input order and equal the serial calls, because every volume draws
+    from its own seed.  Up to one thread per usable CPU runs them; they
+    overlap because the sampling and band tests run in numpy, which releases
+    the interpreter lock.
+    """
+    calls = list(calls)
+    workers = min(len(calls), _usable_cpus())
+    if workers <= 1:
+        return [monte_carlo_intersection(*call) for call in calls]
+    # imported here: concurrent.futures loads logging, a cost at every import
+    # of raster that only this function needs
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda call: monte_carlo_intersection(*call), calls))
 
 
 # ---------------------------------------------------------------------------

@@ -327,7 +327,8 @@ def _intersection_hypothesis(p, seed, out_dir):
     single band and the ratio inflates as delta shrinks.  sep = 0 rows are
     degenerate (intersection = band) and stay out of both verdicts.  A
     verdict with a low-confidence Monte Carlo cell is withheld, and a failing
-    `inconclusive` verdict counts those cells instead.
+    `inconclusive` verdict counts those cells instead.  The volumes run
+    concurrently; `mc_samples` and `mc_hits` record their totals.
     """
     p["deltas"] = deltas = sorted((float(d) for d in p["deltas"]), reverse=True)
     p["separations"] = separations = [float(v) for v in p["separations"]]
@@ -339,29 +340,41 @@ def _intersection_hypothesis(p, seed, out_dir):
         if sep != 0.0 and not 0.25 <= sep <= 1.5:
             raise ArgumentError(f"separation {sep} outside [0.25, 1.5]")
     p["samples"] = samples = int(p["samples"])
+    if samples < 1:
+        raise ArgumentError("samples must be at least 1")
 
     sphere = phase.PhaseSpec(phase.KIND_DIFFEO_DISTANCE, 3, {"kappa": p["kappa"]})
     parab = phase.PhaseSpec(phase.KIND_PARABOLOID, 3)
     d_max = max(deltas)
-    series = {"paraboloid-growth": []}
-    low_diffeo = low_parab = 0
-    diffeo_vals, growth_vals = [], []
+    calls = []
     for i, d in enumerate(deltas):
-        drows, prows, drel, prel = [], [], [], []
         for j, sep in enumerate(separations):
             dbox, pbox = _mc_boxes(sep, d_max)
             sub = seed * 1_000_003 + i * 101 + j
             fam = ((sphere, (0.0, 0.0, 0.0), 1.0), (sphere, (sep, 0.0, 0.0), 1.0))
-            mc = raster.monte_carlo_intersection(fam, d, dbox, samples, seed=sub)
+            calls.append((fam, d, dbox, samples, sub))
+            # same surface at both parameters: t(x) = 1 - x3 on a vertical segment
+            fam = ((parab, (0.0, 0.0, 0.0), 1.0), (parab, (0.0, 0.0, sep), 1.0 - sep))
+            calls.append((fam, d, pbox, samples, sub + 17))
+    volumes = raster.monte_carlo_volumes(calls)
+    p["mc_samples"] = sum(mc.samples for mc in volumes)
+    p["mc_hits"] = sum(mc.hits for mc in volumes)
+
+    results = iter(volumes)
+    series = {"paraboloid-growth": []}
+    low_diffeo = low_parab = 0
+    diffeo_vals, growth_vals = [], []
+    for d in deltas:
+        drows, prows, drel, prel = [], [], [], []
+        for sep in separations:
+            mc = next(results)
             ratio = mc.estimate * (d + sep) / d**2
             drows.append((sep, ratio))
             drel.append((sep, mc.std_error / mc.estimate if mc.estimate else np.inf))
             if sep != 0.0:
                 diffeo_vals.append(ratio)
                 low_diffeo += mc.low_confidence
-            # same surface at both parameters: t(x) = 1 - x3 on a vertical segment
-            fam = ((parab, (0.0, 0.0, 0.0), 1.0), (parab, (0.0, 0.0, sep), 1.0 - sep))
-            mc = raster.monte_carlo_intersection(fam, d, pbox, samples, seed=sub + 17)
+            mc = next(results)
             prows.append((sep, mc.estimate * (d + sep) / d**2))
             prel.append((sep, mc.std_error / mc.estimate if mc.estimate else np.inf))
             if sep != 0.0:

@@ -375,6 +375,49 @@ def test_monte_carlo_validation():
         ra.monte_carlo_intersection(mc_family(), -0.1, BOX2, 1000)
     with pytest.raises(ArgumentError):
         ra.monte_carlo_intersection(mc_family(), 0.1, ((0, 0), (0, 1)), 1000)
+    for samples in (0, -5):
+        with pytest.raises(ArgumentError, match="samples"):
+            ra.monte_carlo_intersection(mc_family(), 0.1, BOX2, samples)
+
+
+SPHERE3 = PhaseSpec("diffeo-distance", 3, {"kappa": 0.3})
+PARAB3 = PhaseSpec("translated-paraboloid", 3)
+BOX3 = ((-1.5, -1.5, -1.5), (1.5, 1.5, 1.5))
+
+
+def mixed_calls():
+    calls = []
+    for k, sep in enumerate((0.25, 0.5, 1.0)):
+        sphere = ((SPHERE3, (0.0, 0.0, 0.0), 1.0), (SPHERE3, (sep, 0.0, 0.0), 1.0))
+        parab = ((PARAB3, (0.0, 0.0, 0.0), 1.0), (PARAB3, (0.0, 0.0, sep), 1.0 - sep))
+        calls.append((sphere, 0.04, BOX3, 20_000 + 999 * k, 7 + k))
+        calls.append((parab, 0.02, ((-1.0, -1.0, 0.9), (1.0, 1.0, 3.1)), 15_000, 40 + k))
+    return calls
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_monte_carlo_volumes_match_serial_calls(monkeypatch, workers):
+    calls = mixed_calls()
+    serial = [ra.monte_carlo_intersection(*call) for call in calls]
+    assert sum(r.hits for r in serial) > 0
+    monkeypatch.setattr(ra, "_usable_cpus", lambda: workers)
+    assert ra.monte_carlo_volumes(calls) == serial
+    assert ra.monte_carlo_volumes([]) == []
+
+
+def test_monte_carlo_volumes_raise_a_bad_call(monkeypatch):
+    monkeypatch.setattr(ra, "_usable_cpus", lambda: 2)
+    calls = mixed_calls()
+    calls[3] = calls[3][:3] + (0,) + calls[3][4:]
+    with pytest.raises(ArgumentError, match="samples"):
+        ra.monte_carlo_volumes(calls)
+
+
+@pytest.mark.parametrize("chunk", [1000, 4097])
+def test_monte_carlo_result_independent_of_chunk_size(monkeypatch, chunk):
+    default = ra.monte_carlo_intersection(mc_family(), 0.1, BOX2, 30_000, seed=5)
+    monkeypatch.setattr(ra, "_MC_CHUNK", chunk)
+    assert ra.monte_carlo_intersection(mc_family(), 0.1, BOX2, 30_000, seed=5) == default
 
 
 # ---------------------------------------------------------------------------

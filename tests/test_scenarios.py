@@ -112,7 +112,8 @@ def test_report_params_hold_every_resolved_default():
     registry = copy.deepcopy({sid: defaults for sid, (defaults, _) in sc.SCENARIOS.items()})
     for sid, defaults in registry.items():
         params = run_small(sid).params
-        assert set(params) - set(defaults) <= {"low_confidence_cells", "decided_verdicts"}
+        assert set(params) - set(defaults) <= {"low_confidence_cells", "decided_verdicts",
+                                               "mc_samples", "mc_hits"}
         for key, default in defaults.items():
             expected = normalised(key, SMALL[sid].get(key, default))
             assert repr(params[key]) == repr(expected), (sid, key)
@@ -294,6 +295,26 @@ def test_intersection_validates_inputs():
     with pytest.raises(ArgumentError):
         sc.run_scenario("intersection-hypothesis",
                         {"deltas": [0.04], "separations": [0.1], "samples": 1000})
+
+
+def test_intersection_rejects_empty_sample_counts(monkeypatch):
+    def no_volume(calls):
+        raise AssertionError("a volume was submitted")
+    monkeypatch.setattr(ra, "monte_carlo_volumes", no_volume)
+    for samples in (0, -5):
+        with pytest.raises(ArgumentError, match="samples"):
+            sc.run_scenario("intersection-hypothesis", {"samples": samples})
+
+
+def test_intersection_counts_volumes_alike_on_one_or_two_workers(monkeypatch):
+    reports = []
+    for workers in (1, 2):
+        monkeypatch.setattr(ra, "_usable_cpus", lambda n=workers: n)
+        reports.append(sc.run_scenario("intersection-hypothesis", {"samples": 20_000}, seed=2))
+    one, two = reports
+    assert one.params["mc_samples"] == 16 * 20_000
+    assert 0 < one.params["mc_hits"] < one.params["mc_samples"]
+    assert (one.series, one.params) == (two.series, two.params)
 
 
 def test_intersection_deterministic_per_seed():
