@@ -528,7 +528,11 @@ class MCResult:
 
 MC_MIN_SAMPLES = 100_000
 MC_MIN_HITS = 100
-_MC_CHUNK = 1 << 14     # samples per draw: fits in cache, keeps per-thread arenas small
+# Samples per draw.  Each thread's malloc arena keeps its chunk's temporaries,
+# so a larger chunk raises the peak of a whole run; each numpy call releases and
+# retakes the interpreter lock, so a smaller chunk waits more often behind other
+# Python threads (run all --jobs 2).
+_MC_CHUNK = 1 << 15
 
 
 def monte_carlo_intersection(family, delta: float, box, samples: int, seed: int = 0) -> MCResult:
