@@ -117,7 +117,7 @@ def parse_config(argv) -> RunConfig:
     runner.add_argument("--seed", type=int, default=None)
     runner.add_argument("--out", default=None, help="output directory")
     runner.add_argument("--jobs", type=int, default=None,
-                        help="scenario-level parallelism (default 1)")
+                        help="scenario-level parallelism, at least 1 (default 1)")
     runner.add_argument("--force", action="store_true", default=None,
                         help="allow a non-empty output directory")
     runner.add_argument("--config", default=None, help="key = value file")
@@ -156,11 +156,14 @@ def parse_config(argv) -> RunConfig:
     if args.scenario != "all" and args.scenario not in SCENARIOS:
         raise UsageError(f"unknown scenario {args.scenario!r}; "
                          f"try one of: {', '.join(scenario_ids())}")
+    jobs = args.jobs if args.jobs is not None else settings["jobs"]
+    if jobs < 1:
+        raise UsageError(f"jobs must be at least 1, got {jobs}")
     return RunConfig(
         scenario=args.scenario,
         output_dir=Path(args.out if args.out is not None else settings["out"]),
         seed=args.seed if args.seed is not None else settings["seed"],
-        jobs=args.jobs if args.jobs is not None else settings["jobs"],
+        jobs=jobs,
         force=args.force if args.force is not None else settings["force"],
         overrides=overrides,
     )
@@ -171,6 +174,8 @@ def _run_one(sid: str, config: RunConfig):
     sub = config.output_dir / sid
     try:
         sub.mkdir(parents=True, exist_ok=True)
+        # a marker left by an earlier run (under --force) must not outlive it
+        (sub / "FAILED").unlink(missing_ok=True)
         defaults, _ = SCENARIOS[sid]
         local = {k: v for k, v in config.overrides.items() if k in defaults}
         report = run_scenario(sid, local, seed=config.seed, out_dir=sub)
@@ -205,15 +210,14 @@ def execute(config: RunConfig) -> int:
         print(f"error: cannot write to {out}: {exc}", file=sys.stderr)
         return 3
 
-    jobs = max(1, int(config.jobs))
     results = []
-    if jobs == 1:
+    if config.jobs == 1:
         for sid in targets:
             results.append(_run_one(sid, config))
             print(results[-1][0])
     else:
         # buffered summaries keep the log order deterministic under --jobs
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
             futures = [pool.submit(_run_one, sid, config) for sid in targets]
             for fut in futures:
                 results.append(fut.result())

@@ -12,8 +12,10 @@ it covers.  GridSpec.index_range maps a span to the cells whose center it
 contains, and spans_to_cells turns the spans of any number of shapes into
 cells with a difference array (np.add.at, then a cumulative sum) per block
 of rows.  It gives the union, the exact per-cell cover counts, each shape's
-cell total and a weighted deposit.  Phase bands and distance-only shapes go
-through a vectorized predicate on cell centers instead.
+cell total and a weighted deposit.  The interior probe max_inscribed_interval
+reads its runs from the same spans and cell ranges, with no raster.  Phase
+bands and distance-only shapes go through a vectorized predicate on cell
+centers instead.
 
 3-D set measures use Monte Carlo instead of dense grids; see
 monte_carlo_intersection, and monte_carlo_volumes for many volumes at once.
@@ -284,54 +286,41 @@ def rasterize_band(obj, x, t, delta: float, grid: GridSpec) -> GridRaster:
     """Fill cells whose center is within delta of the band {phi(x,.) = t} / shape."""
     _check_delta(delta, grid)
     if isinstance(obj, PhaseSpec):
-        return _rasterize_phase(obj, x, t, delta, grid)
+        if obj.dim != grid.dim:
+            raise ArgumentError("phase dimension does not match grid dimension")
+        x = np.asarray(x, float)
+        return _rasterize_centers(
+            grid, lambda pts: np.abs(eval_phase_batch(obj, x, pts) - t) <= delta)
     if hasattr(obj, "spans"):
         return GridRaster(grid, spans_to_cells(grid, 1, shape_spans([obj], delta))[0])
     if hasattr(obj, "distances"):
-        return _rasterize_distance(obj, delta, grid)
+        if grid.dim != 2:
+            raise ArgumentError("distance shapes are 2-D only")
+        return _rasterize_centers(grid, lambda pts: obj.distances(pts) <= delta)
     raise ArgumentError(f"cannot rasterize object of type {type(obj).__name__}")
 
 
-def _rasterize_phase(spec: PhaseSpec, x, t, delta, grid) -> GridRaster:
+def _rasterize_centers(grid, inside) -> GridRaster:
+    """Cells whose center passes inside(pts), pts an (m, dim) array of centers.
+
+    Centers go a slab at a time: 2-D bits are [iy, ix], filled by blocks of
+    rows; 3-D bits are [ix, iy, iz], filled by slices of 4 in z.
+    """
     n = grid.cells_per_axis
-    d = grid.dim
-    if spec.dim != d:
-        raise ArgumentError("phase dimension does not match grid dimension")
-    axes = [grid.centers(k) for k in range(d)]
-    bits = np.zeros((n,) * d, dtype=bool)
-    x = np.asarray(x, float)
-    if d == 2:
-        xs = axes[0]
+    axes = [grid.centers(k) for k in range(grid.dim)]
+    bits = np.zeros((n,) * grid.dim, dtype=bool)
+    if grid.dim == 2:
         for j0 in range(0, n, _ROW_CHUNK):
             ys = axes[1][j0 : j0 + _ROW_CHUNK]
-            px, py = np.meshgrid(xs, ys, indexing="xy")
+            px, py = np.meshgrid(axes[0], ys, indexing="xy")
             pts = np.column_stack([px.ravel(), py.ravel()])
-            vals = eval_phase_batch(spec, x, pts)
-            bits[j0 : j0 + len(ys), :] = (np.abs(vals - t) <= delta).reshape(len(ys), n)
+            bits[j0 : j0 + len(ys), :] = inside(pts).reshape(len(ys), n)
     else:
-        xs, ys2 = axes[0], axes[1]
         for k0 in range(0, n, 4):
             zs = axes[2][k0 : k0 + 4]
-            px, py, pz = np.meshgrid(xs, ys2, zs, indexing="ij")
+            px, py, pz = np.meshgrid(axes[0], axes[1], zs, indexing="ij")
             pts = np.column_stack([px.ravel(), py.ravel(), pz.ravel()])
-            vals = eval_phase_batch(spec, x, pts)
-            sel = (np.abs(vals - t) <= delta).reshape(n, n, len(zs))
-            bits[:, :, k0 : k0 + len(zs)] = sel
-    return GridRaster(grid, bits)
-
-
-def _rasterize_distance(shape, delta, grid) -> GridRaster:
-    if grid.dim != 2:
-        raise ArgumentError("distance shapes are 2-D only")
-    n = grid.cells_per_axis
-    xs = grid.centers(0)
-    bits = np.zeros((n, n), dtype=bool)
-    for j0 in range(0, n, _ROW_CHUNK):
-        ys = grid.centers(1)[j0 : j0 + _ROW_CHUNK]
-        px, py = np.meshgrid(xs, ys, indexing="xy")
-        pts = np.column_stack([px.ravel(), py.ravel()])
-        dist = shape.distances(pts)
-        bits[j0 : j0 + len(ys), :] = (dist <= delta).reshape(len(ys), n)
+            bits[:, :, k0 : k0 + len(zs)] = inside(pts).reshape(n, n, len(zs))
     return GridRaster(grid, bits)
 
 
@@ -481,33 +470,41 @@ def intersection_area(a: GridRaster, b: GridRaster) -> float:
 # interior probes
 # ---------------------------------------------------------------------------
 
-def max_inscribed_interval(raster: GridRaster, axis: int = 0, within=None) -> float:
-    """Longest filled run along grid lines parallel to axis, in length units.
+def max_inscribed_interval(shape, delta: float, grid: GridSpec, within=None) -> float:
+    """Longest horizontal run of a span shape's delta-band cells, in length units.
 
-    within = (lo, hi) restricts which lines count, by the coordinate of the
-    perpendicular axis (e.g. axis=0 with within=(-0.9, 0.9) scans only rows
-    whose y-center lies in that range).
+    It equals the longest run of filled cells in a row of
+    rasterize_band(shape, None, None, delta, grid), read from the spans with
+    no raster: a row's cell ranges (GridSpec.index_range) are sorted by i0,
+    and ranges that touch (i0 <= running max i1 + 1) merge.  within = (lo,
+    hi) keeps only the rows whose y-center lies in that range.  Runs never
+    cross rows, so the rows go a block at a time.
     """
-    if raster.grid.dim != 2:
+    if delta <= 0.0:
+        raise ArgumentError("delta must be positive")
+    if grid.dim != 2:
         raise ArgumentError("inscribed-interval probe is 2-D only")
-    if axis not in (0, 1):
-        raise ArgumentError("axis must be 0 or 1")
-    bits = raster.bits if axis == 0 else raster.bits.T
-    perp_centers = raster.grid.centers(1 - axis)
-    cell = float(raster.grid.cell_sizes[axis])
+    n = grid.cells_per_axis
+    ys = grid.centers(1)
+    if within is not None:
+        ys = ys[(within[0] <= ys) & (ys <= within[1])]
+    block = max(1, _BLOCK_CELLS // n)
     best = 0
-    for j in range(bits.shape[0]):
-        if within is not None and not (within[0] <= perp_centers[j] <= within[1]):
-            continue
-        row = bits[j]
-        if not row.any():
-            continue
-        # run lengths via boundaries of the padded boolean row
-        padded = np.concatenate([[False], row, [False]])
-        edges = np.flatnonzero(padded[1:] != padded[:-1])
-        runs = edges[1::2] - edges[0::2]
-        best = max(best, int(runs.max()))
-    return best * cell
+    for j0 in range(0, len(ys), block):
+        row, lo, hi = shape.spans(ys[j0 : j0 + block], delta)
+        i0, i1 = grid.index_range(lo, hi, axis=0)
+        keep = i0 <= i1
+        # offset by row, ranges sort by (row, i0), and no range of a row can
+        # touch one of the next row
+        base = row[keep] * (n + 2)
+        start, end = base + i0[keep], base + i1[keep]
+        order = np.argsort(start)
+        start, end = start[order], np.maximum.accumulate(end[order])
+        # a merged run begins at each range that touches none before it
+        begins = start > np.append(-2, end[:-1]) + 1
+        run_start = np.maximum.accumulate(np.where(begins, start, 0))
+        best = max(best, int(np.max(end - run_start + 1, initial=0)))
+    return best * float(grid.cell_sizes[0])
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ report.artifacts; manifest/CSV writing is the caller's job.
 from __future__ import annotations
 
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -443,13 +442,8 @@ def _interior_failure(p, seed, out_dir):
         family = raster.CircleFamily(f_set, 0.0, 1.0)
         union = raster.rasterize_band(family, None, None, d_min, grid)
         areas.append((depth, union.area()))
-        with warnings.catch_warnings():
-            # the probe band sits at the resolution floor on purpose; no name
-            # holds the probe raster, so it is freed before the next depth's
-            warnings.simplefilter("ignore")
-            run = raster.max_inscribed_interval(
-                raster.rasterize_band(family, None, None, d_run, probe),
-                axis=0, within=(-p["run_band"], p["run_band"]))
+        run = raster.max_inscribed_interval(family, d_run, probe,
+                                            within=(-p["run_band"], p["run_band"]))
         runs.append((depth, run))
         bounds.append((depth, 2.0 * f_set.max_interval_length()
                        + 4.0 * float(probe.cell_sizes[0])))

@@ -89,6 +89,21 @@ def test_config_file_then_flag_precedence(tmp_path):
     assert cfg.seed == 3 and cfg.jobs == 2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_parse_rejects_jobs_below_one(jobs, capsys):
+    with pytest.raises(UsageError, match="jobs"):
+        parse_config(["run", "transversality", "--jobs", jobs])
+    assert run_cli(["run", "transversality", "--jobs", jobs]) == 2
+    assert "jobs" in capsys.readouterr().err
+
+
+def test_config_file_rejects_jobs_below_one(tmp_path):
+    cfg_file = tmp_path / "lab.cfg"
+    cfg_file.write_text("jobs = 0\n")
+    with pytest.raises(UsageError, match="jobs"):
+        parse_config(["run", "all", "--config", str(cfg_file)])
+
+
 def test_config_file_unknown_key(tmp_path):
     cfg_file = tmp_path / "lab.cfg"
     cfg_file.write_text("mystery = 1\n")
@@ -173,6 +188,17 @@ def test_runtime_error_exits_three_with_marker(tmp_path, capsys):
     assert (sub / "FAILED").exists()
     assert not (sub / "report.json").exists()
     assert "ERROR" in capsys.readouterr().out
+
+
+def test_forced_rerun_that_passes_clears_failed_marker(tmp_path, capsys):
+    args = ["run", "intersection-hypothesis", "--out", str(tmp_path / "r")]
+    sub = tmp_path / "r" / "intersection-hypothesis"
+    assert run_cli(args + ["--set", "samples=0"]) == 3
+    assert (sub / "FAILED").exists()
+    assert run_cli(args + ["--set", "samples=200000", "--force"]) == 0
+    assert "intersection-hypothesis: PASS (2/2 verdicts)" in capsys.readouterr().out
+    assert (sub / "report.json").exists()
+    assert not (sub / "FAILED").exists()
 
 
 def test_unwritable_out_dir_exits_three(tmp_path, capsys):

@@ -294,30 +294,50 @@ def test_perron_union_compresses():
 # interior probes and refinement
 # ---------------------------------------------------------------------------
 
+class FixedSpans:
+    """Stub span shape: fixed x-intervals on the rows whose y-center is a key."""
+
+    def __init__(self, by_y):
+        self.by_y = by_y
+
+    def spans(self, ys, delta):
+        found = [(j, lo, hi) for j, y in enumerate(ys) for lo, hi in self.by_y.get(y, ())]
+        rows, lo, hi = zip(*found) if found else ((), (), ())
+        return np.array(rows, dtype=np.int64), np.array(lo, float), np.array(hi, float)
+
+
 def test_max_inscribed_interval_on_constructed_stripes():
     g = ra.GridSpec(((0.0, 0.0), (1.0, 1.0)), 16)
-    bits = np.zeros((16, 16), dtype=bool)
-    bits[2, 3:6] = True                      # run of 3 cells
-    bits[5, 0:2] = True
-    bits[5, 4:6] = True
-    r = ra.GridRaster(g, bits)
+    xc, yc = g.centers(0), g.centers(1)
+    stripes = FixedSpans({
+        # ranges 3..4 and 5..5 touch: one run of 3 cells
+        yc[2]: [(xc[3], xc[4]), (xc[5], xc[5])],
+        # runs 0..1 and 4..5; the last span misses every center
+        yc[5]: [(xc[0], xc[1]), (xc[4], xc[5]), (xc[8] + 1e-3, xc[8] + 2e-3)],
+        # 4..4 lies inside 3..7, which 6..8 extends: one run of 6 cells
+        yc[8]: [(xc[3], xc[7]), (xc[4], xc[4]), (xc[6], xc[8])],
+        # clipped at the right and at the left edge; the rows do not join
+        yc[11]: [(xc[12], xc[15] + 1.0)],
+        yc[12]: [(xc[0] - 1.0, xc[1])],
+    })
     cell = 1.0 / 16
-    assert ra.max_inscribed_interval(r) == pytest.approx(3 * cell, rel=1e-12)
-    # restrict to the split row: max run is 2 cells
-    y5 = g.centers(1)[5]
-    assert ra.max_inscribed_interval(r, within=(y5 - 1e-9, y5 + 1e-9)) == pytest.approx(
-        2 * cell, rel=1e-12
-    )
-    # column runs: rows 2 and 5 at ix=4..5 do not touch, run stays 1
-    assert ra.max_inscribed_interval(r, axis=1) == pytest.approx(cell, rel=1e-12)
-    empty = ra.GridRaster(g, np.zeros((16, 16), dtype=bool))
-    assert ra.max_inscribed_interval(empty) == 0.0
+    assert ra.max_inscribed_interval(stripes, 0.1, g) == pytest.approx(6 * cell, rel=1e-12)
+    # restrict to one row at a time: the split row's run is 2 cells
+    for j, cells in {2: 3, 5: 2, 8: 6, 11: 4, 12: 2}.items():
+        assert ra.max_inscribed_interval(
+            stripes, 0.1, g, within=(yc[j] - 1e-9, yc[j] + 1e-9)) == pytest.approx(
+            cells * cell, rel=1e-12)
+    assert ra.max_inscribed_interval(
+        stripes, 0.1, g, within=(yc[11], yc[12])) == pytest.approx(4 * cell, rel=1e-12)
+    assert ra.max_inscribed_interval(FixedSpans({}), 0.1, g) == 0.0
 
 
 def test_max_inscribed_interval_validation():
-    r = ra.GridRaster(ra.GridSpec(BOX2, 16), np.zeros((16, 16), dtype=bool))
     with pytest.raises(ArgumentError):
-        ra.max_inscribed_interval(r, axis=2)
+        ra.max_inscribed_interval(FixedSpans({}), 0.1, ra.GridSpec(((0, 0, 0), (1, 1, 1)), 16))
+    for delta in (0.0, -0.1):
+        with pytest.raises(ArgumentError):
+            ra.max_inscribed_interval(FixedSpans({}), delta, ra.GridSpec(BOX2, 16))
 
 
 def test_refinement_series_tracks_truth():

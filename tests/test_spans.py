@@ -6,7 +6,8 @@ shape's distance function at every cell center.  Union bits, int32 cover
 counts, per-shape cell totals and the weighted incidence deposit must agree
 except at centers within EDGE_TOL of a band edge, where rounding decides.
 A circle family's spans may overlap, so for families only the union is
-compared.
+compared.  The interior probe raster.max_inscribed_interval, which merges a
+shape's spans row by row, must read the longest row run of the same cells.
 The kernel's block and chunk sizes are shrunk so that every example crosses
 row-block and shape-chunk boundaries.
 """
@@ -177,3 +178,36 @@ def test_triangle_spans_match_brute_force(triangles, n, rows, chunk):
         union = ra.rasterize_triangles(triangles, grid)
     _check(bits, cover, totals, inside, [e <= EDGE_TOL for e in edge])
     assert np.array_equal(union.bits, bits)
+
+
+def _longest_run(bits):
+    """Longest run of filled cells along any row, by a plain scan."""
+    best = 0
+    for row in bits:
+        run = 0
+        for b in row:
+            run = run + 1 if b else 0
+            best = max(best, run)
+    return best
+
+
+within = st.one_of(st.none(), st.lists(st.floats(-2.2, 2.2), min_size=2, max_size=2).map(sorted))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(obj=st.one_of(family, shape), n=st.integers(16, 48), delta=st.floats(0.13, 0.4),
+       rows=st.integers(1, 5), band=within)
+def test_interior_probe_matches_row_runs(obj, n, delta, rows, band):
+    # a box narrower than the shapes clips runs at both ends of a row
+    grid = ra.GridSpec(((-1.0, -2.0), (1.0, 2.0)), n)
+    x, y = _centers(grid)
+    with mock.patch.object(ra, "_BLOCK_CELLS", rows * n):
+        probe = ra.max_inscribed_interval(obj, delta, grid, within=band)
+        bits = ra.spans_to_cells(grid, 1, ra.shape_spans([obj], delta))[0]
+    ys = grid.centers(1)
+    keep = np.ones(n, bool) if band is None else (band[0] <= ys) & (ys <= band[1])
+    cell = float(grid.cell_sizes[0])
+    assert probe == _longest_run(bits[keep]) * cell
+    dist = _distance(obj, x, y)
+    if not np.any(np.abs(dist - delta)[keep] <= EDGE_TOL):
+        assert probe == _longest_run((dist <= delta)[keep]) * cell
