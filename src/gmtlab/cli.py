@@ -8,7 +8,8 @@ Usage:
 Exit codes: 0 all verdicts pass, 1 some verdict fails, 2 usage error,
 3 runtime error.  Flags override config-file values, which override the
 scenario defaults.  The config file is flat `key = value` text with
-comma-separated lists; `#` starts a comment line.
+comma-separated lists; `#` starts a comment line.  A single-scenario run
+takes only its own --set keys, and the seed must be non-negative.
 
 Each scenario writes only inside <out>/<scenario-id>/: the report manifest,
 one CSV per series, PGM snapshots, and a FAILED marker if the run raised.
@@ -144,25 +145,32 @@ def parse_config(argv) -> RunConfig:
             else:
                 raise UsageError(f"unknown key {key!r} in config file")
 
+    if args.scenario != "all" and args.scenario not in SCENARIOS:
+        raise UsageError(f"unknown scenario {args.scenario!r}; "
+                         f"try one of: {', '.join(scenario_ids())}")
+    # a single scenario takes only its own keys from --set
+    keys = template if args.scenario == "all" else SCENARIOS[args.scenario][0]
     for item in args.sets:
         key, eq, text = item.partition("=")
         key = key.strip()
         if not eq:
             raise UsageError(f"--set needs KEY=VALUE, got {item!r}")
-        if key not in template:
-            raise UsageError(f"unknown key {key!r}")
-        overrides[key] = _coerce(key, template[key], text)
+        if key not in keys:
+            raise UsageError(f"unknown key {key!r}" if keys is template else
+                             f"{args.scenario} has no key {key!r}; "
+                             f"its keys: {', '.join(keys)}")
+        overrides[key] = _coerce(key, keys[key], text)
 
-    if args.scenario != "all" and args.scenario not in SCENARIOS:
-        raise UsageError(f"unknown scenario {args.scenario!r}; "
-                         f"try one of: {', '.join(scenario_ids())}")
     jobs = args.jobs if args.jobs is not None else settings["jobs"]
     if jobs < 1:
         raise UsageError(f"jobs must be at least 1, got {jobs}")
+    seed = args.seed if args.seed is not None else settings["seed"]
+    if seed < 0:
+        raise UsageError(f"seed must be non-negative, got {seed}")
     return RunConfig(
         scenario=args.scenario,
         output_dir=Path(args.out if args.out is not None else settings["out"]),
-        seed=args.seed if args.seed is not None else settings["seed"],
+        seed=seed,
         jobs=jobs,
         force=args.force if args.force is not None else settings["force"],
         overrides=overrides,

@@ -6,16 +6,18 @@ Cell-center sampling keeps everything reproducible; the bias per band edge is
 at most half a cell diagonal times the gradient bound, which refining the
 grid makes observable.
 
-A 2-D geometric band (circle, square boundary, circle family, filled
-triangle) is given by its spans: on each grid row, the x-intervals [lo, hi]
-it covers.  GridSpec.index_range maps a span to the cells whose center it
-contains, and spans_to_cells turns the spans of any number of shapes into
+A 2-D geometric band (circles, square boundaries, a circle family, filled
+triangles) is given by its spans in one format: a batch of shapes maps the
+row centers ys to (shape, row, lo, hi) arrays, shape[i] covering the
+x-interval [lo[i], hi[i]] on the row at ys[row[i]].  Circle and
+SquareBoundary hold k shapes (one center and size gives a batch of one), a
+CircleFamily is one shape.  GridSpec.index_range maps a span to the cells
+whose center it contains, and spans_to_cells turns the spans of a batch into
 cells with a difference array (np.add.at, then a cumulative sum) per block
 of rows.  It gives the union, the exact per-cell cover counts, each shape's
 cell total and a weighted deposit.  The interior probe max_inscribed_interval
 reads its runs from the same spans and cell ranges, with no raster.  Phase
-bands and distance-only shapes go through a vectorized predicate on cell
-centers instead.
+bands go through a vectorized predicate on cell centers instead.
 
 3-D set measures use Monte Carlo instead of dense grids; see
 monte_carlo_intersection, and monte_carlo_volumes for many volumes at once.
@@ -121,70 +123,64 @@ class GridRaster:
 # ---------------------------------------------------------------------------
 # Convention for 2-D bitmaps: bits[iy, ix], so a row is a horizontal grid line.
 
-@dataclass(frozen=True)
+def _batch(center, size):
+    """(k, 2) centers and k sizes from k of each, or from one (x, y) and a scalar."""
+    center = np.asarray(center, float).reshape(-1, 2)
+    return center, np.broadcast_to(np.asarray(size, float), len(center))
+
+
 class Circle:
-    center: tuple
-    radius: float
+    """Delta-bands of circles: Circle((x, y), r) is a batch of one."""
+
+    def __init__(self, center, radius):
+        self.center, self.radius = _batch(center, radius)
+
+    def __len__(self):
+        return len(self.center)
 
     def spans(self, ys, delta: float):
-        return _circle_spans(np.array([[*self.center, self.radius]], float), ys, delta)[1:]
+        (cx, cy), r = self.center.T, self.radius
+        dy = np.asarray(ys)[:, None] - cy
+        ro2 = (r + delta) ** 2 - dy * dy
+        hit = ro2 > 0.0
+        rows, shape = np.nonzero(hit)
+        b = np.sqrt(ro2[hit])
+        cx, dy = cx[shape], dy[hit]
+        # a radius under delta leaves no hole inside the band
+        ri2 = np.maximum(r[shape] - delta, 0.0) ** 2 - dy * dy
+        a = np.sqrt(np.maximum(ri2, 0.0))
+        ring = ri2 > 0.0
+        # spans [cx - b, cx - a] and [cx + a, cx + b]; one span [cx - b, cx + b]
+        # on rows that miss the inner circle
+        return (np.concatenate([shape, shape[ring]]), np.concatenate([rows, rows[ring]]),
+                np.concatenate([cx - b, (cx + a)[ring]]),
+                np.concatenate([np.where(ring, cx - a, cx + b), (cx + b)[ring]]))
 
 
-@dataclass(frozen=True)
 class SquareBoundary:
-    """Euclidean delta-band around the boundary of an axis-aligned square."""
+    """Euclidean delta-bands around the boundaries of axis-aligned squares."""
 
-    center: tuple
-    half_side: float
+    def __init__(self, center, half_side):
+        self.center, self.half_side = _batch(center, half_side)
+
+    def __len__(self):
+        return len(self.center)
 
     def spans(self, ys, delta: float):
-        cx, cy = self.center
-        h = self.half_side
-        ady = np.abs(np.asarray(ys) - cy)
+        (cx, cy), h = self.center.T, self.half_side
+        ady = np.abs(np.asarray(ys)[:, None] - cy)
         # rows within delta of the top/bottom edge are covered across the
         # square, out to the rounded corners outside it
-        one = np.nonzero((ady >= h - delta) & (ady <= h + delta))[0]
-        d = ady[one]
-        w = np.where(d > h, np.sqrt(np.maximum(delta * delta - (d - h) ** 2, 0.0)), delta)
+        edge = (ady >= h - delta) & (ady <= h + delta)
+        rows1, one = np.nonzero(edge)
+        d, h1 = ady[edge], h[one]
+        w = np.where(d > h1, np.sqrt(np.maximum(delta * delta - (d - h1) ** 2, 0.0)), delta)
         # middle rows: only the two vertical edges contribute
-        two = np.nonzero(ady < h - delta)[0]
-        left, right = np.full(len(two), cx - h), np.full(len(two), cx + h)
-        return (np.concatenate([one, two, two]),
-                np.concatenate([(cx - h) - w, left - delta, right - delta]),
-                np.concatenate([(cx + h) + w, left + delta, right + delta]))
-
-
-@dataclass(frozen=True)
-class Segment:
-    a: tuple
-    b: tuple
-
-    def distances(self, pts: np.ndarray) -> np.ndarray:
-        a = np.asarray(self.a, float)
-        v = np.asarray(self.b, float) - a
-        vv = float(v @ v)
-        s = np.clip((pts - a) @ v / vv, 0.0, 1.0) if vv > 0 else np.zeros(len(pts))
-        return np.linalg.norm(pts - (a + s[:, None] * v), axis=1)
-
-
-@dataclass(frozen=True)
-class FilledTriangle:
-    vertices: tuple     # three (x, y) pairs
-
-    def distances(self, pts: np.ndarray) -> np.ndarray:
-        """0 inside, else Euclidean distance to the nearest edge."""
-        va, vb, vc = (np.asarray(v, float) for v in self.vertices)
-        d1 = _cross(vb - va, pts - va)
-        d2 = _cross(vc - vb, pts - vb)
-        d3 = _cross(va - vc, pts - vc)
-        inside = ((d1 >= 0) & (d2 >= 0) & (d3 >= 0)) | ((d1 <= 0) & (d2 <= 0) & (d3 <= 0))
-        dist = np.minimum.reduce([
-            Segment(tuple(va), tuple(vb)).distances(pts),
-            Segment(tuple(vb), tuple(vc)).distances(pts),
-            Segment(tuple(vc), tuple(va)).distances(pts),
-        ])
-        dist[inside] = 0.0
-        return dist
+        rows2, two = np.nonzero(ady < h - delta)
+        left, right = cx[two] - h[two], cx[two] + h[two]
+        return (np.concatenate([one, two, two]), np.concatenate([rows1, rows2, rows2]),
+                np.concatenate([(cx[one] - h1) - w, left - delta, right - delta]),
+                np.concatenate([(cx[one] + h1) + w, left + delta, right + delta]))
 
 
 @dataclass(frozen=True)
@@ -193,42 +189,23 @@ class CircleFamily:
 
     The union over a center interval [u, v] has exact per-row coverage
     [u + a, v + b] and [u - b, v - a]: a continuum union, not a sampled one.
-    These spans may overlap, so a family is meant for unions, not counts.
+    A family is a batch of one shape whose spans may overlap, so it is meant
+    for unions, not counts.
     """
 
     intervals: IntervalSet
     y0: float
     radius: float
 
+    def __len__(self):
+        return 1
+
     def spans(self, ys, delta: float):
         # the circle at (0, y0) covers [-b, -a] and [a, b] (or [-b, b]) per row
-        rows, lo, hi = Circle((0.0, self.y0), self.radius).spans(ys, delta)
+        shape, rows, lo, hi = Circle((0.0, self.y0), self.radius).spans(ys, delta)
         u, v = self.intervals.as_arrays()
-        return np.repeat(rows, len(u)), (lo[:, None] + u).ravel(), (hi[:, None] + v).ravel()
-
-
-def _cross(v, pts_rel):
-    return v[0] * pts_rel[:, 1] - v[1] * pts_rel[:, 0]
-
-
-def _circle_spans(circles, ys, delta):
-    """(shape, row, lo, hi) of the delta-bands of circles given as (cx, cy, r) rows."""
-    cx, cy, r = circles.T
-    dy = np.asarray(ys)[:, None] - cy
-    ro2 = (r + delta) ** 2 - dy * dy
-    hit = ro2 > 0.0
-    rows, shape = np.nonzero(hit)
-    b = np.sqrt(ro2[hit])
-    cx, dy = cx[shape], dy[hit]
-    # a radius under delta leaves no hole inside the band
-    ri2 = np.maximum(r[shape] - delta, 0.0) ** 2 - dy * dy
-    a = np.sqrt(np.maximum(ri2, 0.0))
-    ring = ri2 > 0.0
-    # spans [cx - b, cx - a] and [cx + a, cx + b]; one span [cx - b, cx + b]
-    # on rows that miss the inner circle
-    return (np.concatenate([shape, shape[ring]]), np.concatenate([rows, rows[ring]]),
-            np.concatenate([cx - b, (cx + a)[ring]]),
-            np.concatenate([np.where(ring, cx - a, cx + b), (cx + b)[ring]]))
+        return (np.repeat(shape, len(u)), np.repeat(rows, len(u)),
+                (lo[:, None] + u).ravel(), (hi[:, None] + v).ravel())
 
 
 def _triangle_spans(triangles, ys):
@@ -250,15 +227,6 @@ def _triangle_spans(triangles, ys):
     hit = xlo <= xhi
     rows, shape = np.nonzero(hit)
     return shape, rows, xlo[hit], xhi[hit]
-
-
-def shape_spans(shapes, delta: float):
-    """spans_of for spans_to_cells over shape objects with a spans method."""
-    def spans_of(k0, k1, ys):
-        parts = [shape.spans(ys, delta) for shape in shapes[k0:k1]]
-        tags = np.repeat(np.arange(k1 - k0), [len(rows) for rows, _, _ in parts])
-        return (tags,) + tuple(np.concatenate(col) for col in zip(*parts))
-    return spans_of
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +251,11 @@ def _check_delta(delta: float, grid: GridSpec, allow_zero=False):
 
 
 def rasterize_band(obj, x, t, delta: float, grid: GridSpec) -> GridRaster:
-    """Fill cells whose center is within delta of the band {phi(x,.) = t} / shape."""
+    """Fill cells whose center is within delta of the band {phi(x,.) = t} / shapes.
+
+    obj is a PhaseSpec, tested at every cell center, or a span shape batch,
+    whose union is filled (x and t are then unused).
+    """
     _check_delta(delta, grid)
     if isinstance(obj, PhaseSpec):
         if obj.dim != grid.dim:
@@ -292,11 +264,7 @@ def rasterize_band(obj, x, t, delta: float, grid: GridSpec) -> GridRaster:
         return _rasterize_centers(
             grid, lambda pts: np.abs(eval_phase_batch(obj, x, pts) - t) <= delta)
     if hasattr(obj, "spans"):
-        return GridRaster(grid, spans_to_cells(grid, 1, shape_spans([obj], delta))[0])
-    if hasattr(obj, "distances"):
-        if grid.dim != 2:
-            raise ArgumentError("distance shapes are 2-D only")
-        return _rasterize_centers(grid, lambda pts: obj.distances(pts) <= delta)
+        return GridRaster(grid, spans_to_cells(grid, len(obj), lambda ys: obj.spans(ys, delta))[0])
     raise ArgumentError(f"cannot rasterize object of type {type(obj).__name__}")
 
 
@@ -324,11 +292,11 @@ def _rasterize_centers(grid, inside) -> GridRaster:
     return GridRaster(grid, bits)
 
 
-def spans_to_cells(grid: GridSpec, count: int, spans_of, weights=None, counts=False):
+def spans_to_cells(grid: GridSpec, count: int, spans, weights=None, counts=False):
     """Cells whose center lies in the row spans of `count` 2-D shapes.
 
-    spans_of(k0, k1, ys) -> (shape, row, lo, hi) arrays: shape k0 + shape[i]
-    covers [lo[i], hi[i]] on the grid row whose center is ys[row[i]].
+    spans(ys) -> (shape, row, lo, hi) arrays: shape[i] covers [lo[i], hi[i]]
+    on the grid row whose center is ys[row[i]].
     Returns (union bits, int32 cover counts if counts else None, per-shape
     cell totals, weighted deposit if weights is given else None).  Spans
     count one by one: a cell under two overlapping spans of one shape (as a
@@ -337,33 +305,33 @@ def spans_to_cells(grid: GridSpec, count: int, spans_of, weights=None, counts=Fa
     deposit spreads weights[k] evenly over the cells of shape k as a density
     (weight per cell volume) and is zero off the union.
 
-    Rows go a block at a time and shapes a chunk at a time, so the only
-    full-grid arrays are the outputs.  The difference array of a block is
-    one buffer, reused and filled in place by np.add.at: np.bincount would
-    allocate a block-sized array per chunk, and freeing those leaves the
-    heap fragmented and the process larger for the rest of its run.
+    Rows go a block at a time, and spans(ys) gets _SPAN_CHUNK // count rows
+    (at least one) at a time, so the only full-grid arrays are the outputs.
+    The difference array of a block is one buffer, reused and filled in
+    place by np.add.at: np.bincount would allocate a block-sized array per
+    chunk, and freeing those leaves the heap fragmented and the process
+    larger for the rest of its run.
     """
     if grid.dim != 2:
         raise ArgumentError("spans are 2-D only")
     n = grid.cells_per_axis
     ycent = grid.centers(1)
+    step = max(1, _SPAN_CHUNK // max(count, 1))
 
     def chunks(j0, j1):
-        """(k0, k1, shape, start, cells) per shape chunk: start is the flat
-        index of a span's first cell in rows j0..j1-1."""
-        step = max(1, _SPAN_CHUNK // (j1 - j0))
-        for k0 in range(0, count, step):
-            k1 = min(k0 + step, count)
-            shape, row, lo, hi = spans_of(k0, k1, ycent[j0:j1])
+        """(shape, start, cells) per chunk of rows: start is the flat index of
+        a span's first cell in rows j0..j1-1."""
+        for c0 in range(j0, j1, step):
+            shape, row, lo, hi = spans(ycent[c0 : min(c0 + step, j1)])
             i0, i1 = grid.index_range(lo, hi, axis=0)
             keep = i0 <= i1
-            yield k0, k1, shape[keep], row[keep] * n + i0[keep], (i1 - i0 + 1)[keep]
+            yield shape[keep], (row[keep] + c0 - j0) * n + i0[keep], (i1 - i0 + 1)[keep]
 
     if weights is not None:
         # a shape's weight per cell needs its cell total over all rows first
         first = np.zeros(count)
-        for k0, k1, shape, _, cells in chunks(0, n):
-            first[k0:k1] = np.bincount(shape, cells, minlength=k1 - k0)
+        for shape, _, cells in chunks(0, n):
+            first += np.bincount(shape, cells, minlength=count)
         density = np.divide(weights, first * grid.cell_volume, out=np.zeros(count),
                             where=first > 0)
     totals = np.zeros(count, dtype=np.int64)
@@ -378,12 +346,12 @@ def spans_to_cells(grid: GridSpec, count: int, spans_of, weights=None, counts=Fa
         run[:] = 0
         if dep is not None:
             dep[:] = 0.0
-        for k0, k1, shape, start, cells in chunks(j0, j1):
-            totals[k0:k1] += np.bincount(shape, cells, minlength=k1 - k0).astype(np.int64)
+        for shape, start, cells in chunks(j0, j1):
+            totals += np.bincount(shape, cells, minlength=count).astype(np.int64)
             np.add.at(run, start, 1)
             np.subtract.at(run, start + cells, 1)
             if dep is not None:
-                w = density[k0 + shape]
+                w = density[shape]
                 np.add.at(dep, start, w)
                 np.subtract.at(dep, start + cells, w)
         np.cumsum(run, out=run)
@@ -403,10 +371,10 @@ def spans_to_cells(grid: GridSpec, count: int, spans_of, weights=None, counts=Fa
 
 
 def union_scanline(shapes, delta: float, grid: GridSpec) -> GridRaster:
-    """Union of many span shapes without building per-shape rasters."""
+    """Union of a span shape batch without building per-shape rasters."""
     _check_delta(delta, grid)
-    shapes = list(shapes)
-    return GridRaster(grid, spans_to_cells(grid, len(shapes), shape_spans(shapes, delta))[0])
+    bits = spans_to_cells(grid, len(shapes), lambda ys: shapes.spans(ys, delta))[0]
+    return GridRaster(grid, bits)
 
 
 def rasterize_circles(circles, delta: float, grid: GridSpec):
@@ -419,17 +387,16 @@ def rasterize_circles(circles, delta: float, grid: GridSpec):
     """
     _check_delta(delta, grid)
     circles = np.asarray(circles, dtype=float).reshape(-1, 3)
+    shapes = Circle(circles[:, :2], circles[:, 2])
     bits, counts, per_band, _ = spans_to_cells(
-        grid, len(circles), lambda k0, k1, ys: _circle_spans(circles[k0:k1], ys, delta),
-        counts=True)
+        grid, len(shapes), lambda ys: shapes.spans(ys, delta), counts=True)
     return GridRaster(grid, bits), counts, per_band
 
 
 def rasterize_triangles(triangles, grid: GridSpec) -> GridRaster:
     """Exact filled union of 2-D triangles (no band thickness) by spans."""
     triangles = np.asarray(triangles, dtype=float).reshape(-1, 3, 2)
-    bits = spans_to_cells(grid, len(triangles),
-                          lambda k0, k1, ys: _triangle_spans(triangles[k0:k1], ys))[0]
+    bits = spans_to_cells(grid, len(triangles), lambda ys: _triangle_spans(triangles, ys))[0]
     return GridRaster(grid, bits)
 
 
@@ -471,7 +438,7 @@ def intersection_area(a: GridRaster, b: GridRaster) -> float:
 # ---------------------------------------------------------------------------
 
 def max_inscribed_interval(shape, delta: float, grid: GridSpec, within=None) -> float:
-    """Longest horizontal run of a span shape's delta-band cells, in length units.
+    """Longest horizontal run of a span shape batch's delta-band cells, in length units.
 
     It equals the longest run of filled cells in a row of
     rasterize_band(shape, None, None, delta, grid), read from the spans with
@@ -491,7 +458,7 @@ def max_inscribed_interval(shape, delta: float, grid: GridSpec, within=None) -> 
     block = max(1, _BLOCK_CELLS // n)
     best = 0
     for j0 in range(0, len(ys), block):
-        row, lo, hi = shape.spans(ys[j0 : j0 + block], delta)
+        _, row, lo, hi = shape.spans(ys[j0 : j0 + block], delta)
         i0, i1 = grid.index_range(lo, hi, axis=0)
         keep = i0 <= i1
         # offset by row, ranges sort by (row, i0), and no range of a row can

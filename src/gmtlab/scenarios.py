@@ -212,7 +212,7 @@ def _flat_counterexample(p, seed, out_dir):
     square_rows, circle_rows = [], []
     for depth in depths:
         cloud = _cantor_cloud(depth, seed)
-        squares = [raster.SquareBoundary((x, y), 1.0) for x, y in cloud.points]
+        squares = raster.SquareBoundary(cloud.points, 1.0)
         union = raster.union_scanline(squares, d_min, grid)
         square_rows.append((depth, union.area()))
         cu, _, _ = raster.rasterize_circles(_circle_rows(cloud.points, 1.0), d_min, grid)
@@ -277,7 +277,8 @@ def _discrete_incidence(p, seed, out_dir):
         lattice = fractal.separated_lattice(q, seed=seed)
         rho = fractal.thickening_radius(q, s)
         circles = _circle_rows(lattice.points / q, r)
-        union, _, per_band = raster.rasterize_circles(circles, rho, grid)
+        union, counts, per_band = raster.rasterize_circles(circles, rho, grid)
+        del counts      # 16 MiB at n=2048 that would live through the next q's raster
         area = union.area()
         integral = float(per_band.sum() * grid.cell_volume)
         series["unit-area"].append((q, area))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ArgumentError, EmptyLevelError, FitError
 from .phase import PhaseSpec
-from .raster import GridSpec, rasterize_band, shape_spans, spans_to_cells
+from .raster import GridSpec, rasterize_band, spans_to_cells
 
 # Relative half-width of each window's cosine transition.  Wider transitions
 # smear band energy across neighbours: for a flat spectrum the deficit in
@@ -169,8 +169,8 @@ def incidence_density(obj, centers, level, delta: float, grid: GridSpec) -> Grid
     """Weighted superposition of level bands, one per center.
 
     obj is either a PhaseSpec (band = {y : |phi(x_i, y) - level_i| <= delta},
-    rasterized per center) or a span shape class such as Circle, instantiated
-    per center as obj(center, level_i) and deposited by
+    rasterized per center) or a span shape class such as Circle, built once
+    as the batch obj(centers, levels) and deposited by
     raster.spans_to_cells.  Each center's weight is spread uniformly over
     its band's filled cells.  Centers whose band misses the grid are
     dropped with a warning count; if all bands are empty the measure is
@@ -187,9 +187,9 @@ def incidence_density(obj, centers, level, delta: float, grid: GridSpec) -> Grid
     if isinstance(obj, PhaseSpec):
         values, dropped = _incidence_phase(obj, pts, levels, weights, delta, grid)
     else:
-        shapes = [obj(tuple(x), float(t)) for x, t in zip(pts, levels)]
+        shapes = obj(pts, levels)
         _, _, cells, values = spans_to_cells(
-            grid, len(shapes), shape_spans(shapes, delta), weights=weights)
+            grid, len(shapes), lambda ys: shapes.spans(ys, delta), weights=weights)
         dropped = int(np.count_nonzero(cells == 0))
     if dropped == len(pts):
         raise EmptyLevelError("every center's band misses the grid")

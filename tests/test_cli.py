@@ -50,6 +50,22 @@ def test_parse_rejects_unknown_key_by_name():
         parse_config(["run", "all", "--set", "bogus=1"])
 
 
+def test_single_scenario_rejects_keys_it_does_not_declare(tmp_path, capsys):
+    # qs belongs to discrete-incidence; transversality must not drop it silently
+    with pytest.raises(UsageError, match="curve, samples, fd_step, min_floor, err_tol"):
+        parse_config(["run", "transversality", "--set", "qs=8"])
+    out = tmp_path / "r"
+    assert run_cli(["run", "transversality", "--set", "qs=8", "--out", str(out)]) == 2
+    assert "transversality has no key 'qs'" in capsys.readouterr().err
+    assert not out.exists()
+    # run all and config files keep giving each scenario only its own keys
+    assert parse_config(["run", "all", "--set", "qs=8"]).overrides == {"qs": [8]}
+    cfg_file = tmp_path / "lab.cfg"
+    cfg_file.write_text("qs = 8\n")
+    cfg = parse_config(["run", "transversality", "--config", str(cfg_file)])
+    assert cfg.overrides == {"qs": [8]}
+
+
 def test_parse_rejects_unknown_scenario():
     with pytest.raises(UsageError, match="no-such"):
         parse_config(["run", "no-such"])
@@ -102,6 +118,18 @@ def test_config_file_rejects_jobs_below_one(tmp_path):
     cfg_file.write_text("jobs = 0\n")
     with pytest.raises(UsageError, match="jobs"):
         parse_config(["run", "all", "--config", str(cfg_file)])
+
+
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "r"
+    with pytest.raises(UsageError, match="seed"):
+        parse_config(["run", "transversality", "--seed", "-1"])
+    assert run_cli(["run", "transversality", "--seed", "-1", "--out", str(out)]) == 2
+    assert "seed" in capsys.readouterr().err
+    cfg_file = tmp_path / "lab.cfg"
+    cfg_file.write_text("seed = -2\n")
+    assert run_cli(["run", "all", "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_config_file_unknown_key(tmp_path):

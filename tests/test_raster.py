@@ -270,14 +270,6 @@ def test_triangle_outside_box_is_empty():
     assert r.filled_count == 0
 
 
-def test_filled_triangle_band_contains_zero_delta_raster():
-    grid = ra.GridSpec(BOX2, 128)
-    tri = ((-0.8, -0.7), (0.9, -0.2), (0.1, 0.8))
-    sharp = ra.rasterize_triangles([tri], grid)
-    band = ra.rasterize_band(ra.FilledTriangle(tri), None, None, 0.1, grid)
-    assert not np.any(sharp.bits & ~band.bits)
-
-
 def test_perron_union_compresses():
     grid = ra.GridSpec(((-2.0, -1.0), (2.0, 1.5)), 1024)
     areas = []
@@ -303,7 +295,8 @@ class FixedSpans:
     def spans(self, ys, delta):
         found = [(j, lo, hi) for j, y in enumerate(ys) for lo, hi in self.by_y.get(y, ())]
         rows, lo, hi = zip(*found) if found else ((), (), ())
-        return np.array(rows, dtype=np.int64), np.array(lo, float), np.array(hi, float)
+        return (np.zeros(len(rows), dtype=np.int64), np.array(rows, dtype=np.int64),
+                np.array(lo, float), np.array(hi, float))
 
 
 def test_max_inscribed_interval_on_constructed_stripes():

@@ -362,7 +362,8 @@ def test_interior_failure_depth2_bound_bookkeeping():
 def test_interior_failure_rows_beyond_radius_are_empty():
     fam = ra.CircleFamily(fr.fat_cantor(3), 0.0, 1.0)
     ys = np.array([1.2, -1.2, 1.0 + 0.0101, -1.0 - 0.0101, 1.0, 0.0])
-    rows, lo, hi = fam.spans(ys, 0.01)
+    shape, rows, lo, hi = fam.spans(ys, 0.01)
+    assert len(fam) == 1 and not shape.any()
     # only the rows with |y| <= 1 + delta carry spans
     assert sorted(set(rows.tolist())) == [4, 5]
     assert np.all(lo <= hi)

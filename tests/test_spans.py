@@ -1,15 +1,16 @@
 """Differential test of the span kernel against brute-force cell centers.
 
-Random circles, square boundaries, circle families and triangles are turned
-into cells by raster.spans_to_cells and, independently, by evaluating each
-shape's distance function at every cell center.  Union bits, int32 cover
-counts, per-shape cell totals and the weighted incidence deposit must agree
-except at centers within EDGE_TOL of a band edge, where rounding decides.
-A circle family's spans may overlap, so for families only the union is
-compared.  The interior probe raster.max_inscribed_interval, which merges a
-shape's spans row by row, must read the longest row run of the same cells.
-The kernel's block and chunk sizes are shrunk so that every example crosses
-row-block and shape-chunk boundaries.
+Random batches of circles, of square boundaries and of triangles, and
+random circle families, are turned into cells by raster.spans_to_cells and,
+independently, by evaluating each shape's distance function at every cell
+center.  Union bits, int32 cover counts, per-shape cell totals and the
+weighted incidence deposit must agree except at centers within EDGE_TOL of a
+band edge, where rounding decides.  A circle family's spans may overlap, so
+for families only the union is compared.  The interior probe
+raster.max_inscribed_interval, which merges a batch's spans row by row, must
+read the longest row run of the same cells.  The kernel's block and chunk
+sizes are shrunk so that every example crosses row-block and row-chunk
+boundaries.
 """
 
 from unittest import mock
@@ -36,23 +37,19 @@ def intervals(draw):
     return IntervalSet(pairs or ((ends[0], ends[0]),), 0)
 
 
-shape = st.one_of(
-    st.builds(ra.Circle, st.tuples(coord, coord), length),
-    st.builds(ra.SquareBoundary, st.tuples(coord, coord), length),
-)
+def batch(kind):
+    """A batch of one kind of shape from (cx, cy, size) rows."""
+    rows = st.lists(st.tuples(coord, coord, length), min_size=1, max_size=5)
+    return rows.map(lambda r: kind(np.array(r)[:, :2], np.array(r)[:, 2]))
+
+
+shapes = st.one_of(batch(ra.Circle), batch(ra.SquareBoundary))
 family = st.builds(ra.CircleFamily, intervals(), coord, length)
 triangle = st.tuples(*[st.tuples(coord, coord)] * 3)
 
 
-def _distance(obj, x, y):
-    """Distance from points to the shape's curve (0 inside a triangle)."""
-    if isinstance(obj, ra.Circle):
-        return np.abs(np.hypot(x - obj.center[0], y - obj.center[1]) - obj.radius)
-    if isinstance(obj, ra.SquareBoundary):
-        ax = np.abs(x - obj.center[0]) - obj.half_side
-        ay = np.abs(y - obj.center[1]) - obj.half_side
-        outside = np.hypot(np.maximum(ax, 0.0), np.maximum(ay, 0.0))
-        return np.where((ax > 0) | (ay > 0), outside, -np.maximum(ax, ay))
+def _distances(obj, x, y):
+    """Distance from points to each shape's curve, one array per shape."""
     if isinstance(obj, ra.CircleFamily):
         # over centers u in [a, b], |(x, y) - (u, y0)| sweeps [near, far]
         best = np.full(x.shape, np.inf)
@@ -63,8 +60,26 @@ def _distance(obj, x, y):
             gap = np.where(obj.radius < near, near - obj.radius,
                            np.maximum(obj.radius - far, 0.0))
             best = np.minimum(best, gap)
-        return best
+        return [best]
+    if isinstance(obj, ra.Circle):
+        return [np.abs(np.hypot(x - cx, y - cy) - r)
+                for (cx, cy), r in zip(obj.center, obj.radius)]
+    if isinstance(obj, ra.SquareBoundary):
+        out = []
+        for (cx, cy), h in zip(obj.center, obj.half_side):
+            ax, ay = np.abs(x - cx) - h, np.abs(y - cy) - h
+            outside = np.hypot(np.maximum(ax, 0.0), np.maximum(ay, 0.0))
+            out.append(np.where((ax > 0) | (ay > 0), outside, -np.maximum(ax, ay)))
+        return out
     raise TypeError(obj)
+
+
+def _segment_distance(a, b, x, y):
+    """Distance from points (x, y) to the segment from a to b."""
+    (ax, ay), (vx, vy) = a, (b[0] - a[0], b[1] - a[1])
+    vv = vx * vx + vy * vy
+    s = np.clip(((x - ax) * vx + (y - ay) * vy) / vv, 0.0, 1.0) if vv > 0 else 0.0
+    return np.hypot(x - (ax + s * vx), y - (ay + s * vy))
 
 
 def _triangle_inside_and_edge(tri, x, y):
@@ -75,10 +90,7 @@ def _triangle_inside_and_edge(tri, x, y):
     # a zero-area triangle has all crosses 0 on its whole line: clip to its box
     inside &= (x >= v[:, 0].min()) & (x <= v[:, 0].max())
     inside &= (y >= v[:, 1].min()) & (y <= v[:, 1].max())
-    pts = np.column_stack([x.ravel(), y.ravel()])
-    edge = np.minimum.reduce([
-        ra.Segment(tuple(v[k]), tuple(v[(k + 1) % 3])).distances(pts) for k in range(3)
-    ]).reshape(x.shape)
+    edge = np.minimum.reduce([_segment_distance(v[k], v[(k + 1) % 3], x, y) for k in range(3)])
     return inside, edge
 
 
@@ -97,26 +109,26 @@ def _check(bits, cover, totals, brute, near):
     assert np.array_equal(bits[sure], stack.any(axis=0)[sure])
     assert cover.dtype == np.int32
     assert np.array_equal(cover[sure], stack.sum(axis=0)[sure])
+    assert len(totals) == len(brute)
     for total, b, edge in zip(totals, brute, near):
         assert abs(int(total) - int(b.sum())) <= int(edge.sum())
     return sure
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(shapes=st.lists(shape, min_size=1, max_size=5),
-       n=st.integers(16, 48), delta=st.floats(0.13, 0.4),
+@given(obj=shapes, n=st.integers(16, 48), delta=st.floats(0.13, 0.4),
        rows=st.integers(1, 5), chunk=st.integers(1, 9),
        weights=st.lists(st.floats(0.01, 1.0), min_size=5, max_size=5))
-def test_span_kernel_matches_brute_force(shapes, n, delta, rows, chunk, weights):
+def test_span_kernel_matches_brute_force(obj, n, delta, rows, chunk, weights):
     grid = ra.GridSpec(BOX, n)
     x, y = _centers(grid)
-    dist = [_distance(s, x, y) for s in shapes]
-    w = np.asarray(weights[: len(shapes)])
+    dist = _distances(obj, x, y)
+    w = np.asarray(weights[: len(obj)])
     with mock.patch.object(ra, "_BLOCK_CELLS", rows * n), \
             mock.patch.object(ra, "_SPAN_CHUNK", chunk):
         bits, cover, totals, mass = ra.spans_to_cells(
-            grid, len(shapes), ra.shape_spans(shapes, delta), weights=w, counts=True)
-        union = ra.union_scanline(shapes, delta, grid)
+            grid, len(obj), lambda ys: obj.spans(ys, delta), weights=w, counts=True)
+        union = ra.union_scanline(obj, delta, grid)
     brute = [d <= delta for d in dist]
     sure = _check(bits, cover, totals, brute, [np.abs(d - delta) <= EDGE_TOL for d in dist])
     assert np.array_equal(union.bits, bits)
@@ -131,20 +143,18 @@ def test_span_kernel_matches_brute_force(shapes, n, delta, rows, chunk, weights)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(shapes=st.lists(st.one_of(family, shape), min_size=1, max_size=5),
-       n=st.integers(16, 48), delta=st.floats(0.13, 0.4),
+@given(fam=family, n=st.integers(16, 48), delta=st.floats(0.13, 0.4),
        rows=st.integers(1, 5), chunk=st.integers(1, 9))
-def test_circle_family_union_matches_brute_force(shapes, n, delta, rows, chunk):
+def test_circle_family_union_matches_brute_force(fam, n, delta, rows, chunk):
     # a family's spans may overlap, so only its union is checked
     grid = ra.GridSpec(BOX, n)
     x, y = _centers(grid)
-    dist = [_distance(s, x, y) for s in shapes]
+    (dist,) = _distances(fam, x, y)
     with mock.patch.object(ra, "_BLOCK_CELLS", rows * n), \
             mock.patch.object(ra, "_SPAN_CHUNK", chunk):
-        union = ra.union_scanline(shapes, delta, grid)
-    sure = ~np.logical_or.reduce([np.abs(d - delta) <= EDGE_TOL for d in dist])
-    brute = np.logical_or.reduce([d <= delta for d in dist])
-    assert np.array_equal(union.bits[sure], brute[sure])
+        union = ra.union_scanline(fam, delta, grid)
+    sure = np.abs(dist - delta) > EDGE_TOL
+    assert np.array_equal(union.bits[sure], (dist <= delta)[sure])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -154,7 +164,8 @@ def test_circle_family_union_matches_brute_force(shapes, n, delta, rows, chunk):
 def test_rasterize_circles_matches_brute_force(circles, n, delta, rows, chunk):
     grid = ra.GridSpec(BOX, n)
     x, y = _centers(grid)
-    dist = [_distance(ra.Circle((cx, cy), r), x, y) for cx, cy, r in circles]
+    c = np.array(circles)
+    dist = _distances(ra.Circle(c[:, :2], c[:, 2]), x, y)
     with mock.patch.object(ra, "_BLOCK_CELLS", rows * n), \
             mock.patch.object(ra, "_SPAN_CHUNK", chunk):
         union, counts, per_band = ra.rasterize_circles(circles, delta, grid)
@@ -173,8 +184,7 @@ def test_triangle_spans_match_brute_force(triangles, n, rows, chunk):
     with mock.patch.object(ra, "_BLOCK_CELLS", rows * n), \
             mock.patch.object(ra, "_SPAN_CHUNK", chunk):
         bits, cover, totals, _ = ra.spans_to_cells(
-            grid, len(tris), lambda k0, k1, ys: ra._triangle_spans(tris[k0:k1], ys),
-            counts=True)
+            grid, len(tris), lambda ys: ra._triangle_spans(tris, ys), counts=True)
         union = ra.rasterize_triangles(triangles, grid)
     _check(bits, cover, totals, inside, [e <= EDGE_TOL for e in edge])
     assert np.array_equal(union.bits, bits)
@@ -195,7 +205,7 @@ within = st.one_of(st.none(), st.lists(st.floats(-2.2, 2.2), min_size=2, max_siz
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(obj=st.one_of(family, shape), n=st.integers(16, 48), delta=st.floats(0.13, 0.4),
+@given(obj=st.one_of(family, shapes), n=st.integers(16, 48), delta=st.floats(0.13, 0.4),
        rows=st.integers(1, 5), band=within)
 def test_interior_probe_matches_row_runs(obj, n, delta, rows, band):
     # a box narrower than the shapes clips runs at both ends of a row
@@ -203,11 +213,12 @@ def test_interior_probe_matches_row_runs(obj, n, delta, rows, band):
     x, y = _centers(grid)
     with mock.patch.object(ra, "_BLOCK_CELLS", rows * n):
         probe = ra.max_inscribed_interval(obj, delta, grid, within=band)
-        bits = ra.spans_to_cells(grid, 1, ra.shape_spans([obj], delta))[0]
+        bits = ra.spans_to_cells(grid, len(obj), lambda ys: obj.spans(ys, delta))[0]
     ys = grid.centers(1)
     keep = np.ones(n, bool) if band is None else (band[0] <= ys) & (ys <= band[1])
     cell = float(grid.cell_sizes[0])
     assert probe == _longest_run(bits[keep]) * cell
-    dist = _distance(obj, x, y)
-    if not np.any(np.abs(dist - delta)[keep] <= EDGE_TOL):
-        assert probe == _longest_run((dist <= delta)[keep]) * cell
+    dist = _distances(obj, x, y)
+    if not any(np.any(np.abs(d - delta)[keep] <= EDGE_TOL) for d in dist):
+        brute = np.logical_or.reduce([d <= delta for d in dist])
+        assert probe == _longest_run(brute[keep]) * cell
