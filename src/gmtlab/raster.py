@@ -1,23 +1,27 @@
 """Occupancy-grid measure engine.
 
-A raster marks the cells whose center lies inside a band (|phi(x, c) - t| <=
-delta for phase bands, point-to-shape distance <= delta for geometric bands).
-Cell-center sampling keeps everything reproducible; the bias per band edge is
-at most half a cell diagonal times the gradient bound, which refining the
-grid makes observable.
+Grids are 2-D.  A raster marks the cells whose center lies inside a band
+(|phi(x, c) - t| <= delta for phase bands, point-to-shape distance <= delta
+for geometric bands).  Cell-center sampling keeps everything reproducible;
+the bias per band edge is at most half a cell diagonal times the gradient
+bound, which refining the grid makes observable.
 
-A 2-D geometric band (circles, square boundaries, a circle family, filled
+A geometric band (circles, square boundaries, a circle family, filled
 triangles) is given by its spans in one format: a batch of shapes maps the
 row centers ys to (shape, row, lo, hi) arrays, shape[i] covering the
 x-interval [lo[i], hi[i]] on the row at ys[row[i]].  Circle and
 SquareBoundary hold k shapes (one center and size gives a batch of one), a
-CircleFamily is one shape.  GridSpec.index_range maps a span to the cells
-whose center it contains, and spans_to_cells turns the spans of a batch into
-cells with a difference array (np.add.at, then a cumulative sum) per block
-of rows.  It gives the union, the exact per-cell cover counts, each shape's
-cell total and a weighted deposit.  The interior probe max_inscribed_interval
-reads its runs from the same spans and cell ranges, with no raster.  Phase
-bands go through a vectorized predicate on cell centers instead.
+CircleFamily holds one shape per center interval.  GridSpec.index_range maps
+a span to the cells whose center it contains, and spans_to_cells turns the
+spans of a batch into cells with a difference array (np.add.at, then a
+cumulative sum) per block of rows.  It gives the union (union_scanline), the
+exact per-cell cover counts (rasterize_circles), each shape's cell total
+and a weighted deposit.  The interior probe max_inscribed_interval reads its
+runs from the same spans and cell ranges, with no raster.
+
+rasterize_band is the phase predicate: it tests |phi(x, c) - t| <= delta at
+every cell center c.  It is the brute-force reference the span kernels are
+checked against, and the route for phase bands that have no spans.
 
 3-D set measures use Monte Carlo instead of dense grids; see
 monte_carlo_intersection, and monte_carlo_volumes for many volumes at once.
@@ -36,7 +40,6 @@ from .fractal import IntervalSet
 from .phase import PhaseSpec, eval_phase_batch
 
 MAX_CELLS_2D = 8192
-MAX_CELLS_3D = 512
 MIN_CELLS = 16
 
 _ROW_CHUNK = 64          # rows per predicate-evaluation chunk (memory bound)
@@ -46,27 +49,21 @@ _BLOCK_CELLS = 1 << 22   # cells per row block of the span difference array (mem
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Axis-aligned box with n cells per axis (cells may be non-square)."""
+    """Axis-aligned 2-D box with n cells per axis (cells may be non-square)."""
 
-    box: tuple               # ((lo...), (hi...))
+    box: tuple               # ((x0, y0), (x1, y1))
     cells_per_axis: int
 
     def __post_init__(self):
         lo, hi = (tuple(float(v) for v in side) for side in self.box)
         object.__setattr__(self, "box", (lo, hi))
-        d = len(lo)
-        if d not in (2, 3) or len(hi) != d:
-            raise ArgumentError("box must be 2-D or 3-D (lo, hi) tuples")
+        if len(lo) != 2 or len(hi) != 2:
+            raise ArgumentError("box must be 2-D (lo, hi) tuples")
         if any(h <= l for l, h in zip(lo, hi)):
             raise ArgumentError("box must have hi > lo on every axis")
         n = self.cells_per_axis
-        limit = MAX_CELLS_2D if d == 2 else MAX_CELLS_3D
-        if not (MIN_CELLS <= n <= limit):
-            raise ArgumentError(f"cells_per_axis must be in [{MIN_CELLS}, {limit}] for d={d}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.box[0])
+        if not (MIN_CELLS <= n <= MAX_CELLS_2D):
+            raise ArgumentError(f"cells_per_axis must be in [{MIN_CELLS}, {MAX_CELLS_2D}]")
 
     @property
     def cell_sizes(self) -> np.ndarray:
@@ -104,7 +101,7 @@ class GridRaster:
     filled_count: int = field(default=-1)
 
     def __post_init__(self):
-        if self.bits.shape != (self.grid.cells_per_axis,) * self.grid.dim:
+        if self.bits.shape != (self.grid.cells_per_axis,) * 2:
             raise ArgumentError("bits shape does not match grid")
         if self.bits.dtype != np.bool_:
             raise ArgumentError("bits must be boolean")
@@ -189,8 +186,8 @@ class CircleFamily:
 
     The union over a center interval [u, v] has exact per-row coverage
     [u + a, v + b] and [u - b, v - a]: a continuum union, not a sampled one.
-    A family is a batch of one shape whose spans may overlap, so it is meant
-    for unions, not counts.
+    A family is a batch of one shape per center interval; the bands of
+    neighbouring intervals overlap, so it is meant for unions, not counts.
     """
 
     intervals: IntervalSet
@@ -198,13 +195,13 @@ class CircleFamily:
     radius: float
 
     def __len__(self):
-        return 1
+        return len(self.intervals.intervals)
 
     def spans(self, ys, delta: float):
         # the circle at (0, y0) covers [-b, -a] and [a, b] (or [-b, b]) per row
-        shape, rows, lo, hi = Circle((0.0, self.y0), self.radius).spans(ys, delta)
+        _, rows, lo, hi = Circle((0.0, self.y0), self.radius).spans(ys, delta)
         u, v = self.intervals.as_arrays()
-        return (np.repeat(shape, len(u)), np.repeat(rows, len(u)),
+        return (np.tile(np.arange(len(u)), len(lo)), np.repeat(rows, len(u)),
                 (lo[:, None] + u).ravel(), (hi[:, None] + v).ravel())
 
 
@@ -233,9 +230,7 @@ def _triangle_spans(triangles, ys):
 # rasterization
 # ---------------------------------------------------------------------------
 
-def _check_delta(delta: float, grid: GridSpec, allow_zero=False):
-    if delta == 0.0 and allow_zero:
-        return
+def _check_delta(delta: float, grid: GridSpec):
     if delta <= 0.0:
         raise ArgumentError("delta must be positive")
     coarse = float(np.max(grid.cell_sizes))
@@ -250,45 +245,25 @@ def _check_delta(delta: float, grid: GridSpec, allow_zero=False):
         )
 
 
-def rasterize_band(obj, x, t, delta: float, grid: GridSpec) -> GridRaster:
-    """Fill cells whose center is within delta of the band {phi(x,.) = t} / shapes.
+def rasterize_band(spec, x, t, delta: float, grid: GridSpec) -> GridRaster:
+    """Cells whose center c satisfies |phi(x, c) - t| <= delta, for a 2-D PhaseSpec.
 
-    obj is a PhaseSpec, tested at every cell center, or a span shape batch,
-    whose union is filled (x and t are then unused).
+    The centers go a block of rows at a time (bits[iy, ix]).  Span batches
+    go through union_scanline instead.
     """
+    if not isinstance(spec, PhaseSpec) or spec.dim != 2:
+        raise ArgumentError("rasterize_band takes a 2-D PhaseSpec; spans go to union_scanline")
     _check_delta(delta, grid)
-    if isinstance(obj, PhaseSpec):
-        if obj.dim != grid.dim:
-            raise ArgumentError("phase dimension does not match grid dimension")
-        x = np.asarray(x, float)
-        return _rasterize_centers(
-            grid, lambda pts: np.abs(eval_phase_batch(obj, x, pts) - t) <= delta)
-    if hasattr(obj, "spans"):
-        return GridRaster(grid, spans_to_cells(grid, len(obj), lambda ys: obj.spans(ys, delta))[0])
-    raise ArgumentError(f"cannot rasterize object of type {type(obj).__name__}")
-
-
-def _rasterize_centers(grid, inside) -> GridRaster:
-    """Cells whose center passes inside(pts), pts an (m, dim) array of centers.
-
-    Centers go a slab at a time: 2-D bits are [iy, ix], filled by blocks of
-    rows; 3-D bits are [ix, iy, iz], filled by slices of 4 in z.
-    """
+    x = np.asarray(x, float)
     n = grid.cells_per_axis
-    axes = [grid.centers(k) for k in range(grid.dim)]
-    bits = np.zeros((n,) * grid.dim, dtype=bool)
-    if grid.dim == 2:
-        for j0 in range(0, n, _ROW_CHUNK):
-            ys = axes[1][j0 : j0 + _ROW_CHUNK]
-            px, py = np.meshgrid(axes[0], ys, indexing="xy")
-            pts = np.column_stack([px.ravel(), py.ravel()])
-            bits[j0 : j0 + len(ys), :] = inside(pts).reshape(len(ys), n)
-    else:
-        for k0 in range(0, n, 4):
-            zs = axes[2][k0 : k0 + 4]
-            px, py, pz = np.meshgrid(axes[0], axes[1], zs, indexing="ij")
-            pts = np.column_stack([px.ravel(), py.ravel(), pz.ravel()])
-            bits[:, :, k0 : k0 + len(zs)] = inside(pts).reshape(n, n, len(zs))
+    xs, ycent = grid.centers(0), grid.centers(1)
+    bits = np.zeros((n, n), dtype=bool)
+    for j0 in range(0, n, _ROW_CHUNK):
+        ys = ycent[j0 : j0 + _ROW_CHUNK]
+        px, py = np.meshgrid(xs, ys, indexing="xy")
+        pts = np.column_stack([px.ravel(), py.ravel()])
+        inside = np.abs(eval_phase_batch(spec, x, pts) - t) <= delta
+        bits[j0 : j0 + len(ys), :] = inside.reshape(len(ys), n)
     return GridRaster(grid, bits)
 
 
@@ -312,8 +287,6 @@ def spans_to_cells(grid: GridSpec, count: int, spans, weights=None, counts=False
     chunk, and freeing those leaves the heap fragmented and the process
     larger for the rest of its run.
     """
-    if grid.dim != 2:
-        raise ArgumentError("spans are 2-D only")
     n = grid.cells_per_axis
     ycent = grid.centers(1)
     step = max(1, _SPAN_CHUNK // max(count, 1))
@@ -377,19 +350,16 @@ def union_scanline(shapes, delta: float, grid: GridSpec) -> GridRaster:
     return GridRaster(grid, bits)
 
 
-def rasterize_circles(circles, delta: float, grid: GridSpec):
-    """Union + exact per-cell cover counts for a batch of circle bands.
+def rasterize_circles(circles: Circle, delta: float, grid: GridSpec):
+    """Union + exact per-cell cover counts for a Circle batch.
 
-    circles: array-like of rows (cx, cy, r).  Returns (union: GridRaster,
-    counts: int32 array, band_cell_counts: per-circle filled-cell totals).
-    The counts field is the incidence function I(z) = #{bands covering z}
-    sampled at cell centers.
+    Returns (union: GridRaster, counts: int32 array, band_cell_counts:
+    per-circle filled-cell totals).  The counts field is the incidence
+    function I(z) = #{bands covering z} sampled at cell centers.
     """
     _check_delta(delta, grid)
-    circles = np.asarray(circles, dtype=float).reshape(-1, 3)
-    shapes = Circle(circles[:, :2], circles[:, 2])
     bits, counts, per_band, _ = spans_to_cells(
-        grid, len(shapes), lambda ys: shapes.spans(ys, delta), counts=True)
+        grid, len(circles), lambda ys: circles.spans(ys, delta), counts=True)
     return GridRaster(grid, bits), counts, per_band
 
 
@@ -441,7 +411,7 @@ def max_inscribed_interval(shape, delta: float, grid: GridSpec, within=None) -> 
     """Longest horizontal run of a span shape batch's delta-band cells, in length units.
 
     It equals the longest run of filled cells in a row of
-    rasterize_band(shape, None, None, delta, grid), read from the spans with
+    union_scanline(shape, delta, grid), read from the spans with
     no raster: a row's cell ranges (GridSpec.index_range) are sorted by i0,
     and ranges that touch (i0 <= running max i1 + 1) merge.  within = (lo,
     hi) keeps only the rows whose y-center lies in that range.  Runs never
@@ -449,8 +419,6 @@ def max_inscribed_interval(shape, delta: float, grid: GridSpec, within=None) -> 
     """
     if delta <= 0.0:
         raise ArgumentError("delta must be positive")
-    if grid.dim != 2:
-        raise ArgumentError("inscribed-interval probe is 2-D only")
     n = grid.cells_per_axis
     ys = grid.centers(1)
     if within is not None:
@@ -570,8 +538,6 @@ def monte_carlo_volumes(calls) -> list:
 
 def write_pgm(raster: GridRaster, path):
     """Binary PGM (P5), 255 = filled, top row = largest y."""
-    if raster.grid.dim != 2:
-        raise ArgumentError("PGM export is 2-D only")
     img = np.where(raster.bits[::-1, :], 255, 0).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode())

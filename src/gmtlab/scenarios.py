@@ -113,11 +113,6 @@ def _pgm(rst, scenario_id: str, delta: float, out_dir) -> list:
     return [name]
 
 
-def _circle_rows(points, radius: float):
-    pts = np.asarray(points, dtype=float)
-    return np.column_stack([pts, np.full(len(pts), float(radius))])
-
-
 def _cantor_cloud(depth: int, seed: int, on_line: bool = False):
     """Point cloud over C_depth x C_depth, or over C_depth x {0} when on_line."""
     c = fractal.cantor_middle_thirds(depth)
@@ -153,14 +148,13 @@ def _fixed_level_positivity(p, seed, out_dir):
 
     series = {}
     for depth in depths:
-        cloud = _cantor_cloud(depth, seed)
-        line = _cantor_cloud(depth, seed, on_line=True)
+        cloud = raster.Circle(_cantor_cloud(depth, seed).points, 1.0)
+        line = raster.Circle(_cantor_cloud(depth, seed, on_line=True).points, 1.0)
         cxc_rows, line_rows = [], []
         for d in deltas:
-            union, _, _ = raster.rasterize_circles(_circle_rows(cloud.points, 1.0), d, grid)
+            union = raster.union_scanline(cloud, d, grid)
             cxc_rows.append((d, union.area()))
-            lu, _, _ = raster.rasterize_circles(_circle_rows(line.points, 1.0), d, grid)
-            line_rows.append((d, lu.area()))
+            line_rows.append((d, raster.union_scanline(line, d, grid).area()))
         series[f"cxc-area-depth{depth}"] = cxc_rows
         series[f"line-area-depth{depth}"] = line_rows
         series[f"cxc-stability-depth{depth}"] = [
@@ -215,8 +209,8 @@ def _flat_counterexample(p, seed, out_dir):
         squares = raster.SquareBoundary(cloud.points, 1.0)
         union = raster.union_scanline(squares, d_min, grid)
         square_rows.append((depth, union.area()))
-        cu, _, _ = raster.rasterize_circles(_circle_rows(cloud.points, 1.0), d_min, grid)
-        circle_rows.append((depth, cu.area()))
+        circles = raster.Circle(cloud.points, 1.0)
+        circle_rows.append((depth, raster.union_scanline(circles, d_min, grid).area()))
     series = {f"square-area-d{d_min:g}": square_rows,
               f"circle-area-d{d_min:g}": circle_rows}
 
@@ -276,7 +270,7 @@ def _discrete_incidence(p, seed, out_dir):
     for q in qs:
         lattice = fractal.separated_lattice(q, seed=seed)
         rho = fractal.thickening_radius(q, s)
-        circles = _circle_rows(lattice.points / q, r)
+        circles = raster.Circle(lattice.points / q, r)
         union, counts, per_band = raster.rasterize_circles(circles, rho, grid)
         del counts      # 16 MiB at n=2048 that would live through the next q's raster
         area = union.area()
@@ -441,7 +435,7 @@ def _interior_failure(p, seed, out_dir):
     for depth in depths:
         f_set = fractal.fat_cantor(depth)
         family = raster.CircleFamily(f_set, 0.0, 1.0)
-        union = raster.rasterize_band(family, None, None, d_min, grid)
+        union = raster.union_scanline(family, d_min, grid)
         areas.append((depth, union.area()))
         run = raster.max_inscribed_interval(family, d_run, probe,
                                             within=(-p["run_band"], p["run_band"]))
@@ -452,7 +446,7 @@ def _interior_failure(p, seed, out_dir):
     # the loop leaves the deepest family behind for its delta ladder
     series[f"area-ladder-depth{depths[-1]}"] = [
         (d, areas[-1][1] if d == d_min
-         else raster.rasterize_band(family, None, None, d, grid).area())
+         else raster.union_scanline(family, d, grid).area())
         for d in deltas]
 
     floor_measured = areas[-1][1]

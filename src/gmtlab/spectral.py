@@ -43,8 +43,6 @@ class GriddedDensity:
 
     def __post_init__(self):
         n = self.grid.cells_per_axis
-        if self.grid.dim != 2:
-            raise ArgumentError("densities are 2-D only")
         if self.values.shape != (n, n):
             raise ArgumentError("values shape does not match grid")
         if float(self.values.min(initial=0.0)) < 0.0:
@@ -61,8 +59,6 @@ class GriddedDensity:
 
 def grid_density_from_points(points, grid: GridSpec) -> GriddedDensity:
     """Deposit each point's weight into its containing cell; mass stays 1."""
-    if grid.dim != 2:
-        raise ArgumentError("densities are 2-D only")
     n = grid.cells_per_axis
     lo, hi = (np.asarray(side, float) for side in grid.box)
     pts = np.asarray(points.points, float)
@@ -200,7 +196,7 @@ def incidence_density(obj, centers, level, delta: float, grid: GridSpec) -> Grid
 
 def _incidence_phase(spec, pts, levels, weights, delta, grid):
     n = grid.cells_per_axis
-    values = np.zeros((n,) * grid.dim)
+    values = np.zeros((n, n))
     dropped = 0
     for x, t, w in zip(pts, levels, weights):
         band = rasterize_band(spec, x, float(t), delta, grid)

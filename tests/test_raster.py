@@ -16,7 +16,7 @@ ANNULUS_AREA = math.pi * ((1.1) ** 2 - (0.9) ** 2)   # = pi * 0.4
 
 def annulus(n=1024, delta=0.1, box=BOX2):
     grid = ra.GridSpec(box, n)
-    return ra.rasterize_band(ra.Circle((0.0, 0.0), 1.0), None, None, delta, grid)
+    return ra.union_scanline(ra.Circle((0.0, 0.0), 1.0), delta, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -33,13 +33,13 @@ def test_grid_spec_validation():
     with pytest.raises(ArgumentError):
         ra.GridSpec(BOX2, 8193)
     with pytest.raises(ArgumentError):
-        ra.GridSpec(((0, 0, 0), (1, 1, 1)), 513)       # 3-D cap is lower
-    ra.GridSpec(((0, 0, 0), (1, 1, 1)), 512)
+        ra.GridSpec(((0, 0, 0), (1, 1, 1)), 64)        # 3-D volumes go by Monte Carlo
+    with pytest.raises(ArgumentError):
+        ra.GridSpec(((0, 0), (1, 1, 1)), 64)
 
 
 def test_grid_spec_geometry():
     g = ra.GridSpec(((0.0, -1.0), (2.0, 1.0)), 16)
-    assert g.dim == 2
     assert np.allclose(g.cell_sizes, [0.125, 0.125])
     assert g.cell_volume == pytest.approx(0.125 * 0.125, rel=1e-15)
     xs = g.centers(0)
@@ -93,16 +93,8 @@ def test_square_boundary_band_area():
     # quantized value on an n=1024 grid; exact Euclidean band area is
     # 16*h*delta + (pi - 4)*delta^2 = 0.797854, strip rounding pushes it up
     grid = ra.GridSpec(BOX2, 1024)
-    band = ra.rasterize_band(ra.SquareBoundary((0.0, 0.0), 1.0), None, None, 0.05, grid)
+    band = ra.union_scanline(ra.SquareBoundary((0.0, 0.0), 1.0), 0.05, grid)
     assert abs(band.area() / 0.81 - 1.0) <= 0.05
-
-
-def test_sphere_band_volume_3d():
-    grid = ra.GridSpec(((-1.5, -1.5, -1.5), (1.5, 1.5, 1.5)), 64)
-    spec = PhaseSpec("unit-distance", 3)
-    band = ra.rasterize_band(spec, (0.0, 0.0, 0.0), 1.0, 0.2, grid)
-    exact = 4.0 * math.pi / 3.0 * (1.2**3 - 0.8**3)
-    assert abs(band.area() / exact - 1.0) <= 0.05
 
 
 def test_scanline_matches_phase_predicate_bitwise():
@@ -110,7 +102,7 @@ def test_scanline_matches_phase_predicate_bitwise():
     grid = ra.GridSpec(BOX2, 256)
     spec = PhaseSpec("unit-distance", 2)
     via_phase = ra.rasterize_band(spec, (0.0, 0.0), 1.0, 0.1, grid)
-    via_scan = ra.rasterize_band(ra.Circle((0.0, 0.0), 1.0), None, None, 0.1, grid)
+    via_scan = ra.union_scanline(ra.Circle((0.0, 0.0), 1.0), 0.1, grid)
     assert np.array_equal(via_phase.bits, via_scan.bits)
 
 
@@ -126,7 +118,7 @@ def test_delta_guards():
     with pytest.raises(ArgumentError):
         annulus(n=64, delta=0.01)              # below cell/4
     with pytest.raises(ArgumentError):
-        ra.rasterize_band(ra.Circle((0, 0), 1.0), None, None, -0.1, grid)
+        ra.union_scanline(ra.Circle((0, 0), 1.0), -0.1, grid)
     with pytest.warns(UserWarning):
         annulus(n=64, delta=0.02)              # in [cell/4, cell/2)
     with warnings.catch_warnings():
@@ -138,6 +130,10 @@ def test_unknown_shape_rejected():
     grid = ra.GridSpec(BOX2, 64)
     with pytest.raises(ArgumentError):
         ra.rasterize_band(object(), None, None, 0.1, grid)
+    with pytest.raises(ArgumentError):       # span batches go through union_scanline
+        ra.rasterize_band(ra.Circle((0.0, 0.0), 1.0), None, None, 0.1, grid)
+    with pytest.raises(ArgumentError):
+        ra.rasterize_band(PhaseSpec("unit-distance", 3), (0.0, 0.0, 0.0), 1.0, 0.1, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +142,8 @@ def test_unknown_shape_rejected():
 
 def two_offset_circles(n=256):
     grid = ra.GridSpec(BOX2, n)
-    a = ra.rasterize_band(ra.Circle((-0.3, 0.0), 1.0), None, None, 0.1, grid)
-    b = ra.rasterize_band(ra.Circle((0.3, 0.1), 1.0), None, None, 0.1, grid)
+    a = ra.union_scanline(ra.Circle((-0.3, 0.0), 1.0), 0.1, grid)
+    b = ra.union_scanline(ra.Circle((0.3, 0.1), 1.0), 0.1, grid)
     return grid, a, b
 
 
@@ -166,7 +162,7 @@ def test_union_algebra():
     ba = ra.union_raster([b, a])
     assert np.array_equal(ab.bits, ba.bits)
     assert np.array_equal(ra.union_raster([a, a]).bits, a.bits)
-    c = ra.rasterize_band(ra.Circle((0.0, -0.4), 0.8), None, None, 0.1, a.grid)
+    c = ra.union_scanline(ra.Circle((0.0, -0.4), 0.8), 0.1, a.grid)
     left = ra.union_raster([ra.union_raster([a, b]), c])
     right = ra.union_raster([a, ra.union_raster([b, c])])
     assert np.array_equal(left.bits, right.bits)
@@ -191,9 +187,10 @@ def test_grid_mismatch_rejected():
 def test_circle_batch_matches_scanline_per_circle():
     grid = ra.GridSpec(BOX2, 256)
     circles = [(-0.3, 0.0, 1.0), (0.3, 0.1, 1.0), (0.0, -0.5, 0.6)]
-    union, counts, per_band = ra.rasterize_circles(circles, 0.1, grid)
+    batch = ra.Circle([c[:2] for c in circles], [c[2] for c in circles])
+    union, counts, per_band = ra.rasterize_circles(batch, 0.1, grid)
     singles = [
-        ra.rasterize_band(ra.Circle((cx, cy), r), None, None, 0.1, grid)
+        ra.union_scanline(ra.Circle((cx, cy), r), 0.1, grid)
         for cx, cy, r in circles
     ]
     stacked = np.sum([s.bits.astype(np.int32) for s in singles], axis=0)
@@ -207,9 +204,8 @@ def test_circle_batch_matches_scanline_per_circle():
 def test_circle_batch_incidence_integral_bounds_union():
     grid = ra.GridSpec(BOX2, 512)
     rng = np.random.default_rng(5)
-    circles = np.column_stack([
-        rng.uniform(-0.3, 0.3, 40), rng.uniform(-0.3, 0.3, 40), np.full(40, 1.0),
-    ])
+    circles = ra.Circle(
+        np.column_stack([rng.uniform(-0.3, 0.3, 40), rng.uniform(-0.3, 0.3, 40)]), 1.0)
     union, counts, per_band = ra.rasterize_circles(circles, 0.05, grid)
     integral = counts.sum() * grid.cell_volume
     assert integral >= union.area() - 1e-12
@@ -219,7 +215,7 @@ def test_circle_batch_incidence_integral_bounds_union():
 
 def test_circle_batch_offgrid_circle_contributes_nothing():
     grid = ra.GridSpec(BOX2, 64)
-    union, counts, per_band = ra.rasterize_circles([(40.0, 0.0, 1.0)], 0.05, grid)
+    union, counts, per_band = ra.rasterize_circles(ra.Circle((40.0, 0.0), 1.0), 0.05, grid)
     assert union.filled_count == 0
     assert per_band[0] == 0
 
@@ -229,12 +225,37 @@ def test_circle_family_covers_sampled_union():
     # every sampled center is in the intervals, so sampled bits are a subset
     grid = ra.GridSpec(((-2.0, -2.0), (2.0, 2.0)), 256)
     ivals = fr.IntervalSet(((0.0, 0.2), (0.5, 0.6)), 0)
-    fam = ra.rasterize_band(ra.CircleFamily(ivals, 0.0, 1.0), None, None, 0.12, grid)
+    fam = ra.union_scanline(ra.CircleFamily(ivals, 0.0, 1.0), 0.12, grid)
     centers = np.concatenate([np.linspace(a, b, 1500) for a, b in ivals.intervals])
-    circles = np.column_stack([centers, np.zeros_like(centers), np.ones_like(centers)])
-    sampled, _, _ = ra.rasterize_circles(circles, 0.12, grid)
+    circles = ra.Circle(np.column_stack([centers, np.zeros_like(centers)]), 1.0)
+    sampled = ra.union_scanline(circles, 0.12, grid)
     assert not np.any(sampled.bits & ~fam.bits)
     assert sampled.area() >= 0.99 * fam.area()
+
+
+def test_circle_family_spans_come_a_chunk_at_a_time(monkeypatch):
+    # each interval is one shape, so a call for spans gets _SPAN_CHUNK // len(family)
+    # rows and returns at most two spans per shape and row
+    fam = ra.CircleFamily(fr.fat_cantor(4), 0.0, 1.0)
+    grid = ra.GridSpec(((-2.0, -1.5), (3.0, 1.5)), 128)
+    whole = ra.union_scanline(fam, 0.05, grid)
+    calls = []
+
+    class Spy:
+        def __len__(self):
+            return len(fam)
+
+        def spans(self, ys, delta):
+            out = fam.spans(ys, delta)
+            calls.append((len(ys), len(out[0])))
+            return out
+
+    monkeypatch.setattr(ra, "_SPAN_CHUNK", 64)
+    union = ra.union_scanline(Spy(), 0.05, grid)
+    assert max(spans for _, spans in calls) <= 2 * 64
+    assert max(rows for rows, _ in calls) == 64 // 16      # 16 intervals at depth 4
+    assert sum(rows for rows, _ in calls) == 128
+    assert np.array_equal(union.bits, whole.bits)
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +347,6 @@ def test_max_inscribed_interval_on_constructed_stripes():
 
 
 def test_max_inscribed_interval_validation():
-    with pytest.raises(ArgumentError):
-        ra.max_inscribed_interval(FixedSpans({}), 0.1, ra.GridSpec(((0, 0, 0), (1, 1, 1)), 16))
     for delta in (0.0, -0.1):
         with pytest.raises(ArgumentError):
             ra.max_inscribed_interval(FixedSpans({}), delta, ra.GridSpec(BOX2, 16))
@@ -337,7 +356,7 @@ def test_refinement_series_tracks_truth():
     # the annulus area converges as the grid refines
     errs = []
     for n in (64, 128, 256, 512):
-        band = ra.rasterize_band(ra.Circle((0.0, 0.0), 1.0), None, None, 0.1,
+        band = ra.union_scanline(ra.Circle((0.0, 0.0), 1.0), 0.1,
                                  ra.GridSpec(BOX2, n))
         errs.append(abs(band.area() - ANNULUS_AREA))
     assert errs[-1] <= errs[0]
@@ -355,8 +374,8 @@ def mc_family(offset=0.3):
 
 def test_monte_carlo_agrees_with_grid_intersection():
     grid = ra.GridSpec(BOX2, 2048)
-    a = ra.rasterize_band(ra.Circle((-0.3, 0.0), 1.0), None, None, 0.1, grid)
-    b = ra.rasterize_band(ra.Circle((0.3, 0.0), 1.0), None, None, 0.1, grid)
+    a = ra.union_scanline(ra.Circle((-0.3, 0.0), 1.0), 0.1, grid)
+    b = ra.union_scanline(ra.Circle((0.3, 0.0), 1.0), 0.1, grid)
     truth = ra.intersection_area(a, b)
     res = ra.monte_carlo_intersection(mc_family(), 0.1, BOX2, 400_000, seed=11)
     assert not res.low_confidence

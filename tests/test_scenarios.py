@@ -363,7 +363,10 @@ def test_interior_failure_rows_beyond_radius_are_empty():
     fam = ra.CircleFamily(fr.fat_cantor(3), 0.0, 1.0)
     ys = np.array([1.2, -1.2, 1.0 + 0.0101, -1.0 - 0.0101, 1.0, 0.0])
     shape, rows, lo, hi = fam.spans(ys, 0.01)
-    assert len(fam) == 1 and not shape.any()
+    # one shape per interval, with two spans on the row y = 0 and one on the
+    # row y = 1, which misses the circle's hole
+    assert len(fam) == len(fr.fat_cantor(3).intervals) == 8
+    assert np.bincount(shape).tolist() == [3] * len(fam)
     # only the rows with |y| <= 1 + delta carry spans
     assert sorted(set(rows.tolist())) == [4, 5]
     assert np.all(lo <= hi)

@@ -168,7 +168,7 @@ def test_rasterize_circles_matches_brute_force(circles, n, delta, rows, chunk):
     dist = _distances(ra.Circle(c[:, :2], c[:, 2]), x, y)
     with mock.patch.object(ra, "_BLOCK_CELLS", rows * n), \
             mock.patch.object(ra, "_SPAN_CHUNK", chunk):
-        union, counts, per_band = ra.rasterize_circles(circles, delta, grid)
+        union, counts, per_band = ra.rasterize_circles(ra.Circle(c[:, :2], c[:, 2]), delta, grid)
     _check(union.bits, counts, per_band, [d <= delta for d in dist],
            [np.abs(d - delta) <= EDGE_TOL for d in dist])
 
