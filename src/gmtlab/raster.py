@@ -17,7 +17,9 @@ spans of a batch into cells with a difference array (np.add.at, then a
 cumulative sum) per block of rows.  It gives the union (union_scanline), the
 exact per-cell cover counts (rasterize_circles), each shape's cell total
 and a weighted deposit.  The interior probe max_inscribed_interval reads its
-runs from the same spans and cell ranges, with no raster.
+runs from the same cell ranges, with no raster.  One walk, _cell_ranges,
+asks for _SPAN_CHUNK // len(batch) rows of spans at a time and so bounds the
+span memory of every consumer, the probe included.
 
 rasterize_band is the phase predicate: it tests |phi(x, c) - t| <= delta at
 every cell center c.  It is the brute-force reference the span kernels are
@@ -267,6 +269,22 @@ def rasterize_band(spec, x, t, delta: float, grid: GridSpec) -> GridRaster:
     return GridRaster(grid, bits)
 
 
+def _cell_ranges(grid: GridSpec, count: int, spans, ys):
+    """(shape, row, i0, i1) cell ranges of `count` shapes' spans on rows ys.
+
+    spans(ys) gets _SPAN_CHUNK // count whole rows (at least one) at a time;
+    row indexes ys, and ranges that contain no cell center are dropped.
+    """
+    step = max(1, _SPAN_CHUNK // max(count, 1))
+    for c0 in range(0, len(ys), step):
+        shape, row, lo, hi = spans(ys[c0 : c0 + step])
+        i0, i1 = grid.index_range(lo, hi, axis=0)
+        keep = i0 <= i1
+        # rebound, so the unfiltered arrays are freed while the caller works
+        shape, row, i0, i1 = shape[keep], row[keep] + c0, i0[keep], i1[keep]
+        yield shape, row, i0, i1
+
+
 def spans_to_cells(grid: GridSpec, count: int, spans, weights=None, counts=False):
     """Cells whose center lies in the row spans of `count` 2-D shapes.
 
@@ -280,31 +298,20 @@ def spans_to_cells(grid: GridSpec, count: int, spans, weights=None, counts=False
     deposit spreads weights[k] evenly over the cells of shape k as a density
     (weight per cell volume) and is zero off the union.
 
-    Rows go a block at a time, and spans(ys) gets _SPAN_CHUNK // count rows
-    (at least one) at a time, so the only full-grid arrays are the outputs.
-    The difference array of a block is one buffer, reused and filled in
-    place by np.add.at: np.bincount would allocate a block-sized array per
-    chunk, and freeing those leaves the heap fragmented and the process
-    larger for the rest of its run.
+    Rows go a block at a time, and the spans of a block come from
+    _cell_ranges a chunk of rows at a time, so the only full-grid arrays are
+    the outputs.  The difference array of a block is one buffer, reused and
+    filled in place by np.add.at: np.bincount would allocate a block-sized
+    array per chunk, and freeing those leaves the heap fragmented and the
+    process larger for the rest of its run.
     """
     n = grid.cells_per_axis
     ycent = grid.centers(1)
-    step = max(1, _SPAN_CHUNK // max(count, 1))
-
-    def chunks(j0, j1):
-        """(shape, start, cells) per chunk of rows: start is the flat index of
-        a span's first cell in rows j0..j1-1."""
-        for c0 in range(j0, j1, step):
-            shape, row, lo, hi = spans(ycent[c0 : min(c0 + step, j1)])
-            i0, i1 = grid.index_range(lo, hi, axis=0)
-            keep = i0 <= i1
-            yield shape[keep], (row[keep] + c0 - j0) * n + i0[keep], (i1 - i0 + 1)[keep]
-
     if weights is not None:
         # a shape's weight per cell needs its cell total over all rows first
         first = np.zeros(count)
-        for shape, _, cells in chunks(0, n):
-            first += np.bincount(shape, cells, minlength=count)
+        for shape, _, i0, i1 in _cell_ranges(grid, count, spans, ycent):
+            first += np.bincount(shape, i1 - i0 + 1, minlength=count)
         density = np.divide(weights, first * grid.cell_volume, out=np.zeros(count),
                             where=first > 0)
     totals = np.zeros(count, dtype=np.int64)
@@ -319,7 +326,9 @@ def spans_to_cells(grid: GridSpec, count: int, spans, weights=None, counts=False
         run[:] = 0
         if dep is not None:
             dep[:] = 0.0
-        for shape, start, cells in chunks(j0, j1):
+        for shape, row, i0, i1 in _cell_ranges(grid, count, spans, ycent[j0:j1]):
+            # start is the flat index of a span's first cell in the block
+            start, cells = row * n + i0, i1 - i0 + 1
             totals += np.bincount(shape, cells, minlength=count).astype(np.int64)
             np.add.at(run, start, 1)
             np.subtract.at(run, start + cells, 1)
@@ -412,10 +421,10 @@ def max_inscribed_interval(shape, delta: float, grid: GridSpec, within=None) -> 
 
     It equals the longest run of filled cells in a row of
     union_scanline(shape, delta, grid), read from the spans with
-    no raster: a row's cell ranges (GridSpec.index_range) are sorted by i0,
-    and ranges that touch (i0 <= running max i1 + 1) merge.  within = (lo,
-    hi) keeps only the rows whose y-center lies in that range.  Runs never
-    cross rows, so the rows go a block at a time.
+    no raster: a row's cell ranges (_cell_ranges) are sorted by i0, and
+    ranges that touch (i0 <= running max i1 + 1) merge.  within = (lo, hi)
+    keeps only the rows whose y-center lies in that range.  Runs never cross
+    rows, so the runs of each chunk of rows are merged on their own.
     """
     if delta <= 0.0:
         raise ArgumentError("delta must be positive")
@@ -423,16 +432,11 @@ def max_inscribed_interval(shape, delta: float, grid: GridSpec, within=None) -> 
     ys = grid.centers(1)
     if within is not None:
         ys = ys[(within[0] <= ys) & (ys <= within[1])]
-    block = max(1, _BLOCK_CELLS // n)
     best = 0
-    for j0 in range(0, len(ys), block):
-        _, row, lo, hi = shape.spans(ys[j0 : j0 + block], delta)
-        i0, i1 = grid.index_range(lo, hi, axis=0)
-        keep = i0 <= i1
+    for _, row, i0, i1 in _cell_ranges(grid, len(shape), lambda y: shape.spans(y, delta), ys):
         # offset by row, ranges sort by (row, i0), and no range of a row can
         # touch one of the next row
-        base = row[keep] * (n + 2)
-        start, end = base + i0[keep], base + i1[keep]
+        start, end = row * (n + 2) + i0, row * (n + 2) + i1
         order = np.argsort(start)
         start, end = start[order], np.maximum.accumulate(end[order])
         # a merged run begins at each range that touches none before it

@@ -81,6 +81,14 @@ def _verdict(name, threshold, measured, passed) -> Verdict:
     return Verdict(name, float(threshold), float(measured), bool(passed))
 
 
+def _at_most(name, limit, measured) -> Verdict:
+    return _verdict(name, limit, measured, measured <= limit)
+
+
+def _at_least(name, floor, measured) -> Verdict:
+    return _verdict(name, floor, measured, measured >= floor)
+
+
 def _grid(p, box: str = "box", n: str = "n") -> GridSpec:
     """The grid p[box], p[n] describe; both are normalised in place."""
     p[n] = int(p[n])
@@ -163,22 +171,17 @@ def _fixed_level_positivity(p, seed, out_dir):
         ]
 
     # the loop leaves the deepest depth's rows and its finest union behind
-    floor_measured = cxc_rows[-1][1]
-    verdicts = [_verdict("union-area-floor", p["area_floor"], floor_measured,
-                         floor_measured >= p["area_floor"])]
+    verdicts = [_at_least("union-area-floor", p["area_floor"], cxc_rows[-1][1])]
     changes = [v for _, v in series[f"cxc-stability-depth{depth}"]]
     if changes:
-        worst = max(changes)
-        verdicts.append(_verdict("union-area-stability", p["stability_tol"], worst,
-                                 worst <= p["stability_tol"]))
+        verdicts.append(_at_most("union-area-stability", p["stability_tol"], max(changes)))
     # control pair: finest delta against the entry nearest 4x coarser
     d_lo, a_lo = line_rows[-1]
     d_hi, a_hi = min(line_rows, key=lambda row: abs(row[0] - 4.0 * d_lo))
     if d_hi > d_lo and a_hi > 0.0:
         shrink = a_lo / a_hi
         series[f"line-shrink-depth{depth}"] = [(d_lo, shrink)]
-        verdicts.append(_verdict("control-shrink", p["control_ratio"], shrink,
-                                 shrink <= p["control_ratio"]))
+        verdicts.append(_at_most("control-shrink", p["control_ratio"], shrink))
 
     return series, verdicts, _pgm(union, "fixed-level-positivity", deltas[-1], out_dir)
 
@@ -218,14 +221,11 @@ def _flat_counterexample(p, seed, out_dir):
     sq_ratios = _step_ratios(square_rows)
     if sq_ratios:
         series["square-step-ratio"] = sq_ratios
-        worst = max(v for _, v in sq_ratios)
-        verdicts.append(_verdict("flat-shrink", p["shrink_ratio"], worst,
-                                 worst <= p["shrink_ratio"]))
+        verdicts.append(_at_most("flat-shrink", p["shrink_ratio"], max(v for _, v in sq_ratios)))
     ci_ratios = _step_ratios(circle_rows)
     if ci_ratios:
         series["circle-step-ratio"] = ci_ratios
-        least = min(v for _, v in ci_ratios)
-        verdicts.append(_verdict("curved-growth", 1.0, least, least >= 1.0))
+        verdicts.append(_at_least("curved-growth", 1.0, min(v for _, v in ci_ratios)))
 
     # delta ladder over the deepest level's squares, extrapolated to delta = 0
     ladder = [(d, square_rows[-1][1] if d == d_min
@@ -236,8 +236,7 @@ def _flat_counterexample(p, seed, out_dir):
         ys = np.array([a for _, a in ladder])
         intercept = float(np.polyfit(xs, ys, 1)[1])
         series["zero-area-intercept"] = [(0.0, intercept)]
-        verdicts.append(_verdict("zero-area-intercept", p["intercept_tol"], intercept,
-                                 intercept <= p["intercept_tol"]))
+        verdicts.append(_at_most("zero-area-intercept", p["intercept_tol"], intercept))
 
     return series, verdicts, _pgm(union, "flat-counterexample", d_min, out_dir)
 
@@ -286,9 +285,9 @@ def _discrete_incidence(p, seed, out_dir):
     series["area-spread"] = [(qs[-1], spread)]
     slack = min(v for _, v in series["incidence-slack"])
     verdicts = [
-        _verdict("area-floor", p["c0"], least, least >= p["c0"]),
-        _verdict("area-spread", p["ratio_bound"], spread, spread <= p["ratio_bound"]),
-        _verdict("incidence-dominates", 0.0, slack, slack >= 0.0),
+        _at_least("area-floor", p["c0"], least),
+        _at_most("area-spread", p["ratio_bound"], spread),
+        _at_least("incidence-dominates", 0.0, slack),
     ]
     return series, verdicts, _pgm(union, "discrete-incidence", rho, out_dir)
 
@@ -354,52 +353,39 @@ def _intersection_hypothesis(p, seed, out_dir):
     p["mc_samples"] = sum(mc.samples for mc in volumes)
     p["mc_hits"] = sum(mc.hits for mc in volumes)
 
+    series = {}
+    ratios = {"diffeo": [], "paraboloid": []}     # per delta, (sep, ratio) rows
+    unsure = dict.fromkeys(ratios, 0)           # low-confidence cells off sep = 0
     results = iter(volumes)
-    series = {"paraboloid-growth": []}
-    low_diffeo = low_parab = 0
-    diffeo_vals, growth_vals = [], []
     for d in deltas:
-        drows, prows, drel, prel = [], [], [], []
-        for sep in separations:
-            mc = next(results)
-            ratio = mc.estimate * (d + sep) / d**2
-            drows.append((sep, ratio))
-            drel.append((sep, mc.std_error / mc.estimate if mc.estimate else np.inf))
-            if sep != 0.0:
-                diffeo_vals.append(ratio)
-                low_diffeo += mc.low_confidence
-            mc = next(results)
-            prows.append((sep, mc.estimate * (d + sep) / d**2))
-            prel.append((sep, mc.std_error / mc.estimate if mc.estimate else np.inf))
-            if sep != 0.0:
-                low_parab += mc.low_confidence
-        series[f"diffeo-ratio-d{d:g}"] = drows
-        series[f"diffeo-relerr-d{d:g}"] = drel
-        series[f"paraboloid-ratio-d{d:g}"] = prows
-        series[f"paraboloid-relerr-d{d:g}"] = prel
+        # the volumes of a separation come as a (diffeo, paraboloid) pair
+        pairs = [(next(results), next(results)) for _ in separations]
+        for family, mcs in zip(ratios, zip(*pairs)):
+            cells = list(zip(separations, mcs))
+            rows = [(sep, mc.estimate * (d + sep) / d**2) for sep, mc in cells]
+            ratios[family].append(rows)
+            series[f"{family}-ratio-d{d:g}"] = rows
+            series[f"{family}-relerr-d{d:g}"] = [
+                (sep, mc.std_error / mc.estimate if mc.estimate else np.inf)
+                for sep, mc in cells]
+            unsure[family] += sum(mc.low_confidence for sep, mc in cells if sep != 0.0)
 
-    for coarse, fine in zip(deltas, deltas[1:]):
-        rc = dict(series[f"paraboloid-ratio-d{coarse:g}"])
-        rf = dict(series[f"paraboloid-ratio-d{fine:g}"])
-        for sep in separations:
-            if sep == 0.0 or rc[sep] == 0.0:
-                continue
-            growth = rf[sep] / rc[sep]
-            series["paraboloid-growth"].append((sep, growth))
-            growth_vals.append(growth)
-    if not series["paraboloid-growth"]:
-        del series["paraboloid-growth"]
+    diffeo_vals = [r for rows in ratios["diffeo"] for sep, r in rows if sep != 0.0]
+    growth = []
+    for coarse, fine in zip(ratios["paraboloid"], ratios["paraboloid"][1:]):
+        rc, rf = dict(coarse), dict(fine)
+        growth += [(sep, rf[sep] / rc[sep]) for sep in separations
+                   if sep != 0.0 and rc[sep] != 0.0]
+    if growth:
+        series["paraboloid-growth"] = growth
 
     verdicts = []
-    if diffeo_vals and not low_diffeo:
-        worst = max(diffeo_vals)
-        verdicts.append(_verdict("intersection-bound", p["c_pass"], worst,
-                                 worst <= p["c_pass"]))
-    if growth_vals and not low_parab:
-        least = min(growth_vals)
-        verdicts.append(_verdict("degenerate-growth", p["growth_floor"], least,
-                                 least >= p["growth_floor"]))
-    p["low_confidence_cells"] = low = int(low_diffeo + low_parab)
+    if diffeo_vals and not unsure["diffeo"]:
+        verdicts.append(_at_most("intersection-bound", p["c_pass"], max(diffeo_vals)))
+    if growth and not unsure["paraboloid"]:
+        verdicts.append(_at_least("degenerate-growth", p["growth_floor"],
+                                  min(v for _, v in growth)))
+    p["low_confidence_cells"] = low = int(sum(unsure.values()))
     if low:
         # a withheld verdict leaves the run undecided, and undecided is no pass
         verdicts.append(_verdict("inconclusive", 0, low, False))
@@ -449,16 +435,12 @@ def _interior_failure(p, seed, out_dir):
          else raster.union_scanline(family, d, grid).area())
         for d in deltas]
 
-    floor_measured = areas[-1][1]
-    verdicts = [_verdict("area-floor", p["area_floor"], floor_measured,
-                         floor_measured >= p["area_floor"])]
+    verdicts = [_at_least("area-floor", p["area_floor"], areas[-1][1])]
     ratios = _step_ratios(runs)
     if ratios:
         series["run-step-ratio"] = ratios
-        worst = max(v for _, v in ratios)
-        verdicts.append(_verdict("run-monotone", 1.0, worst, worst <= 1.0))
-    run_deep, bound_deep = runs[-1][1], bounds[-1][1]
-    verdicts.append(_verdict("run-bound", bound_deep, run_deep, run_deep <= bound_deep))
+        verdicts.append(_at_most("run-monotone", 1.0, max(v for _, v in ratios)))
+    verdicts.append(_at_most("run-bound", bounds[-1][1], runs[-1][1]))
     return series, verdicts, _pgm(union, "interior-failure", d_min, out_dir)
 
 
@@ -494,17 +476,15 @@ def _kakeya_compression(p, seed, out_dir):
     steps = _step_ratios(areas)
     if steps:
         series["area-step-ratio"] = steps
-        worst = max(v for _, v in steps)
-        verdicts.append(_verdict("area-monotone", 1.0, worst, worst <= 1.0))
+        verdicts.append(_at_most("area-monotone", 1.0, max(v for _, v in steps)))
     by_stage = dict(areas)
     # the compression target is pinned to stage 5 against the base triangle
     if 0 in by_stage and 5 in by_stage and by_stage[0] > 0:
         compression = by_stage[5] / by_stage[0]
         series["compression"] = [(5, compression)]
-        verdicts.append(_verdict("stage-compression", p["compression_ratio"],
-                                 compression, compression <= p["compression_ratio"]))
+        verdicts.append(_at_most("stage-compression", p["compression_ratio"], compression))
     coverage = min(v for _, v in series["direction-coverage"])
-    verdicts.append(_verdict("direction-coverage", 1.0, coverage, coverage >= 1.0))
+    verdicts.append(_at_least("direction-coverage", 1.0, coverage))
     return series, verdicts, _pgm(union, "kakeya-compression", 0.0, out_dir)
 
 
@@ -529,8 +509,7 @@ def _bourgain_compression(p, seed, out_dir):
     t = rng.uniform(0.0, 1.0, count)
     x, y, z = phase.bourgain_curve(y1, y2, t)
     worst = float(np.abs(x - y * z).max())
-    tol = p["residual_tol"]
-    verdicts = [_verdict("hypersurface-identity", tol, worst, worst <= tol)]
+    verdicts = [_at_most("hypersurface-identity", p["residual_tol"], worst)]
     return {"max-residual": [(count, worst)]}, verdicts, []
 
 
@@ -598,9 +577,6 @@ def _transversality(p, seed, out_dir):
         raise ArgumentError("grid too coarse to sample u in [pi/6, pi/3]")
     worst_err = max(v for _, v in series["jacobian-err-by-u"])
     floor = min(v for u, v in series["jacobian-min-by-u"] if np.pi / 6 <= u <= np.pi / 3)
-    verdicts = [
-        _verdict("jacobian-matches-cosine", p["err_tol"], worst_err,
-                 worst_err <= p["err_tol"]),
-        _verdict("transversal-floor", p["min_floor"], floor, floor >= p["min_floor"]),
-    ]
+    verdicts = [_at_most("jacobian-matches-cosine", p["err_tol"], worst_err),
+                _at_least("transversal-floor", p["min_floor"], floor)]
     return series, verdicts, []

@@ -78,15 +78,18 @@ def grid_density_from_points(points, grid: GridSpec) -> GriddedDensity:
 # dyadic band norms
 # ---------------------------------------------------------------------------
 
+def _cosine_step(x: np.ndarray, a: float, b: float) -> np.ndarray:
+    """1 up to a, 0 from b on, a raised-cosine ramp between."""
+    out = np.zeros_like(x)
+    out[x <= a] = 1.0
+    ramp = (x > a) & (x < b)
+    out[ramp] = 0.5 * (1.0 + np.cos(np.pi * (x[ramp] - a) / (b - a)))
+    return out
+
+
 def _smooth_step(rho: np.ndarray, cutoff: float) -> np.ndarray:
     """1 below cutoff(1-w), 0 above cutoff(1+w), raised-cosine between."""
-    a = cutoff * (1.0 - LP_WINDOW_WIDTH)
-    b = cutoff * (1.0 + LP_WINDOW_WIDTH)
-    out = np.zeros_like(rho)
-    out[rho <= a] = 1.0
-    ramp = (rho > a) & (rho < b)
-    out[ramp] = 0.5 * (1.0 + np.cos(np.pi * (rho[ramp] - a) / (b - a)))
-    return out
+    return _cosine_step(rho, cutoff * (1.0 - LP_WINDOW_WIDTH), cutoff * (1.0 + LP_WINDOW_WIDTH))
 
 
 def lp_window(rho: np.ndarray, j: int) -> np.ndarray:
@@ -251,19 +254,9 @@ def mollified_l2(nu: GriddedDensity, epsilons) -> list:
 # surface-measure spectra
 # ---------------------------------------------------------------------------
 
-def _arc_cutoff(s: np.ndarray) -> np.ndarray:
-    chi = np.zeros_like(s)
-    a = np.abs(s)
-    chi[a <= ARC_PLATEAU] = 1.0
-    ramp = (a > ARC_PLATEAU) & (a < ARC_HALF_WIDTH)
-    width = ARC_HALF_WIDTH - ARC_PLATEAU
-    chi[ramp] = 0.5 * (1.0 + np.cos(np.pi * (a[ramp] - ARC_PLATEAU) / width))
-    return chi
-
-
 def _surface_nodes(mode: str):
     s = np.linspace(-ARC_HALF_WIDTH, ARC_HALF_WIDTH, QUAD_NODES)
-    w = _arc_cutoff(s) * (s[1] - s[0])
+    w = _cosine_step(np.abs(s), ARC_PLATEAU, ARC_HALF_WIDTH) * (s[1] - s[0])
     if mode == "circle-2d":
         gamma = np.column_stack([np.cos(s), np.sin(s)])
     elif mode == "curve-3d":

@@ -1,19 +1,24 @@
-"""Golden artifacts: the CSV and PGM bytes of the raster scenarios.
+"""Golden artifacts: the CSV and PGM bytes and the verdicts of every scenario.
 
-Five scenarios whose numbers come from the span kernel and the interior
-probe run at seed 0 on 512-cell grids (2048 probe rows), and every CSV and
-PGM they write must hash to the digests recorded here.  A change to the
-raster code that moves any byte fails this test; a deliberate behaviour
-change records new digests and says why.
+All eight scenarios run at seed 0 on 512-cell grids (2048 probe rows, and
+100_000 Monte Carlo samples per intersection-hypothesis volume).  Every CSV
+and PGM they write must hash to the digests recorded here, and every verdict
+must equal its recorded (name, threshold, measured, passed) row, so a verdict
+whose comparison flips fails even when the series bytes do not move.  A
+change that moves any byte or verdict fails this test; a deliberate
+behaviour change records new values and says why.  The suite turns warnings
+into errors, so a golden size that makes a band alias fails too.
 """
 
 import hashlib
-import warnings
+
+import pytest
 
 from gmtlab.reporting import write_report
 from gmtlab.scenarios import SCENARIOS, run_scenario
 
 SIZES = {"n": 512, "probe_n": 2048}
+OVERRIDES = {"intersection-hypothesis": {"samples": 100_000}}
 
 DIGESTS = {
     "fixed-level-positivity/cxc-area-depth6.csv":
@@ -76,20 +81,91 @@ DIGESTS = {
         "618c0e7baebf16381520682ff74e0fdbf78f709256224ac7bf50b631136e8184",
     "discrete-incidence/unit-area.csv":
         "19ce5faef840699405ebe06989257c165d1db51cb8745e9320cb252ef2bb2397",
+    "intersection-hypothesis/diffeo-ratio-d0.02.csv":
+        "f453b2e65fc88c14a2cd33423dfc5d9faa5e015986d265dd356272f4a6dc15a0",
+    "intersection-hypothesis/diffeo-ratio-d0.04.csv":
+        "797ff9209bca173ca03b7baeb4d096ee66bdac1a84e170de640fe69080ea2553",
+    "intersection-hypothesis/diffeo-relerr-d0.02.csv":
+        "e9935522f3be3328b5618a7b94838bbdc98fcdb61d271faabeeb9050ad85c915",
+    "intersection-hypothesis/diffeo-relerr-d0.04.csv":
+        "a9cfaead512a852e059ddedfc6cac3b929c079945be0657f56b5f03d360dab3a",
+    "intersection-hypothesis/paraboloid-growth.csv":
+        "e4600e1166a481dcf714b26d22104863945feef3f9c4cebe3eb4a6b39140632f",
+    "intersection-hypothesis/paraboloid-ratio-d0.02.csv":
+        "2bb92c4ed74e39bdfa82af912ce38179c8ce19c25f9e1db6bdf11d7a660f42f4",
+    "intersection-hypothesis/paraboloid-ratio-d0.04.csv":
+        "d46aa9866e9aa24136421a682cff7438a8a8dcaf7f50b533c39e543031700691",
+    "intersection-hypothesis/paraboloid-relerr-d0.02.csv":
+        "94aba8ce22961f86af7bf066b1a2ca8f0fa715409d8abc306a1871705190a306",
+    "intersection-hypothesis/paraboloid-relerr-d0.04.csv":
+        "05f3cca5c47f53ab022457e7c7d2641d6851373e34b2d71c8c6a6611ba79ac9f",
+    "bourgain-compression/max-residual.csv":
+        "08579cf6288d53d94db4890eb8e378d1e220680396263524f2b20455a5851c3e",
+    "transversality/jacobian-err-by-u.csv":
+        "cd18d45ea247115a3fba1d01f85d5bde69b34a10c95f663a8edb226e3b64373a",
+    "transversality/jacobian-min-by-u.csv":
+        "6c7b504decfaa000f7b419a190c7208362f301f6456da7a7141fb71f0182ce7a",
+}
+
+VERDICTS = {
+    "fixed-level-positivity": [
+        ("union-area-floor", 0.5, 7.634296875000001, True),
+        ("union-area-stability", 0.05, 0.04345364135994845, True),
+        ("control-shrink", 0.5, 0.5900116942973104, False),
+    ],
+    "flat-counterexample": [
+        ("flat-shrink", 0.8, 1.1621035164975428, False),
+        ("curved-growth", 1.0, 1.0237854292648814, True),
+        ("zero-area-intercept", 0.05, 4.521521526834241, False),
+    ],
+    "discrete-incidence": [
+        ("area-floor", 6.0, 7.6828906250000015, True),
+        ("area-spread", 2.0, 1.0065994854638451, True),
+        ("incidence-dominates", 0.0, 42.53523437500001, True),
+    ],
+    "intersection-hypothesis": [
+        ("intersection-bound", 50.0, 27.69736784999999, True),
+        ("degenerate-growth", 1.8, 1.8322493969649782, True),
+    ],
+    "interior-failure": [
+        ("area-floor", 0.3, 2.90020751953125, True),
+        ("run-monotone", 1.0, 1.0, True),
+        ("run-bound", 0.021923828125, 0.19374999999999998, False),
+    ],
+    "kakeya-compression": [
+        ("area-monotone", 1.0, 0.9243642686372527, True),
+        ("stage-compression", 0.35, 0.3251031952300871, True),
+        ("direction-coverage", 1.0, 1.0, True),
+    ],
+    "bourgain-compression": [
+        ("hypersurface-identity", 1e-12, 4.440892098500626e-16, True),
+    ],
+    "transversality": [
+        ("jacobian-matches-cosine", 0.001, 1.8147894298436995e-10, True),
+        ("transversal-floor", 0.49, 0.5136773915247882, True),
+    ],
 }
 
 
-def test_raster_scenarios_reproduce_golden_bytes(tmp_path):
-    written = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for sid in dict.fromkeys(key.split("/")[0] for key in DIGESTS):
-            defaults, _ = SCENARIOS[sid]
-            out = tmp_path / sid
-            out.mkdir()
-            report = run_scenario(sid, {k: v for k, v in SIZES.items() if k in defaults},
-                                  seed=0, out_dir=out)
-            write_report(report, out)
-            written.update((f"{sid}/{p.name}", hashlib.sha256(p.read_bytes()).hexdigest())
-                           for p in out.iterdir() if p.suffix in (".csv", ".pgm"))
-    assert written == DIGESTS
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    """(sha256 per written CSV/PGM, verdict rows per scenario) of one seed-0 run."""
+    written, verdicts = {}, {}
+    for sid, (defaults, _) in SCENARIOS.items():
+        out = tmp_path_factory.mktemp(sid)
+        overrides = {k: v for k, v in SIZES.items() if k in defaults}
+        report = run_scenario(sid, {**overrides, **OVERRIDES.get(sid, {})},
+                              seed=0, out_dir=out)
+        write_report(report, out)
+        written.update((f"{sid}/{p.name}", hashlib.sha256(p.read_bytes()).hexdigest())
+                       for p in out.iterdir() if p.suffix in (".csv", ".pgm"))
+        verdicts[sid] = [(v.name, v.threshold, v.measured, v.passed) for v in report.verdicts]
+    return written, verdicts
+
+
+def test_raster_scenarios_reproduce_golden_bytes(golden_run):
+    assert golden_run[0] == DIGESTS
+
+
+def test_scenarios_reproduce_golden_verdicts(golden_run):
+    assert golden_run[1] == VERDICTS

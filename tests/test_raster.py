@@ -233,12 +233,17 @@ def test_circle_family_covers_sampled_union():
     assert sampled.area() >= 0.99 * fam.area()
 
 
-def test_circle_family_spans_come_a_chunk_at_a_time(monkeypatch):
+@pytest.mark.parametrize("measure", [
+    lambda shapes, grid: ra.union_scanline(shapes, 0.05, grid).bits,
+    lambda shapes, grid: ra.max_inscribed_interval(shapes, 0.05, grid),
+], ids=["union_scanline", "max_inscribed_interval"])
+def test_circle_family_spans_come_a_chunk_at_a_time(monkeypatch, measure):
     # each interval is one shape, so a call for spans gets _SPAN_CHUNK // len(family)
-    # rows and returns at most two spans per shape and row
+    # rows and returns at most two spans per shape and row, for the union and
+    # for the interior probe alike
     fam = ra.CircleFamily(fr.fat_cantor(4), 0.0, 1.0)
     grid = ra.GridSpec(((-2.0, -1.5), (3.0, 1.5)), 128)
-    whole = ra.union_scanline(fam, 0.05, grid)
+    whole = measure(fam, grid)
     calls = []
 
     class Spy:
@@ -251,11 +256,11 @@ def test_circle_family_spans_come_a_chunk_at_a_time(monkeypatch):
             return out
 
     monkeypatch.setattr(ra, "_SPAN_CHUNK", 64)
-    union = ra.union_scanline(Spy(), 0.05, grid)
+    chunked = measure(Spy(), grid)
     assert max(spans for _, spans in calls) <= 2 * 64
     assert max(rows for rows, _ in calls) == 64 // 16      # 16 intervals at depth 4
     assert sum(rows for rows, _ in calls) == 128
-    assert np.array_equal(union.bits, whole.bits)
+    assert np.array_equal(chunked, whole)
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +317,9 @@ class FixedSpans:
 
     def __init__(self, by_y):
         self.by_y = by_y
+
+    def __len__(self):
+        return 1            # every span belongs to shape 0
 
     def spans(self, ys, delta):
         found = [(j, lo, hi) for j, y in enumerate(ys) for lo, hi in self.by_y.get(y, ())]

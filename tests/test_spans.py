@@ -206,12 +206,13 @@ within = st.one_of(st.none(), st.lists(st.floats(-2.2, 2.2), min_size=2, max_siz
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(obj=st.one_of(family, shapes), n=st.integers(16, 48), delta=st.floats(0.13, 0.4),
-       rows=st.integers(1, 5), band=within)
-def test_interior_probe_matches_row_runs(obj, n, delta, rows, band):
+       rows=st.integers(1, 5), chunk=st.integers(1, 9), band=within)
+def test_interior_probe_matches_row_runs(obj, n, delta, rows, chunk, band):
     # a box narrower than the shapes clips runs at both ends of a row
     grid = ra.GridSpec(((-1.0, -2.0), (1.0, 2.0)), n)
     x, y = _centers(grid)
-    with mock.patch.object(ra, "_BLOCK_CELLS", rows * n):
+    with mock.patch.object(ra, "_BLOCK_CELLS", rows * n), \
+            mock.patch.object(ra, "_SPAN_CHUNK", chunk):
         probe = ra.max_inscribed_interval(obj, delta, grid, within=band)
         bits = ra.spans_to_cells(grid, len(obj), lambda ys: obj.spans(ys, delta))[0]
     ys = grid.centers(1)
