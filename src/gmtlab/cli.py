@@ -110,8 +110,6 @@ def parse_config(argv) -> RunConfig:
     parser = argparse.ArgumentParser(
         prog="gmt-lab",
         description="run reproducible measure-geometry experiments")
-    parser.add_argument("--list", action="store_true",
-                        help="print scenario ids and exit")
     commands = parser.add_subparsers(dest="command")
     runner = commands.add_parser("run", help="run one scenario or all")
     runner.add_argument("scenario", help="scenario id or 'all'")
@@ -127,7 +125,7 @@ def parse_config(argv) -> RunConfig:
     commands.add_parser("list", help="print scenario ids")
 
     args = parser.parse_args(argv)
-    if args.list or args.command == "list":
+    if args.command == "list":
         return RunConfig(list_only=True)
     if args.command != "run":
         raise UsageError("expected a command: run or list")

@@ -45,21 +45,21 @@ class IntervalSet:
     depth: int
 
     def __post_init__(self):
-        prev_end = None
-        for a, b in self.intervals:
-            if b < a:
-                raise ArgumentError(f"interval [{a}, {b}] is reversed")
-            if prev_end is not None and a <= prev_end:
-                raise ArgumentError("intervals must be sorted and disjoint")
-            prev_end = b
+        a, b = self.as_arrays()
+        if np.any(b < a):
+            raise ArgumentError(f"interval [{a[b < a][0]}, {b[b < a][0]}] is reversed")
+        if np.any(a[1:] <= b[:-1]):
+            raise ArgumentError("intervals must be sorted and disjoint")
         if self.total_length() > 1.0 + 1e-12:
             raise ArgumentError("total length exceeds 1")
 
     def total_length(self) -> float:
-        return float(sum(b - a for a, b in self.intervals))
+        a, b = self.as_arrays()
+        return float(np.sum(b - a))
 
     def max_interval_length(self) -> float:
-        return float(max(b - a for a, b in self.intervals))
+        a, b = self.as_arrays()
+        return float(np.max(b - a))
 
     def __len__(self):
         return len(self.intervals)
@@ -106,9 +106,8 @@ class PointSet:
         for i in range(0, len(pts), 512):
             chunk = pts[i : i + 512]
             d2 = np.sum((chunk[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-            # mask self-distances
-            for r, gi in enumerate(range(i, min(i + 512, len(pts)))):
-                d2[r, gi] = np.inf
+            rows = np.arange(len(chunk))
+            d2[rows, rows + i] = np.inf     # mask self-distances
             best = min(best, float(d2.min()))
         return float(np.sqrt(best))
 
@@ -124,42 +123,38 @@ class TriangleSet:
     def __post_init__(self):
         if self.direction_count != 2 ** self.stage:
             raise ArgumentError("direction_count must equal 2^stage")
-        for tri in self.triangles:
-            if triangle_area(tri) <= 1e-12:
-                raise ArgumentError("degenerate triangle in set")
+        if np.any(triangle_area(np.reshape(self.triangles, (-1, 3, 2))) <= 1e-12):
+            raise ArgumentError("degenerate triangle in set")
 
     def directions(self) -> np.ndarray:
         """Unit direction of each triangle's base-midpoint-to-apex median."""
-        out = []
-        for (ax, ay), (bx, by), (cx, cy) in self.triangles:
-            mx, my = 0.5 * (ax + bx), 0.5 * (ay + by)
-            v = np.array([cx - mx, cy - my])
-            out.append(v / np.linalg.norm(v))
-        return np.array(out)
+        base, apex = self.medians()
+        v = apex - base
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
 
-    def median_segments(self):
-        """(base midpoint, apex) pairs; each is a full-height segment in its triangle."""
-        segs = []
-        for (ax, ay), (bx, by), (cx, cy) in self.triangles:
-            segs.append(((0.5 * (ax + bx), 0.5 * (ay + by)), (cx, cy)))
-        return segs
+    def medians(self):
+        """Base midpoints and apexes, (k, 2) each; each median is a full-height segment."""
+        tris = np.asarray(self.triangles, dtype=float).reshape(-1, 3, 2)
+        return 0.5 * (tris[:, 0] + tris[:, 1]), tris[:, 2]
 
 
-def triangle_area(tri) -> float:
-    (ax, ay), (bx, by), (cx, cy) = tri
+def triangle_area(tri):
+    """Area of one triangle ((x,y), (x,y), (x,y)), or of each in a (k, 3, 2) array."""
+    (ax, ay), (bx, by), (cx, cy) = np.moveaxis(np.asarray(tri, dtype=float), (-2, -1), (0, 1))
     return abs((bx - ax) * (cy - ay) - (cx - ax) * (by - ay)) / 2.0
 
 
-def point_in_triangle(p, tri, slack=1e-12) -> bool:
+def point_in_triangle(p, tri, slack=1e-12):
+    """Mask of the points p, (m, 2) or one (2,), inside tri up to slack."""
     (ax, ay), (bx, by), (cx, cy) = tri
-    px, py = p
+    px, py = np.asarray(p, dtype=float).T
     # consistent-sign half-plane test
     d1 = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
     d2 = (cx - bx) * (py - by) - (cy - by) * (px - bx)
     d3 = (ax - cx) * (py - cy) - (ay - cy) * (px - cx)
-    has_neg = (d1 < -slack) or (d2 < -slack) or (d3 < -slack)
-    has_pos = (d1 > slack) or (d2 > slack) or (d3 > slack)
-    return not (has_neg and has_pos)
+    has_neg = (d1 < -slack) | (d2 < -slack) | (d3 < -slack)
+    has_pos = (d1 > slack) | (d2 > slack) | (d3 > slack)
+    return ~(has_neg & has_pos)
 
 
 # ---------------------------------------------------------------------------
@@ -171,18 +166,19 @@ def _check_depth(depth: int):
         raise ArgumentError(f"depth must be in [0, {MAX_DEPTH}], got {depth}")
 
 
+def _middle_cuts(depth: int, keep) -> IntervalSet:
+    """Stage n = 1..depth keeps [a, a + k] and [b - k, b] of each piece, k = keep(b - a, n)."""
+    a, b = np.zeros(1), np.ones(1)
+    for n in range(1, depth + 1):
+        k = keep(b - a, n)
+        a, b = np.column_stack([a, b - k]).ravel(), np.column_stack([a + k, b]).ravel()
+    return IntervalSet(tuple(zip(a.tolist(), b.tolist())), depth)
+
+
 def cantor_middle_thirds(depth: int) -> IntervalSet:
     """2^depth intervals of length 3^-depth; removes open middle thirds."""
     _check_depth(depth)
-    intervals = [(0.0, 1.0)]
-    for _ in range(depth):
-        nxt = []
-        for a, b in intervals:
-            third = (b - a) / 3.0
-            nxt.append((a, a + third))
-            nxt.append((b - third, b))
-        intervals = nxt
-    return IntervalSet(tuple(intervals), depth)
+    return _middle_cuts(depth, lambda length, n: length / 3.0)
 
 
 def fat_cantor(depth: int) -> IntervalSet:
@@ -192,16 +188,7 @@ def fat_cantor(depth: int) -> IntervalSet:
     length is 1 - (1 - 2^-depth)/2.
     """
     _check_depth(depth)
-    intervals = [(0.0, 1.0)]
-    for n in range(1, depth + 1):
-        gap = 4.0 ** (-n)
-        nxt = []
-        for a, b in intervals:
-            keep = (b - a - gap) / 2.0
-            nxt.append((a, a + keep))
-            nxt.append((b - keep, b))
-        intervals = nxt
-    return IntervalSet(tuple(intervals), depth)
+    return _middle_cuts(depth, lambda length, n: (length - 4.0 ** (-n)) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -343,28 +330,26 @@ def perron_tree(stage: int, base_triangle_height: float = 1.0) -> TriangleSet:
         shifts[mid:hi] -= perron_overlap(level) * width
 
     merge(0, n, stage)
-    apex_x, apex_y = 0.5, float(base_triangle_height)
-    tris = []
-    for i in range(n):
-        s = shifts[i]
-        tris.append((
-            (i / n + s, 0.0),
-            ((i + 1) / n + s, 0.0),
-            (apex_x + s, apex_y),
-        ))
-    return TriangleSet(tuple(tris), stage, n)
+    i = np.arange(n)
+    xs = np.column_stack([i / n, (i + 1) / n, np.full(n, 0.5)]) + shifts[:, None]
+    ys = (0.0, 0.0, float(base_triangle_height))
+    return TriangleSet(tuple(tuple(zip(row, ys)) for row in xs.tolist()), stage, n)
 
 
 def verify_direction_coverage(tree: TriangleSet, samples: int = 100) -> bool:
     """Every median segment stays inside the union (sampled containment)."""
-    ts = np.linspace(0.0, 1.0, samples)
-    for seg, tri in zip(tree.median_segments(), tree.triangles):
-        (x0, y0), (x1, y1) = seg
-        for t in ts:
-            p = (x0 + t * (x1 - x0), y0 + t * (y1 - y0))
-            if not any(point_in_triangle(p, other) for other in tree.triangles):
-                return False
-            # the owning wedge alone should already contain its median
-            if not point_in_triangle(p, tri, slack=1e-9):
-                return False
+    ts = np.linspace(0.0, 1.0, samples)[:, None]
+    tris = tree.triangles
+    for i, (base, apex) in enumerate(zip(*tree.medians())):
+        pts = base + ts * (apex - base)
+        # the owning wedge alone should already contain its median
+        if not point_in_triangle(pts, tris[i], slack=1e-9).all():
+            return False
+        # owner first, dropping covered points: no samples x wedges array
+        for tri in (tris[i],) + tris[:i] + tris[i + 1:]:
+            pts = pts[~point_in_triangle(pts, tri)]
+            if not len(pts):
+                break
+        else:
+            return False
     return True

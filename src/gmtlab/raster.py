@@ -81,16 +81,16 @@ class GridSpec:
         h = (hi[axis] - lo[axis]) / self.cells_per_axis
         return lo[axis] + (np.arange(self.cells_per_axis) + 0.5) * h
 
-    def index_range(self, lo_val, hi_val, axis: int):
-        """Inclusive cell-index range whose centers lie in [lo_val, hi_val].
+    def index_range(self, lo_val, hi_val):
+        """Inclusive x-cell-index range whose centers lie in [lo_val, hi_val].
 
         Works elementwise on arrays.  The clips are one-sided, so an interval
         that misses every center keeps i0 > i1.
         """
         lo, hi = self.box
-        h = (hi[axis] - lo[axis]) / self.cells_per_axis
-        i0 = np.ceil((np.asarray(lo_val) - lo[axis]) / h - 0.5).astype(np.int64)
-        i1 = np.floor((np.asarray(hi_val) - lo[axis]) / h - 0.5).astype(np.int64)
+        h = (hi[0] - lo[0]) / self.cells_per_axis
+        i0 = np.ceil((np.asarray(lo_val) - lo[0]) / h - 0.5).astype(np.int64)
+        i1 = np.floor((np.asarray(hi_val) - lo[0]) / h - 0.5).astype(np.int64)
         return np.maximum(i0, 0), np.minimum(i1, self.cells_per_axis - 1)
 
 
@@ -100,15 +100,14 @@ class GridRaster:
 
     grid: GridSpec
     bits: np.ndarray
-    filled_count: int = field(default=-1)
+    filled_count: int = field(init=False)
 
     def __post_init__(self):
         if self.bits.shape != (self.grid.cells_per_axis,) * 2:
             raise ArgumentError("bits shape does not match grid")
         if self.bits.dtype != np.bool_:
             raise ArgumentError("bits must be boolean")
-        if self.filled_count < 0:
-            self.filled_count = int(np.count_nonzero(self.bits))
+        self.filled_count = int(np.count_nonzero(self.bits))
 
     def area(self) -> float:
         return self.filled_count * self.grid.cell_volume
@@ -278,7 +277,7 @@ def _cell_ranges(grid: GridSpec, count: int, spans, ys):
     step = max(1, _SPAN_CHUNK // max(count, 1))
     for c0 in range(0, len(ys), step):
         shape, row, lo, hi = spans(ys[c0 : c0 + step])
-        i0, i1 = grid.index_range(lo, hi, axis=0)
+        i0, i1 = grid.index_range(lo, hi)
         keep = i0 <= i1
         # rebound, so the unfiltered arrays are freed while the caller works
         shape, row, i0, i1 = shape[keep], row[keep] + c0, i0[keep], i1[keep]

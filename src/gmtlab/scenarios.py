@@ -259,8 +259,6 @@ def _discrete_incidence(p, seed, out_dir):
     if not qs:
         raise ArgumentError("need at least one q")
     s, r = p["s"], p["r"]
-    if not 1.0 < s < 2.0:
-        raise ArgumentError("s must lie in (1, 2)")
     grid = _grid(p)
     _require_box(grid, (-r, -r), (1.0 + r, 1.0 + r), "all annuli around [0,1]^2")
 
@@ -457,8 +455,6 @@ def _kakeya_compression(p, seed, out_dir):
         raise ArgumentError("need at least one stage")
     if stages[-1] > 6:
         raise ArgumentError("stages beyond 6 are not part of this experiment")
-    if stages[0] < 0:
-        raise ArgumentError("stages must be nonnegative")
     grid = _grid(p)
     p["samples"] = int(p["samples"])
 

@@ -91,7 +91,7 @@ def test_every_registry_default_parses_back_to_itself():
 
 def test_parse_list_modes():
     assert parse_config(["list"]).list_only
-    assert parse_config(["--list"]).list_only
+    assert run_cli(["--list"]) == 2
 
 
 def test_config_file_then_flag_precedence(tmp_path):

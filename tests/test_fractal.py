@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,15 @@ from gmtlab import fractal as fr
 from gmtlab.errors import ArgumentError, FitError
 
 LOG32 = math.log(2) / math.log(3)
+
+# sha256 over the float64 bytes of every stage in order (Cantor depths 0..16,
+# Perron stages 0..8), recorded before the constructions moved onto arrays
+CONSTRUCTION_DIGESTS = {
+    "cantor_middle_thirds": "f8a7d2aea050f80cd74628b405f457fdbba612fbe09a2d214304fa0ff326f4d3",
+    "fat_cantor": "b501a74218c7b401d6ccfa28c7514f5eea7a427d70530073560b599e49af34fb",
+    "perron_tree": "d847ab499957a9c4f634435123da6ef3f46e42b8579550d7b9b942f89289eb41",
+    "directions": "3b991cb4bfa5fe8b41126163e40d28f0254eb80a4897b3b600f969db33aa788b",
+}
 
 
 def cantor_line_cloud(depth, seed=0):
@@ -284,7 +294,7 @@ def test_perron_directions_distinct():
 
 
 def test_perron_direction_coverage_sampled():
-    for stage in range(0, 7):
+    for stage in range(0, 9):
         assert fr.verify_direction_coverage(fr.perron_tree(stage), samples=100)
 
 
@@ -300,3 +310,66 @@ def test_perron_stage_validation():
         fr.perron_tree(-1)
     with pytest.raises(ArgumentError):
         fr.perron_tree(9)
+
+
+# ---------------------------------------------------------------------------
+# half-plane test against the scalar reference
+# ---------------------------------------------------------------------------
+
+def scalar_point_in_triangle(p, tri, slack):
+    """The consistent-sign half-plane test, one point at a time."""
+    (ax, ay), (bx, by), (cx, cy) = tri
+    px, py = p
+    d1 = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+    d2 = (cx - bx) * (py - by) - (cy - by) * (px - bx)
+    d3 = (ax - cx) * (py - cy) - (ay - cy) * (px - cx)
+    has_neg = (d1 < -slack) or (d2 < -slack) or (d3 < -slack)
+    has_pos = (d1 > slack) or (d2 > slack) or (d3 > slack)
+    return not (has_neg and has_pos)
+
+
+@pytest.mark.parametrize("slack", [1e-12, 1e-9])
+def test_point_in_triangle_matches_scalar_reference(slack):
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        v = rng.uniform(-2.0, 2.0, (3, 2))
+        tri = tuple(map(tuple, v))
+        edge = np.roll(v, -1, axis=0) - v
+        mids = v + 0.5 * edge
+        normal = np.column_stack([edge[:, 1], -edge[:, 0]])
+        normal /= np.linalg.norm(normal, axis=1)[:, None]
+        normal *= np.sign(np.sum((mids - v.mean(axis=0)) * normal, axis=1))[:, None]
+        inside = rng.dirichlet(np.ones(3), 20) @ v
+        pts = np.vstack([v, mids, mids + 1e-10 * normal, inside,
+                         rng.uniform(-3.0, 3.0, (20, 2))])
+        want = [scalar_point_in_triangle(p, tri, slack) for p in pts]
+        # vertices, edge midpoints and inner points are in; the slack decides
+        # the points 1e-10 outside an edge
+        assert want[:6] + want[9:29] == [True] * 26
+        assert want[6:9] == [slack > 1e-10] * 3
+        assert fr.point_in_triangle(pts, tri, slack).tolist() == want
+        for p, w in zip(pts[6:9], want[6:9]):        # one (2,) point at a time
+            assert bool(fr.point_in_triangle(p, tri, slack)) is w
+
+
+# ---------------------------------------------------------------------------
+# construction golden digests
+# ---------------------------------------------------------------------------
+
+def _digest(stages):
+    h = hashlib.sha256()
+    for x in stages:
+        h.update(np.asarray(x, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def test_construction_golden_digests():
+    trees = [fr.perron_tree(s) for s in range(9)]
+    got = {
+        "cantor_middle_thirds": _digest(fr.cantor_middle_thirds(d).intervals
+                                        for d in range(17)),
+        "fat_cantor": _digest(fr.fat_cantor(d).intervals for d in range(17)),
+        "perron_tree": _digest(t.triangles for t in trees),
+        "directions": _digest(t.directions() for t in trees),
+    }
+    assert got == CONSTRUCTION_DIGESTS

@@ -50,17 +50,17 @@ def test_grid_spec_geometry():
 def test_index_range_inclusive_on_centers():
     g = ra.GridSpec(((0.0, 0.0), (1.0, 1.0)), 16)      # centers at (k + 0.5)/16
     # [0.03125, 0.15625] contains exactly centers 0.03125 and 0.09375
-    i0, i1 = g.index_range(0.03125, 0.15625, axis=0)
+    i0, i1 = g.index_range(0.03125, 0.15625)
     assert (i0, i1) == (0, 2)
-    i0, i1 = g.index_range(0.05, 0.12, axis=0)         # only center 0.09375
+    i0, i1 = g.index_range(0.05, 0.12)         # only center 0.09375
     assert (i0, i1) == (1, 1)
-    i0, i1 = g.index_range(0.04, 0.09, axis=0)         # gap between centers
+    i0, i1 = g.index_range(0.04, 0.09)         # gap between centers
     assert i0 > i1
-    i0, i1 = g.index_range(-5.0, -1.0, axis=0)         # fully outside
+    i0, i1 = g.index_range(-5.0, -1.0)         # fully outside
     assert i0 > i1
     # elementwise on arrays, with the same one-sided clips
     i0, i1 = g.index_range(np.array([0.03125, 0.05, 0.04, -5.0, 0.9]),
-                           np.array([0.15625, 0.12, 0.09, -1.0, 7.0]), axis=0)
+                           np.array([0.15625, 0.12, 0.09, -1.0, 7.0]))
     assert i0.tolist()[:2] == [0, 1] and i1.tolist()[:2] == [2, 1]
     assert np.all(i0[2:4] > i1[2:4])
     assert (i0[4], i1[4]) == (14, 15)

@@ -402,8 +402,9 @@ def test_kakeya_directions_double_per_stage():
 
 
 def test_kakeya_rejects_deep_stages():
-    with pytest.raises(ArgumentError):
-        sc.run_scenario("kakeya-compression", {"stages": [7], "n": 64})
+    for stages in ([7], [-1, 2]):
+        with pytest.raises(ArgumentError):
+            sc.run_scenario("kakeya-compression", {"stages": stages, "n": 64})
 
 
 # ---------------------------------------------------------------------------
