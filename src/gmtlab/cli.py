@@ -9,7 +9,8 @@ Exit codes: 0 all verdicts pass, 1 some verdict fails, 2 usage error,
 3 runtime error.  Flags override config-file values, which override the
 scenario defaults.  The config file is flat `key = value` text with
 comma-separated lists; `#` starts a comment line.  A single-scenario run
-takes only its own --set keys, and the seed must be non-negative.
+takes only its own keys, from --set or the file, and the seed must be
+non-negative.
 
 Each scenario writes only inside <out>/<scenario-id>/: the report manifest,
 one CSV per series, PGM snapshots, and a FAILED marker if the run raised.
@@ -130,32 +131,31 @@ def parse_config(argv) -> RunConfig:
     if args.command != "run":
         raise UsageError("expected a command: run or list")
 
-    template = _param_template()
+    if args.scenario != "all" and args.scenario not in SCENARIOS:
+        raise UsageError(f"unknown scenario {args.scenario!r}; "
+                         f"try one of: {', '.join(scenario_ids())}")
     settings = dict(_FILE_SETTINGS)
-    overrides = {}
-
+    given = []          # (key, text, source), file first so --set wins
     if args.config is not None:
         for key, text in _parse_file(args.config).items():
             if key in settings:
                 settings[key] = _coerce(key, _FILE_SETTINGS[key], text)
-            elif key in template:
-                overrides[key] = _coerce(key, template[key], text)
             else:
-                raise UsageError(f"unknown key {key!r} in config file")
-
-    if args.scenario != "all" and args.scenario not in SCENARIOS:
-        raise UsageError(f"unknown scenario {args.scenario!r}; "
-                         f"try one of: {', '.join(scenario_ids())}")
-    # a single scenario takes only its own keys from --set
-    keys = template if args.scenario == "all" else SCENARIOS[args.scenario][0]
+                given.append((key, text, f"config file {args.config}"))
     for item in args.sets:
         key, eq, text = item.partition("=")
-        key = key.strip()
         if not eq:
             raise UsageError(f"--set needs KEY=VALUE, got {item!r}")
+        given.append((key.strip(), text, "--set"))
+
+    # a single scenario takes only its own keys, from either source
+    template = _param_template()
+    keys = template if args.scenario == "all" else SCENARIOS[args.scenario][0]
+    overrides = {}
+    for key, text, source in given:
         if key not in keys:
-            raise UsageError(f"unknown key {key!r}" if keys is template else
-                             f"{args.scenario} has no key {key!r}; "
+            raise UsageError(f"unknown key {key!r} in {source}" if keys is template else
+                             f"{args.scenario} has no key {key!r} (from {source}); "
                              f"its keys: {', '.join(keys)}")
         overrides[key] = _coerce(key, keys[key], text)
 

@@ -114,47 +114,31 @@ class PointSet:
 
 @dataclass(frozen=True)
 class TriangleSet:
-    """2-D triangles from the Perron bisect-and-slide scheme."""
+    """2-D triangles from the Perron bisect-and-slide scheme, as a (k, 3, 2) array."""
 
-    triangles: tuple          # each is ((x,y), (x,y), (x,y))
+    triangles: np.ndarray     # vertices (x,y): base left, base right, apex
     stage: int
     direction_count: int
 
     def __post_init__(self):
+        tris = np.asarray(self.triangles, dtype=float).reshape(-1, 3, 2)
         if self.direction_count != 2 ** self.stage:
             raise ArgumentError("direction_count must equal 2^stage")
-        if np.any(triangle_area(np.reshape(self.triangles, (-1, 3, 2))) <= 1e-12):
+        if np.any(triangle_area(tris) <= 1e-12):
             raise ArgumentError("degenerate triangle in set")
+        object.__setattr__(self, "triangles", tris)
 
     def directions(self) -> np.ndarray:
         """Unit direction of each triangle's base-midpoint-to-apex median."""
-        base, apex = self.medians()
-        v = apex - base
+        tris = self.triangles
+        v = tris[:, 2] - 0.5 * (tris[:, 0] + tris[:, 1])
         return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-    def medians(self):
-        """Base midpoints and apexes, (k, 2) each; each median is a full-height segment."""
-        tris = np.asarray(self.triangles, dtype=float).reshape(-1, 3, 2)
-        return 0.5 * (tris[:, 0] + tris[:, 1]), tris[:, 2]
 
 
 def triangle_area(tri):
     """Area of one triangle ((x,y), (x,y), (x,y)), or of each in a (k, 3, 2) array."""
     (ax, ay), (bx, by), (cx, cy) = np.moveaxis(np.asarray(tri, dtype=float), (-2, -1), (0, 1))
     return abs((bx - ax) * (cy - ay) - (cx - ax) * (by - ay)) / 2.0
-
-
-def point_in_triangle(p, tri, slack=1e-12):
-    """Mask of the points p, (m, 2) or one (2,), inside tri up to slack."""
-    (ax, ay), (bx, by), (cx, cy) = tri
-    px, py = np.asarray(p, dtype=float).T
-    # consistent-sign half-plane test
-    d1 = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-    d2 = (cx - bx) * (py - by) - (cy - by) * (px - bx)
-    d3 = (ax - cx) * (py - cy) - (ay - cy) * (px - cx)
-    has_neg = (d1 < -slack) | (d2 < -slack) | (d3 < -slack)
-    has_pos = (d1 > slack) | (d2 > slack) | (d3 > slack)
-    return ~(has_neg & has_pos)
 
 
 # ---------------------------------------------------------------------------
@@ -332,24 +316,24 @@ def perron_tree(stage: int, base_triangle_height: float = 1.0) -> TriangleSet:
     merge(0, n, stage)
     i = np.arange(n)
     xs = np.column_stack([i / n, (i + 1) / n, np.full(n, 0.5)]) + shifts[:, None]
-    ys = (0.0, 0.0, float(base_triangle_height))
-    return TriangleSet(tuple(tuple(zip(row, ys)) for row in xs.tolist()), stage, n)
+    ys = np.broadcast_to([0.0, 0.0, float(base_triangle_height)], xs.shape)
+    return TriangleSet(np.stack([xs, ys], axis=-1), stage, n)
 
 
-def verify_direction_coverage(tree: TriangleSet, samples: int = 100) -> bool:
-    """Every median segment stays inside the union (sampled containment)."""
-    ts = np.linspace(0.0, 1.0, samples)[:, None]
-    tris = tree.triangles
-    for i, (base, apex) in enumerate(zip(*tree.medians())):
-        pts = base + ts * (apex - base)
-        # the owning wedge alone should already contain its median
-        if not point_in_triangle(pts, tris[i], slack=1e-9).all():
-            return False
-        # owner first, dropping covered points: no samples x wedges array
-        for tri in (tris[i],) + tris[:i] + tris[i + 1:]:
-            pts = pts[~point_in_triangle(pts, tri)]
-            if not len(pts):
-                break
-        else:
-            return False
-    return True
+def verify_direction_coverage(tree: TriangleSet) -> bool:
+    """Every direction of the base triangle keeps a full-height segment in the union.
+
+    A wedge with base [x0, x1] on y = 0 and apex (a, H) holds the segment from
+    each base point to the apex, so it covers the slopes dx/dy in
+    [(a - x1)/H, (a - x0)/H].  Merged in order of their low ends, these
+    intervals must cover the base triangle's [-1/(2H), 1/(2H)] with no gap
+    above 1e-12.
+    """
+    (x0, _), (x1, _), (a, h) = np.moveaxis(tree.triangles, (1, 2), (0, 1))
+    half = 0.5 / h.max()
+    # clipping to the target keeps intervals outside it from reading as gaps
+    lo = np.clip((a - x1) / h, -half, half)
+    hi = np.clip((a - x0) / h, -half, half)
+    order = np.argsort(lo)
+    reach = np.maximum.accumulate(np.concatenate([[-half], hi[order]]))
+    return bool(np.all(lo[order] <= reach[:-1] + 1e-12) and reach[-1] >= half - 1e-12)

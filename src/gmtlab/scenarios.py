@@ -447,7 +447,7 @@ def _interior_failure(p, seed, out_dir):
 # ---------------------------------------------------------------------------
 
 @_scenario("kakeya-compression", stages=[0, 1, 2, 3, 4, 5], n=2048,
-           box=(-2.0, -1.0, 2.0, 1.5), samples=100, compression_ratio=0.35)
+           box=(-2.0, -1.0, 2.0, 1.5), compression_ratio=0.35)
 def _kakeya_compression(p, seed, out_dir):
     """Perron tree per stage: union area shrinks, direction coverage holds."""
     p["stages"] = stages = sorted(int(s) for s in p["stages"])
@@ -456,13 +456,12 @@ def _kakeya_compression(p, seed, out_dir):
     if stages[-1] > 6:
         raise ArgumentError("stages beyond 6 are not part of this experiment")
     grid = _grid(p)
-    p["samples"] = int(p["samples"])
 
     series = {"union-area": [], "direction-coverage": [], "directions": []}
     for stage in stages:
         tree = fractal.perron_tree(stage)
         union = raster.rasterize_triangles(tree.triangles, grid)
-        covered = fractal.verify_direction_coverage(tree, p["samples"])
+        covered = fractal.verify_direction_coverage(tree)
         series["union-area"].append((stage, union.area()))
         series["direction-coverage"].append((stage, 1.0 if covered else 0.0))
         series["directions"].append((stage, float(len(tree.triangles))))

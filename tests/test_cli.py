@@ -40,9 +40,9 @@ def test_parse_set_overrides():
 
 def test_parse_box_override_and_types():
     cfg = parse_config(["run", "kakeya-compression",
-                        "--set", "box=-2,-1,2,1.5", "--set", "samples=50"])
+                        "--set", "box=-2,-1,2,1.5", "--set", "n=50"])
     assert cfg.overrides["box"] == (-2.0, -1.0, 2.0, 1.5)
-    assert cfg.overrides["samples"] == 50
+    assert cfg.overrides["n"] == 50
 
 
 def test_parse_rejects_unknown_key_by_name():
@@ -58,12 +58,31 @@ def test_single_scenario_rejects_keys_it_does_not_declare(tmp_path, capsys):
     assert run_cli(["run", "transversality", "--set", "qs=8", "--out", str(out)]) == 2
     assert "transversality has no key 'qs'" in capsys.readouterr().err
     assert not out.exists()
-    # run all and config files keep giving each scenario only its own keys
+    # run all keeps giving each scenario only its own keys
     assert parse_config(["run", "all", "--set", "qs=8"]).overrides == {"qs": [8]}
+
+
+def test_single_scenario_rejects_config_file_keys_it_does_not_declare(tmp_path, capsys):
     cfg_file = tmp_path / "lab.cfg"
-    cfg_file.write_text("qs = 8\n")
-    cfg = parse_config(["run", "transversality", "--config", str(cfg_file)])
-    assert cfg.overrides == {"qs": [8]}
+    cfg_file.write_text("seed = 2\nn = 64\n")
+    out = tmp_path / "r"
+    assert run_cli(["run", "transversality", "--config", str(cfg_file),
+                    "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "transversality has no key 'n'" in err and str(cfg_file) in err
+    assert not out.exists()
+    # run all accepts every declared key from the file
+    cfg = parse_config(["run", "all", "--config", str(cfg_file)])
+    assert cfg.seed == 2 and cfg.overrides == {"n": 64}
+
+
+def test_kakeya_has_no_samples_key(tmp_path, capsys):
+    # direction coverage is exact, so kakeya-compression takes no sample count
+    args = ["run", "kakeya-compression", "--set", "samples=5", "--out", str(tmp_path / "r")]
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert "kakeya-compression has no key 'samples'" in err
+    assert "its keys: stages, n, box, compression_ratio" in err
 
 
 def test_parse_rejects_unknown_scenario():
@@ -285,17 +304,18 @@ def test_run_all_gives_each_scenario_only_its_own_keys(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "run_scenario", record)
     cfg = parse_config(["run", "all", "--out", str(tmp_path / "r"), "--set", "n=64",
-                        "--set", "probe_n=256", "--set", "curve=arc"])
+                        "--set", "probe_n=256", "--set", "curve=arc",
+                        "--set", "samples=16"])
     assert cli.execute(cfg) == 0
     assert seen == {
         "fixed-level-positivity": {"n": 64},
         "flat-counterexample": {"n": 64},
         "discrete-incidence": {"n": 64},
-        "intersection-hypothesis": {},
+        "intersection-hypothesis": {"samples": 16},
         "interior-failure": {"n": 64, "probe_n": 256},
         "kakeya-compression": {"n": 64},
-        "bourgain-compression": {},
-        "transversality": {"curve": "arc"},
+        "bourgain-compression": {"samples": 16},
+        "transversality": {"curve": "arc", "samples": 16},
     }
 
 

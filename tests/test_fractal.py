@@ -293,9 +293,20 @@ def test_perron_directions_distinct():
     assert len(np.unique(dirs, axis=0)) == 32
 
 
-def test_perron_direction_coverage_sampled():
-    for stage in range(0, 9):
-        assert fr.verify_direction_coverage(fr.perron_tree(stage), samples=100)
+def moved_apex_tree():
+    """perron_tree(3) with the apex of wedge 2 moved 5 units to the right."""
+    tris = fr.perron_tree(3).triangles.copy()
+    tris[2, 2, 0] += 5.0
+    return fr.TriangleSet(tris, 3, 8)
+
+
+def test_perron_direction_coverage_exact():
+    for height in (1.0, 2.0):
+        for stage in range(0, 9):
+            assert fr.verify_direction_coverage(fr.perron_tree(stage, height))
+    # the moved wedge still contains its own median but no longer covers
+    # its share of the directions
+    assert not fr.verify_direction_coverage(moved_apex_tree())
 
 
 def test_perron_height_parameter():
@@ -310,46 +321,6 @@ def test_perron_stage_validation():
         fr.perron_tree(-1)
     with pytest.raises(ArgumentError):
         fr.perron_tree(9)
-
-
-# ---------------------------------------------------------------------------
-# half-plane test against the scalar reference
-# ---------------------------------------------------------------------------
-
-def scalar_point_in_triangle(p, tri, slack):
-    """The consistent-sign half-plane test, one point at a time."""
-    (ax, ay), (bx, by), (cx, cy) = tri
-    px, py = p
-    d1 = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-    d2 = (cx - bx) * (py - by) - (cy - by) * (px - bx)
-    d3 = (ax - cx) * (py - cy) - (ay - cy) * (px - cx)
-    has_neg = (d1 < -slack) or (d2 < -slack) or (d3 < -slack)
-    has_pos = (d1 > slack) or (d2 > slack) or (d3 > slack)
-    return not (has_neg and has_pos)
-
-
-@pytest.mark.parametrize("slack", [1e-12, 1e-9])
-def test_point_in_triangle_matches_scalar_reference(slack):
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        v = rng.uniform(-2.0, 2.0, (3, 2))
-        tri = tuple(map(tuple, v))
-        edge = np.roll(v, -1, axis=0) - v
-        mids = v + 0.5 * edge
-        normal = np.column_stack([edge[:, 1], -edge[:, 0]])
-        normal /= np.linalg.norm(normal, axis=1)[:, None]
-        normal *= np.sign(np.sum((mids - v.mean(axis=0)) * normal, axis=1))[:, None]
-        inside = rng.dirichlet(np.ones(3), 20) @ v
-        pts = np.vstack([v, mids, mids + 1e-10 * normal, inside,
-                         rng.uniform(-3.0, 3.0, (20, 2))])
-        want = [scalar_point_in_triangle(p, tri, slack) for p in pts]
-        # vertices, edge midpoints and inner points are in; the slack decides
-        # the points 1e-10 outside an edge
-        assert want[:6] + want[9:29] == [True] * 26
-        assert want[6:9] == [slack > 1e-10] * 3
-        assert fr.point_in_triangle(pts, tri, slack).tolist() == want
-        for p, w in zip(pts[6:9], want[6:9]):        # one (2,) point at a time
-            assert bool(fr.point_in_triangle(p, tri, slack)) is w
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from gmtlab import fractal as fr
 from gmtlab import raster as ra
 from gmtlab import scenarios as sc
 from gmtlab.errors import ArgumentError
+from gmtlab.phase import bourgain_curve
 
 
 # small grids keep the suite quick; acceptance reruns the full defaults
@@ -407,6 +408,23 @@ def test_kakeya_rejects_deep_stages():
             sc.run_scenario("kakeya-compression", {"stages": stages, "n": 64})
 
 
+def test_kakeya_unslid_tree_fails_stage_compression(monkeypatch):
+    # with no slide every stage's union is the base triangle
+    monkeypatch.setattr(fr, "perron_overlap", lambda level: 0.0)
+    rep = sc.run_scenario("kakeya-compression", {"n": 256})
+    v = verdict(rep, "stage-compression")
+    assert v.measured == pytest.approx(1.0) and not v.passed
+
+
+def test_kakeya_moved_apex_fails_direction_coverage(monkeypatch):
+    tris = fr.perron_tree(3).triangles.copy()
+    tris[2, 2, 0] += 5.0            # wedge 2 no longer covers its directions
+    monkeypatch.setattr(fr, "perron_tree", lambda stage: fr.TriangleSet(tris, 3, 8))
+    rep = sc.run_scenario("kakeya-compression", {"n": 256, "stages": [3]})
+    v = verdict(rep, "direction-coverage")
+    assert v.measured == 0.0 and not v.passed
+
+
 # ---------------------------------------------------------------------------
 # bourgain compression
 # ---------------------------------------------------------------------------
@@ -422,6 +440,16 @@ def test_bourgain_seeded_sweep_stays_on_surface():
 def test_bourgain_rejects_malformed_params():
     with pytest.raises(ArgumentError, match="positive"):
         sc.run_scenario("bourgain-compression", {"samples": 0})
+
+
+def test_bourgain_wrong_coefficient_fails_identity(monkeypatch):
+    def off_surface(y1, y2, t):
+        x, y, z = bourgain_curve(y1, y2, t)
+        return x - 0.01 * t * t * y1, y, z      # t^2 y1 coefficient 1.01
+
+    monkeypatch.setattr(sc.phase, "bourgain_curve", off_surface)
+    rep = sc.run_scenario("bourgain-compression", {"samples": 100})
+    assert not verdict(rep, "hypersurface-identity").passed
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +477,17 @@ def test_transversality_degenerate_and_clean_angles():
     assert rows[u[0]] == pytest.approx(1.0, abs=1e-6)
     assert rows[u[-1]] <= 1e-3
     assert rows[u[66]] == pytest.approx(0.5, abs=1e-3)  # u = pi/3 exactly
+
+
+def test_transversality_perturbed_offset_map_fails_cosine(monkeypatch):
+    def stretched(curve, ts, us):
+        g, tan, nor = sc._frame(curve, ts)
+        return g + np.cos(us)[..., None] * tan + 1.01 * np.sin(us)[..., None] * nor
+
+    monkeypatch.setattr(sc, "_offset_map", stretched)
+    rep = sc.run_scenario("transversality", {"samples": 16})
+    v = verdict(rep, "jacobian-matches-cosine")
+    assert v.measured == pytest.approx(0.01, rel=1e-3) and not v.passed
 
 
 def test_transversality_validates_curve_and_grid():
