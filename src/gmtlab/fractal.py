@@ -69,7 +69,7 @@ class IntervalSet:
         return arr[:, 0], arr[:, 1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # array fields: compare and hash by identity
 class PointSet:
     """Weighted finite point cloud standing in for a parameter set."""
 
@@ -112,7 +112,7 @@ class PointSet:
         return float(np.sqrt(best))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # array fields: compare and hash by identity
 class TriangleSet:
     """2-D triangles from the Perron bisect-and-slide scheme, as a (k, 3, 2) array."""
 

@@ -109,7 +109,14 @@ def _check_pair(spec: PhaseSpec, x, y):
 def diffeo_map(spec: PhaseSpec, y):
     """Phi(y) = y + kappa * (sin y_2, sin y_3, ..., sin y_1), vectorized over rows."""
     y = np.asarray(y, dtype=float)
-    return y + spec.kappa * np.sin(np.roll(y, -1, axis=-1))
+    d = y.shape[-1]
+    phi = np.empty_like(y)
+    for i in range(d):
+        col = phi[..., i]
+        np.sin(y[..., (i + 1) % d], out=col)
+        col *= spec.kappa
+        col += y[..., i]
+    return phi
 
 
 def diffeo_jacobian(spec: PhaseSpec, y):
@@ -152,20 +159,37 @@ def eval_phase(spec: PhaseSpec, x, y) -> float:
     return float(eval_phase_batch(spec, x, y[None, :])[0])
 
 
+def _squared_distance(ys, x):
+    """sum_i (ys[..., i] - x[i])**2, one column at a time, in index order.
+
+    numpy sums fewer than eight terms in index order too, so below dimension 8
+    this is np.linalg.norm(ys - x, axis=-1)**2 and np.sum((ys - x)**2, axis=-1)
+    bit for bit, without their (rows, d) temporaries.
+    """
+    acc = ys[..., 0] - x[0]
+    acc *= acc
+    term = np.empty_like(acc)
+    for i in range(1, ys.shape[-1]):
+        np.subtract(ys[..., i], x[i], out=term)
+        term *= term
+        acc += term
+    return acc
+
+
 def eval_phase_batch(spec: PhaseSpec, x, ys) -> np.ndarray:
     """phi(x, y_i) for a batch of y rows.  Used by rasterization and Monte Carlo."""
     x = np.asarray(x, dtype=float)
     ys = np.asarray(ys, dtype=float)
     kind = spec.kind
     if kind == KIND_UNIT_DISTANCE:
-        return np.linalg.norm(ys - x, axis=-1)
+        return np.sqrt(_squared_distance(ys, x))
     if kind == KIND_DOT_PRODUCT:
         return ys @ x
     if kind == KIND_PARABOLOID:
-        diff = ys[..., :-1] - x[:-1]
-        return ys[..., -1] - x[-1] - np.sum(diff * diff, axis=-1)
+        # the whole sum is subtracted at once; square by square rounds differently
+        return ys[..., -1] - x[-1] - _squared_distance(ys[..., :-1], x[:-1])
     if kind == KIND_DIFFEO_DISTANCE:
-        return np.linalg.norm(diffeo_map(spec, ys) - x, axis=-1)
+        return np.sqrt(_squared_distance(diffeo_map(spec, ys), x))
     if kind == KIND_MAX_NORM:
         return np.max(np.abs(ys - x), axis=-1)
     if kind == KIND_BOURGAIN_CURVE:

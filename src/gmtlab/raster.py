@@ -27,6 +27,9 @@ checked against, and the route for phase bands that have no spans.
 
 3-D set measures use Monte Carlo instead of dense grids; see
 monte_carlo_intersection, and monte_carlo_volumes for many volumes at once.
+Each call draws its chunks of points into one buffer that it reuses, and
+tests both bands in place on the phase values, so a chunk allocates little
+beyond the phase evaluation itself.
 """
 
 from __future__ import annotations
@@ -463,10 +466,11 @@ class MCResult:
 
 MC_MIN_SAMPLES = 100_000
 MC_MIN_HITS = 100
-# Samples per draw.  Each thread's malloc arena keeps its chunk's temporaries,
-# so a larger chunk raises the peak of a whole run; each numpy call releases and
-# retakes the interpreter lock, so a smaller chunk waits more often behind other
-# Python threads (run all --jobs 2).
+# Samples per draw, and rows of each call's reused point buffer.  A smaller
+# chunk makes more numpy calls, each of which releases and retakes the
+# interpreter lock.  A larger one leaves the CPU cache: with the reused buffers,
+# intersection-hypothesis (16 volumes on 2 threads, 2-core x86_64) took
+# 1.04-1.26 s at 2^15 and 1.37-1.73 s at 2^18, with a peak 30 MiB higher.
 _MC_CHUNK = 1 << 15
 
 
@@ -488,18 +492,28 @@ def monte_carlo_intersection(family, delta: float, box, samples: int, seed: int 
     hi = np.asarray(box[1], dtype=float)
     if lo.shape != hi.shape or np.any(hi <= lo):
         raise ArgumentError("invalid sampling box")
-    vol = float(np.prod(hi - lo))
+    width = hi - lo
+    vol = float(np.prod(width))
     rng = np.random.default_rng(seed)
+    buf = np.empty((min(_MC_CHUNK, samples), len(lo)))
     hits = 0
     done = 0
     while done < samples:
         m = min(_MC_CHUNK, samples - done)
-        pts = rng.uniform(lo, hi, size=(m, len(lo)))
-        in_a = np.abs(eval_phase_batch(spec_a, xa, pts) - ta) <= delta
+        # rng.uniform(lo, hi, size=(m, d)) bit for bit, drawn into the buffer;
+        # scaled a column at a time, which is 3x faster than broadcasting width
+        pts = buf[:m]
+        rng.random(out=pts)
+        for col, w, start in zip(pts.T, width, lo):
+            col *= w
+            col += start
+        dev = eval_phase_batch(spec_a, xa, pts)
+        dev -= ta
+        in_a = np.abs(dev, out=dev) <= delta
         if in_a.any():
-            sub = pts[in_a]
-            in_b = np.abs(eval_phase_batch(spec_b, xb, sub) - tb) <= delta
-            hits += int(np.count_nonzero(in_b))
+            dev = eval_phase_batch(spec_b, xb, pts[in_a])
+            dev -= tb
+            hits += int(np.count_nonzero(np.abs(dev, out=dev) <= delta))
         done += m
     p = hits / samples
     estimate = vol * p

@@ -309,6 +309,15 @@ def test_perron_direction_coverage_exact():
     assert not fr.verify_direction_coverage(moved_apex_tree())
 
 
+def test_array_sets_compare_and_hash_by_identity():
+    c = fr.cantor_middle_thirds(2)
+    for make in (lambda: fr.perron_tree(2), lambda: fr.product_point_cloud(c, c, 1, seed=0)):
+        a, b = make(), make()
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2
+
+
 def test_perron_height_parameter():
     t = fr.perron_tree(2, base_triangle_height=2.0)
     total = sum(fr.triangle_area(x) for x in t.triangles)

@@ -68,6 +68,33 @@ def test_batch_matches_scalar_eval():
         assert np.allclose(batch, singles, rtol=0, atol=1e-14)
 
 
+def _roll_diffeo_map(spec, ys):
+    return ys + spec.kappa * np.sin(np.roll(ys, -1, axis=-1))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("kappa", [0.0, 0.3])
+@pytest.mark.parametrize("rows", [(4099,), (37, 53)])
+def test_batch_bit_equal_to_norm_and_roll_formulas(dim, kappa, rows):
+    rng = np.random.default_rng(dim * 100 + len(rows))
+    ys = rng.uniform(-2.0, 2.0, rows + (dim,))
+    x = rng.uniform(-1.0, 1.0, dim)
+    diffeo = ph.PhaseSpec("diffeo-distance", dim, {"kappa": kappa})
+    diff = ys[..., :-1] - x[:-1]
+    expected = [
+        (diffeo, np.linalg.norm(_roll_diffeo_map(diffeo, ys) - x, axis=-1)),
+        (ph.PhaseSpec("unit-distance", dim), np.linalg.norm(ys - x, axis=-1)),
+        (ph.PhaseSpec("translated-paraboloid", dim),
+         ys[..., -1] - x[-1] - np.sum(diff * diff, axis=-1)),
+    ]
+    for spec, want in expected:
+        got = ph.eval_phase_batch(spec, x, ys)
+        assert got.shape == rows
+        assert np.array_equal(got, want), spec.kind
+    assert np.array_equal(ph.diffeo_map(diffeo, ys), _roll_diffeo_map(diffeo, ys))
+    assert np.array_equal(ph.diffeo_map(diffeo, ys[0]), _roll_diffeo_map(diffeo, ys[0]))
+
+
 def test_dimension_mismatch_rejected():
     spec = ph.PhaseSpec("dot-product", 3)
     with pytest.raises(ArgumentError):

@@ -453,11 +453,19 @@ def test_monte_carlo_volumes_raise_a_bad_call(monkeypatch):
         ra.monte_carlo_volumes(calls)
 
 
+def test_monte_carlo_hits_pinned():
+    # recorded before the draws and band tests moved into reused buffers
+    hits = [ra.monte_carlo_intersection(*call).hits for call in mixed_calls()]
+    assert hits == [126, 250, 67, 289, 38, 266]
+
+
 @pytest.mark.parametrize("chunk", [1000, 4097])
 def test_monte_carlo_result_independent_of_chunk_size(monkeypatch, chunk):
-    default = ra.monte_carlo_intersection(mc_family(), 0.1, BOX2, 30_000, seed=5)
+    # the 3-D calls end on a short chunk at both sizes
+    calls = [(mc_family(), 0.1, BOX2, 30_000, 5)] + mixed_calls()
+    default = [ra.monte_carlo_intersection(*call) for call in calls]
     monkeypatch.setattr(ra, "_MC_CHUNK", chunk)
-    assert ra.monte_carlo_intersection(mc_family(), 0.1, BOX2, 30_000, seed=5) == default
+    assert [ra.monte_carlo_intersection(*call) for call in calls] == default
 
 
 # ---------------------------------------------------------------------------
