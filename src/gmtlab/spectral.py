@@ -1,10 +1,19 @@
 """Frequency-side diagnostics for gridded measures.
 
-Densities live on 2-D grids (see raster.GridSpec).  Dyadic band norms use
-radial raised-cosine windows and are computed entirely in the frequency
-domain: for a window eta and DFT F of the density, the band piece's
-cell-volume-weighted L2 norm is sqrt(cell_volume) / n * ||eta * F||_2, by the
-discrete Parseval identity, so no inverse transform is needed.
+Densities live on 2-D grids (see raster.GridSpec).  Every L2 norm here is
+read off one half-spectrum power array P = |rfft2(values)|^2 by the discrete
+Parseval identity, so no full complex spectrum and no inverse transform is
+formed.  A real density's DFT is conjugate-symmetric, so each column k of P
+with 0 < k < n/2 also stands for the mirror column n - k and is weighted by
+2; column 0 and, for even n, the Nyquist column n/2 are their own mirrors
+and keep weight 1.
+
+- Dyadic band norms use radial raised-cosine windows eta evaluated on the
+  half grid: the band piece's cell-volume-weighted L2 norm is
+  sqrt(cell_volume) / n * sqrt(sum(eta^2 P)).
+- Mollified norms use the same P: the bump kernel is even at wrapped
+  offsets, so its DFT K is real, and ||nu * bump||_2 is
+  sqrt(cell_volume^3 * sum(K^2 P)) / n.
 
 Surface spectra are direct oscillatory quadratures of arc-length measures
 with a smooth cutoff; decay slopes come from a least-squares fit of log2
@@ -117,15 +126,25 @@ def lp_projection_norms(density: GriddedDensity, j_max: int):
         raise ArgumentError("j_max must be at least 1")
     if 2**j_max > n // 2:
         raise ArgumentError(f"2^j_max = {2**j_max} exceeds Nyquist {n // 2}")
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    rho = np.hypot(k[:, None], k[None, :])
-    spec = np.fft.fft2(density.values)
+    rho = np.hypot(np.fft.fftfreq(n, d=1.0 / n)[:, None],
+                   np.fft.rfftfreq(n, d=1.0 / n)[None, :])
+    power = _half_power(density.values)
     scale = math.sqrt(density.grid.cell_volume) / n
     out = []
     for j in range(j_max + 1):
-        piece = lp_window(rho, j) * spec
-        out.append((j, scale * float(np.linalg.norm(piece))))
+        eta = lp_window(rho, j)
+        eta *= eta
+        out.append((j, scale * math.sqrt(float(np.vdot(eta, power)))))
     return out
+
+
+def _half_power(values: np.ndarray) -> np.ndarray:
+    """|rfft2(values)|^2, inner columns doubled for their conjugate mirrors."""
+    spec = np.fft.rfft2(values)
+    power = spec.real**2
+    power += spec.imag**2
+    power[:, 1:(values.shape[1] + 1) // 2] *= 2.0
+    return power
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +233,30 @@ def _incidence_phase(spec, pts, levels, weights, delta, grid):
 # mollification
 # ---------------------------------------------------------------------------
 
+def _bump_kernel(grid: GridSpec, epsilon: float) -> np.ndarray:
+    """Unit-mass radial C-infinity bump of radius epsilon at wrapped offsets.
+
+    The bump is built and normalized on its support block of offsets
+    -m .. m per axis (at most one period) and then placed at the wrapped
+    indices, so the kernel is even: kernel[-i, -j] = kernel[i, j].
+    """
+    cell = float(np.max(grid.cell_sizes))
+    if epsilon < 2.0 * cell:
+        raise ArgumentError(f"epsilon {epsilon} under 2 x cell size {2 * cell}")
+    n = grid.cells_per_axis
+    hx, hy = (float(c) for c in grid.cell_sizes)
+    ix, iy = (np.arange(-min(m, (n - 1) // 2), min(m, n // 2) + 1)
+              for m in (int(epsilon / hx) + 1, int(epsilon / hy) + 1))
+    r2 = ((iy * hy)[:, None] ** 2 + (ix * hx)[None, :] ** 2) / epsilon**2
+    block = np.zeros(r2.shape)
+    inside = r2 < 1.0
+    block[inside] = np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
+    block /= block.sum() * grid.cell_volume
+    kernel = np.zeros((n, n))
+    kernel[np.ix_(iy % n, ix % n)] = block
+    return kernel
+
+
 def mollify(nu: GriddedDensity, epsilon: float) -> GriddedDensity:
     """Convolve with a unit-mass radial C-infinity bump of radius epsilon.
 
@@ -222,32 +265,31 @@ def mollify(nu: GriddedDensity, epsilon: float) -> GriddedDensity:
     Discrete normalization makes mass preservation exact to roundoff.
     """
     grid = nu.grid
-    cell = float(np.max(grid.cell_sizes))
-    if epsilon < 2.0 * cell:
-        raise ArgumentError(f"epsilon {epsilon} under 2 x cell size {2 * cell}")
     n = grid.cells_per_axis
-    hx, hy = (float(c) for c in grid.cell_sizes)
-    dx = np.arange(n) * hx
-    dy = np.arange(n) * hy
-    dx = np.minimum(dx, n * hx - dx)
-    dy = np.minimum(dy, n * hy - dy)
-    r2 = (dy[:, None] ** 2 + dx[None, :] ** 2) / epsilon**2
-    kernel = np.zeros((n, n))
-    inside = r2 < 1.0
-    kernel[inside] = np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
-    kernel /= kernel.sum() * grid.cell_volume
     lam = np.fft.irfft2(
-        np.fft.rfft2(nu.values) * np.fft.rfft2(kernel), s=(n, n)
+        np.fft.rfft2(nu.values) * np.fft.rfft2(_bump_kernel(grid, epsilon)), s=(n, n)
     ) * grid.cell_volume
     np.maximum(lam, 0.0, out=lam)
     return GriddedDensity(grid, lam)
 
 
 def mollified_l2(nu: GriddedDensity, epsilons) -> list:
-    """[(epsilon, ||nu * bump_eps||_2)] for each requested radius."""
+    """[(epsilon, ||nu * bump_eps||_2)] for each requested radius.
+
+    Equal to mollify(nu, epsilon).l2_norm() up to roundoff, from one power
+    array for all radii and no inverse transform.
+    """
     if len(epsilons) == 0:
         raise ArgumentError("no epsilons given")
-    return [(float(e), mollify(nu, float(e)).l2_norm()) for e in epsilons]
+    grid = nu.grid
+    power = _half_power(nu.values)
+    out = []
+    for e in epsilons:
+        k = np.fft.rfft2(_bump_kernel(grid, float(e))).real
+        k = k * k
+        total = grid.cell_volume**3 * float(np.vdot(k, power))
+        out.append((float(e), math.sqrt(total) / grid.cells_per_axis))
+    return out
 
 
 # ---------------------------------------------------------------------------

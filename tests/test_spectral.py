@@ -129,6 +129,38 @@ def test_cantor_square_band_decay_slope():
     assert abs(fit.slope - 0.3691) <= 0.10
 
 
+def full_spectrum_band_norms(density, j_max):
+    """Reference: every band piece formed on the full complex fft2."""
+    n = density.grid.cells_per_axis
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    rho = np.hypot(k[:, None], k[None, :])
+    spec = np.fft.fft2(density.values)
+    scale = math.sqrt(density.grid.cell_volume) / n
+    return [(j, scale * float(np.linalg.norm(sp.lp_window(rho, j) * spec)))
+            for j in range(j_max + 1)]
+
+
+# even n (Nyquist column weight 1), odd n (no Nyquist column), hx != hy
+SPECTRAL_GRIDS = [(UNIT_BOX, 128), (UNIT_BOX, 127), (((-1.2, -1.3), (2.2, 1.3)), 96)]
+
+
+@pytest.mark.parametrize("box,n", SPECTRAL_GRIDS)
+def test_half_spectrum_band_norms_match_full_spectrum(box, n):
+    grid = ra.GridSpec(box, n)
+    rng = np.random.default_rng(n)
+    c3 = fr.cantor_middle_thirds(3)
+    densities = (sp.GriddedDensity(grid, rng.random((n, n))),
+                 sp.incidence_density(ra.Circle, fr.product_point_cloud(c3, c3, 1, seed=0),
+                                      1.0, 0.05, grid))
+    j_max = int(math.log2(n // 2))
+    for density in densities:
+        got = sp.lp_projection_norms(density, j_max)
+        want = full_spectrum_band_norms(density, j_max)
+        assert [j for j, _ in got] == [j for j, _ in want]
+        for (_, g), (_, w) in zip(got, want):
+            assert g == pytest.approx(w, rel=1e-12)
+
+
 def test_lp_rejects_bad_j_max():
     d = dirac_density(n=64)
     with pytest.raises(ArgumentError):
@@ -245,6 +277,48 @@ def test_mollify_fixes_constants():
         assert abs(nrm / base - 1.0) <= 0.01
 
 
+@pytest.mark.parametrize("box,n", SPECTRAL_GRIDS)
+def test_mollified_l2_matches_mollify_norm(box, n):
+    grid = ra.GridSpec(box, n)
+    c3 = fr.cantor_middle_thirds(3)
+    nu = sp.incidence_density(ra.Circle, fr.product_point_cloud(c3, c3, 1, seed=0),
+                              1.0, 0.05, grid)
+    # every bump wraps round both axes (negative offsets); the widest one
+    # reaches past half the box, so its support block is a full period
+    lo, hi = grid.box
+    widest = 0.6 * max(h - l for l, h in zip(lo, hi))
+    eps = [2.5 * float(np.max(grid.cell_sizes)), 0.15, widest]
+    got = sp.mollified_l2(nu, eps)
+    assert [e for e, _ in got] == eps
+    for e, g in got:
+        assert g == pytest.approx(sp.mollify(nu, e).l2_norm(), rel=1e-12)
+
+
+@pytest.mark.parametrize("box,n", SPECTRAL_GRIDS)
+def test_mollified_point_mass_is_the_wrapped_bump(box, n):
+    # a point mass in the corner cell: its mollification is the bump itself,
+    # wrapped round both axes, so the support block must match the bump
+    # sampled at every cell's nearest wrapped offset; the widest bump reaches
+    # past half the box
+    grid = ra.GridSpec(box, n)
+    lo, _ = grid.box
+    corner = tuple(l + 0.5 * h for l, h in zip(lo, grid.cell_sizes))
+    nu = sp.grid_density_from_points(fr.PointSet((corner,), (1.0,)), grid)
+    hx, hy = (float(c) for c in grid.cell_sizes)
+    dx = np.arange(n) * hx
+    dy = np.arange(n) * hy
+    dx = np.minimum(dx, n * hx - dx)
+    dy = np.minimum(dy, n * hy - dy)
+    for eps in (2.5 * max(hx, hy), 0.15, 0.6 * n * max(hx, hy)):
+        r2 = (dy[:, None] ** 2 + dx[None, :] ** 2) / eps**2
+        bump = np.zeros((n, n))
+        inside = r2 < 1.0
+        bump[inside] = np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
+        bump /= bump.sum() * grid.cell_volume
+        lam = sp.mollify(nu, eps).values
+        assert np.max(np.abs(lam - bump)) <= 1e-12 * float(bump.max())
+
+
 def test_mollify_validation():
     grid = ra.GridSpec(UNIT_BOX, 64)                      # cell ~ 0.0156
     u = sp.GriddedDensity(grid, np.ones((64, 64)))
@@ -263,8 +337,8 @@ def test_mollified_dichotomy_bounded_vs_blowup():
     c5 = fr.cantor_middle_thirds(5)
     square = fr.product_point_cloud(c5, c5, 1, seed=0)
     nu_sq = sp.incidence_density(ra.Circle, square, 1.0, 0.005, grid)
-    ratios = [b / a for (_, a), (_, b) in zip(
-        sp.mollified_l2(nu_sq, eps), sp.mollified_l2(nu_sq, eps)[1:])]
+    series = sp.mollified_l2(nu_sq, eps)
+    ratios = [b / a for (_, a), (_, b) in zip(series, series[1:])]
     assert all(r <= 1.05 for r in ratios)
     line = fr.product_point_cloud(
         fr.cantor_middle_thirds(8), fr.IntervalSet(((0.0, 0.0),), 0), 1, seed=0)
