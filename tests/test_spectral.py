@@ -285,9 +285,8 @@ def test_mollified_l2_matches_mollify_norm(box, n):
                               1.0, 0.05, grid)
     # every bump wraps round both axes (negative offsets); the widest one
     # reaches past half the box, so its support block is a full period
-    lo, hi = grid.box
-    widest = 0.6 * max(h - l for l, h in zip(lo, hi))
-    eps = [2.5 * float(np.max(grid.cell_sizes)), 0.15, widest]
+    cell = float(np.max(grid.cell_sizes))
+    eps = [2.5 * cell, 0.15, 0.6 * n * cell]
     got = sp.mollified_l2(nu, eps)
     assert [e for e, _ in got] == eps
     for e, g in got:
