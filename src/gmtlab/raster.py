@@ -16,10 +16,11 @@ a span to the cells whose center it contains, and spans_to_cells turns the
 spans of a batch into cells with a difference array (np.add.at, then a
 cumulative sum) per block of rows.  It gives the union (union_scanline), the
 exact per-cell cover counts (rasterize_circles), each shape's cell total
-and a weighted deposit.  The interior probe max_inscribed_interval reads its
-runs from the same cell ranges, with no raster.  One walk, _cell_ranges,
-asks for _SPAN_CHUNK // len(batch) rows of spans at a time and so bounds the
-span memory of every consumer, the probe included.
+and a weighted deposit, whose difference array is the output itself, summed
+in place.  The interior probe max_inscribed_interval reads its runs from
+the same cell ranges, with no raster.  One walk, _cell_ranges, asks for
+_SPAN_CHUNK // len(batch) rows of spans at a time and so bounds the span
+memory of every consumer, the probe included.
 
 rasterize_band is the phase predicate: it tests |phi(x, c) - t| <= delta at
 every cell center c.  It is the brute-force reference the span kernels are
@@ -302,10 +303,11 @@ def spans_to_cells(grid: GridSpec, count: int, spans, weights=None, counts=False
 
     Rows go a block at a time, and the spans of a block come from
     _cell_ranges a chunk of rows at a time, so the only full-grid arrays are
-    the outputs.  The difference array of a block is one buffer, reused and
-    filled in place by np.add.at: np.bincount would allocate a block-sized
-    array per chunk, and freeing those leaves the heap fragmented and the
-    process larger for the rest of its run.
+    the outputs.  The count difference array of a block is one buffer, reused
+    and filled in place by np.add.at: np.bincount would allocate a
+    block-sized array per chunk, and freeing those leaves the heap fragmented
+    and the process larger for the rest of its run.  The deposit's difference
+    array is the block's own rows of the output, summed in place.
     """
     n = grid.cells_per_axis
     ycent = grid.centers(1)
@@ -322,12 +324,10 @@ def spans_to_cells(grid: GridSpec, count: int, spans, weights=None, counts=False
     mass = None if weights is None else np.zeros((n, n))
     block = max(1, _BLOCK_CELLS // n)
     run = np.zeros(block * n + 1, dtype=np.int64)
-    dep = None if mass is None else np.zeros(block * n + 1)
     for j0 in range(0, n, block):
         j1 = min(j0 + block, n)
         run[:] = 0
-        if dep is not None:
-            dep[:] = 0.0
+        dep = None if mass is None else mass[j0:j1].reshape(-1)    # a view: sums land in mass
         for shape, row, i0, i1 in _cell_ranges(grid, count, spans, ycent[j0:j1]):
             # start is the flat index of a span's first cell in the block
             start, cells = row * n + i0, i1 - i0 + 1
@@ -337,15 +337,15 @@ def spans_to_cells(grid: GridSpec, count: int, spans, weights=None, counts=False
             if dep is not None:
                 w = density[shape]
                 np.add.at(dep, start, w)
-                np.subtract.at(dep, start + cells, w)
+                inner = start + cells < len(dep)    # later ends never reach the sum
+                np.subtract.at(dep, (start + cells)[inner], w[inner])
         np.cumsum(run, out=run)
         block_counts = run[: (j1 - j0) * n].reshape(j1 - j0, n)
         np.greater(block_counts, 0, out=bits[j0:j1])
         if cover is not None:
             cover[j0:j1] = block_counts
-        if mass is not None:
+        if dep is not None:
             np.cumsum(dep, out=dep)
-            mass[j0:j1] = dep[: (j1 - j0) * n].reshape(j1 - j0, n)
     if mass is not None:
         # the integer cover pins the support, so prefix-sum roundoff dust
         # cannot leak outside the banded cells

@@ -2,18 +2,19 @@
 
 Densities live on 2-D grids (see raster.GridSpec).  Every L2 norm here is
 read off one half-spectrum power array P = |rfft2(values)|^2 by the discrete
-Parseval identity, so no full complex spectrum and no inverse transform is
-formed.  A real density's DFT is conjugate-symmetric, so each column k of P
-with 0 < k < n/2 also stands for the mirror column n - k and is weighted by
-2; column 0 and, for even n, the Nyquist column n/2 are their own mirrors
-and keep weight 1.
+Parseval identity; P (squared out of a spectrum whose y transform is written
+over its x transform) is the only full-size array formed.  A real density's
+DFT is conjugate-symmetric, so each column k of P with 0 < k < n/2 also
+stands for the mirror column n - k and is weighted by 2; column 0 and, for
+even n, the Nyquist column n/2 are their own mirrors and keep weight 1.
 
-- Dyadic band norms use radial raised-cosine windows eta evaluated on the
-  half grid: the band piece's cell-volume-weighted L2 norm is
-  sqrt(cell_volume) / n * sqrt(sum(eta^2 P)).
+- Dyadic band norms use radial raised-cosine windows eta, evaluated on the
+  half grid a block of rows at a time: the band piece's cell-volume-weighted
+  L2 norm is sqrt(cell_volume) / n * sqrt(sum(eta^2 P)).
 - Mollified norms use the same P: the bump kernel is even at wrapped
   offsets, so its DFT K is real, and ||nu * bump||_2 is
-  sqrt(cell_volume^3 * sum(K^2 P)) / n.
+  sqrt(cell_volume^3 * sum(K^2 P)) / n.  K comes from the bump's support
+  block a block of columns at a time, never from an n x n kernel.
 
 Surface spectra are direct oscillatory quadratures of arc-length measures
 with a smooth cutoff; decay slopes come from a least-squares fit of log2
@@ -40,6 +41,7 @@ LP_WINDOW_WIDTH = 0.015
 QUAD_NODES = 4096
 ARC_HALF_WIDTH = 1.1
 ARC_PLATEAU = 0.7
+_BLOCK_FREQS = 1 << 16   # half-spectrum entries per window or kernel block (memory bound)
 
 
 @dataclass
@@ -63,7 +65,7 @@ class GriddedDensity:
             raise ArgumentError("total_mass inconsistent with values")
 
     def l2_norm(self) -> float:
-        return float(np.sqrt(np.sum(self.values**2) * self.grid.cell_volume))
+        return float(np.sqrt(np.vdot(self.values, self.values) * self.grid.cell_volume))
 
 
 def grid_density_from_points(points, grid: GridSpec) -> GriddedDensity:
@@ -126,23 +128,27 @@ def lp_projection_norms(density: GriddedDensity, j_max: int):
         raise ArgumentError("j_max must be at least 1")
     if 2**j_max > n // 2:
         raise ArgumentError(f"2^j_max = {2**j_max} exceeds Nyquist {n // 2}")
-    rho = np.hypot(np.fft.fftfreq(n, d=1.0 / n)[:, None],
-                   np.fft.rfftfreq(n, d=1.0 / n)[None, :])
     power = _half_power(density.values)
+    fy = np.fft.fftfreq(n, d=1.0 / n)[:, None]
+    fx = np.fft.rfftfreq(n, d=1.0 / n)[None, :]
+    sums = np.zeros(j_max + 1)
+    step = max(1, _BLOCK_FREQS // power.shape[1])
+    for r0 in range(0, n, step):
+        rho = np.hypot(fy[r0 : r0 + step], fx)
+        for j in range(j_max + 1):
+            eta = lp_window(rho, j)
+            eta *= eta
+            sums[j] += np.vdot(eta, power[r0 : r0 + step])
     scale = math.sqrt(density.grid.cell_volume) / n
-    out = []
-    for j in range(j_max + 1):
-        eta = lp_window(rho, j)
-        eta *= eta
-        out.append((j, scale * math.sqrt(float(np.vdot(eta, power)))))
-    return out
+    return [(j, scale * math.sqrt(float(s))) for j, s in enumerate(sums)]
 
 
 def _half_power(values: np.ndarray) -> np.ndarray:
     """|rfft2(values)|^2, inner columns doubled for their conjugate mirrors."""
-    spec = np.fft.rfft2(values)
-    power = spec.real**2
-    power += spec.imag**2
+    spec = np.fft.rfft(values, axis=1)
+    np.fft.fft(spec, axis=0, out=spec)      # rfft2, in the memory of one spectrum
+    power = np.square(spec.real)
+    power += np.square(spec.imag, out=spec.imag)
     power[:, 1:(values.shape[1] + 1) // 2] *= 2.0
     return power
 
@@ -233,12 +239,15 @@ def _incidence_phase(spec, pts, levels, weights, delta, grid):
 # mollification
 # ---------------------------------------------------------------------------
 
-def _bump_kernel(grid: GridSpec, epsilon: float) -> np.ndarray:
-    """Unit-mass radial C-infinity bump of radius epsilon at wrapped offsets.
+def _bump_dft(grid: GridSpec, epsilon: float):
+    """Column blocks (cols, K[:, cols]) of K = rfft2(kernel).real.
 
-    The bump is built and normalized on its support block of offsets
-    -m .. m per axis (at most one period) and then placed at the wrapped
-    indices, so the kernel is even: kernel[-i, -j] = kernel[i, j].
+    The kernel is the unit-mass radial C-infinity bump of radius epsilon at
+    wrapped offsets, normalized on its support block -m .. m per axis (at
+    most one period).  Being even along each axis, K is an rfft along x of
+    the block's rows, then an FFT along y a block of columns at a time:
+    O(n^2 log n) at any radius, where a cosine matmul along y would cost
+    n (2m+1) (n/2+1), cubic for a full-period bump.
     """
     cell = float(np.max(grid.cell_sizes))
     if epsilon < 2.0 * cell:
@@ -252,9 +261,14 @@ def _bump_kernel(grid: GridSpec, epsilon: float) -> np.ndarray:
     inside = r2 < 1.0
     block[inside] = np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
     block /= block.sum() * grid.cell_volume
-    kernel = np.zeros((n, n))
-    kernel[np.ix_(iy % n, ix % n)] = block
-    return kernel
+    rows = np.zeros((len(iy), n))
+    rows[:, ix % n] = block
+    across = np.fft.rfft(rows, axis=1).real
+    step = max(1, _BLOCK_FREQS // n)
+    for c0 in range(0, across.shape[1], step):
+        k = np.zeros((n, min(step, across.shape[1] - c0)), dtype=complex)
+        k[iy % n] = across[:, c0 : c0 + step]
+        yield slice(c0, c0 + k.shape[1]), np.fft.fft(k, axis=0, out=k).real
 
 
 def mollify(nu: GriddedDensity, epsilon: float) -> GriddedDensity:
@@ -265,10 +279,13 @@ def mollify(nu: GriddedDensity, epsilon: float) -> GriddedDensity:
     Discrete normalization makes mass preservation exact to roundoff.
     """
     grid = nu.grid
-    n = grid.cells_per_axis
-    lam = np.fft.irfft2(
-        np.fft.rfft2(nu.values) * np.fft.rfft2(_bump_kernel(grid, epsilon)), s=(n, n)
-    ) * grid.cell_volume
+    spec = np.fft.rfft(nu.values, axis=1)
+    np.fft.fft(spec, axis=0, out=spec)
+    for cols, k in _bump_dft(grid, epsilon):
+        spec[:, cols] *= k
+    np.fft.ifft(spec, axis=0, out=spec)
+    lam = np.fft.irfft(spec, grid.cells_per_axis, axis=1)
+    lam *= grid.cell_volume
     np.maximum(lam, 0.0, out=lam)
     return GriddedDensity(grid, lam)
 
@@ -285,10 +302,8 @@ def mollified_l2(nu: GriddedDensity, epsilons) -> list:
     power = _half_power(nu.values)
     out = []
     for e in epsilons:
-        k = np.fft.rfft2(_bump_kernel(grid, float(e))).real
-        k = k * k
-        total = grid.cell_volume**3 * float(np.vdot(k, power))
-        out.append((float(e), math.sqrt(total) / grid.cells_per_axis))
+        total = sum(float(np.vdot(k * k, power[:, cols])) for cols, k in _bump_dft(grid, float(e)))
+        out.append((float(e), math.sqrt(grid.cell_volume**3 * total) / grid.cells_per_axis))
     return out
 
 

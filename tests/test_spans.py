@@ -16,6 +16,7 @@ boundaries.
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -188,6 +189,64 @@ def test_triangle_spans_match_brute_force(triangles, n, rows, chunk):
         union = ra.rasterize_triangles(triangles, grid)
     _check(bits, cover, totals, inside, [e <= EDGE_TOL for e in edge])
     assert np.array_equal(union.bits, bits)
+
+
+def separate_buffer_deposit(grid, count, spans, weights, bits):
+    """The weighted deposit summed in its own buffer of block * n + 1 cells.
+
+    This is spans_to_cells' deposit as it was before it was written in place:
+    every span adds its density at its first cell and subtracts it one past
+    its last, even where that is one past the block's last cell.  Also
+    returns, per row block, how many spans end on the block's last cell.
+    """
+    n = grid.cells_per_axis
+    ycent = grid.centers(1)
+    first = np.zeros(count)
+    for shape, _, i0, i1 in ra._cell_ranges(grid, count, spans, ycent):
+        first += np.bincount(shape, i1 - i0 + 1, minlength=count)
+    density = np.divide(weights, first * grid.cell_volume, out=np.zeros(count),
+                        where=first > 0)
+    mass = np.zeros((n, n))
+    block = max(1, ra._BLOCK_CELLS // n)
+    dep = np.zeros(block * n + 1)
+    edge_ends = []
+    for j0 in range(0, n, block):
+        j1 = min(j0 + block, n)
+        dep[:] = 0.0
+        edge_ends.append(0)
+        for shape, row, i0, i1 in ra._cell_ranges(grid, count, spans, ycent[j0:j1]):
+            start, cells = row * n + i0, i1 - i0 + 1
+            w = density[shape]
+            np.add.at(dep, start, w)
+            np.subtract.at(dep, start + cells, w)
+            edge_ends[-1] += int(np.count_nonzero(start + cells == (j1 - j0) * n))
+        np.cumsum(dep, out=dep)
+        mass[j0:j1] = dep[: (j1 - j0) * n].reshape(j1 - j0, n)
+    mass[~bits] = 0.0
+    np.maximum(mass, 0.0, out=mass)
+    return mass, edge_ends
+
+
+@pytest.mark.parametrize("n,rows", [(37, 4), (48, 5), (29, 3)])
+def test_in_place_deposit_is_byte_equal_to_separate_buffer(n, rows):
+    # shapes wider than the box run to its right edge, so spans end on a
+    # block's last cell; the first shape covers the top right corner, the
+    # last cell of the last block, which is partial as n is not a multiple
+    # of rows
+    grid = ra.GridSpec(((-1.0, -2.0), (1.0, 2.0)), n)
+    rng = np.random.default_rng(n)
+    for kind in (ra.Circle, ra.SquareBoundary):
+        centers = np.vstack([(1.0, 2.0), rng.uniform(-1.8, 1.8, (5, 2))])
+        obj = kind(centers, np.r_[0.2, rng.uniform(0.3, 1.5, 5)])
+        w = rng.uniform(0.01, 1.0, 6)
+        spans = lambda ys: obj.spans(ys, 0.3)       # noqa: E731
+        with mock.patch.object(ra, "_BLOCK_CELLS", rows * n), \
+                mock.patch.object(ra, "_SPAN_CHUNK", 2):
+            bits, _, _, mass = ra.spans_to_cells(grid, len(obj), spans, weights=w)
+            want, edge_ends = separate_buffer_deposit(grid, len(obj), spans, w, bits)
+        assert len(edge_ends) == -(-n // rows) and n % rows
+        assert edge_ends[-1] > 0 and any(edge_ends[:-1])
+        assert mass.tobytes() == want.tobytes()
 
 
 def _longest_run(bits):

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -161,6 +163,27 @@ def test_half_spectrum_band_norms_match_full_spectrum(box, n):
             assert g == pytest.approx(w, rel=1e-12)
 
 
+@pytest.mark.parametrize("box,n", SPECTRAL_GRIDS)
+def test_spectral_blocks_tile_the_half_spectrum(box, n):
+    # blocks of 11 frequency rows for the band windows and of 6 columns for
+    # the bump DFT: several blocks per call, the last one partial
+    grid = ra.GridSpec(box, n)
+    nu = sp.GriddedDensity(grid, np.random.default_rng(n).random((n, n)))
+    cell = float(np.max(grid.cell_sizes))
+    eps = [2.5 * cell, 0.15, 0.6 * n * cell]
+    whole = [sp.mollify(nu, e).values for e in eps]
+    with mock.patch.object(sp, "_BLOCK_FREQS", 6 * n):
+        bands = sp.lp_projection_norms(nu, int(math.log2(n // 2)))
+        norms = sp.mollified_l2(nu, eps)
+        pieces = [sp.mollify(nu, e).values for e in eps]
+    for (_, g), (_, w) in zip(bands, full_spectrum_band_norms(nu, len(bands) - 1)):
+        assert g == pytest.approx(w, rel=1e-12)
+    for (_, g), lam in zip(norms, whole):
+        assert g == pytest.approx(sp.GriddedDensity(grid, lam).l2_norm(), rel=1e-12)
+    for got, lam in zip(pieces, whole):
+        assert np.max(np.abs(got - lam)) <= 1e-12 * float(lam.max())
+
+
 def test_lp_rejects_bad_j_max():
     d = dirac_density(n=64)
     with pytest.raises(ArgumentError):
@@ -316,6 +339,77 @@ def test_mollified_point_mass_is_the_wrapped_bump(box, n):
         bump /= bump.sum() * grid.cell_volume
         lam = sp.mollify(nu, eps).values
         assert np.max(np.abs(lam - bump)) <= 1e-12 * float(bump.max())
+
+
+def wrapped_bump_kernel(grid, epsilon):
+    """Reference: the bump's support block placed in an n x n kernel.
+
+    The block of offsets -m .. m per axis (at most one period) is built and
+    normalized as the mollifier does and written at the wrapped indices.
+    """
+    n = grid.cells_per_axis
+    hx, hy = (float(c) for c in grid.cell_sizes)
+    ix, iy = (np.arange(-min(m, (n - 1) // 2), min(m, n // 2) + 1)
+              for m in (int(epsilon / hx) + 1, int(epsilon / hy) + 1))
+    r2 = ((iy * hy)[:, None] ** 2 + (ix * hx)[None, :] ** 2) / epsilon**2
+    block = np.zeros(r2.shape)
+    inside = r2 < 1.0
+    block[inside] = np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
+    block /= block.sum() * grid.cell_volume
+    kernel = np.zeros((n, n))
+    kernel[np.ix_(iy % n, ix % n)] = block
+    return kernel
+
+
+@pytest.mark.parametrize("box,n", SPECTRAL_GRIDS)
+def test_bump_dft_matches_wrapped_kernel_transform(box, n):
+    grid = ra.GridSpec(box, n)
+    cell = float(np.max(grid.cell_sizes))
+    for eps in (2.5 * cell, 0.15, 0.6 * n * cell):       # the last is a full period
+        want = np.fft.rfft2(wrapped_bump_kernel(grid, eps)).real
+        # one block of columns, then blocks of 6 with a partial last one
+        for block in (sp._BLOCK_FREQS, 6 * n):
+            with mock.patch.object(sp, "_BLOCK_FREQS", block):
+                cols, ks = zip(*sp._bump_dft(grid, eps))
+            assert [c.start for c in cols] == [0] + [c.stop for c in cols[:-1]]
+            assert cols[-1].stop == n // 2 + 1
+            got = np.concatenate(ks, axis=1)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_spectral_calls_stay_within_memory_bounds():
+    # tracemalloc sees numpy's buffers; each call's peak above what was live
+    # before it, outputs included, is bounded in n x n float arrays
+    grid = ra.GridSpec(((-1.1, -1.1), (2.1, 2.1)), 1024)
+    c5 = fr.cantor_middle_thirds(5)
+    cloud = fr.product_point_cloud(c5, c5, seed=0)
+
+    def peak(call):
+        tracemalloc.reset_peak()
+        live = tracemalloc.get_traced_memory()[0]
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1] - live
+
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        nu, deposit = peak(lambda: sp.incidence_density(ra.Circle, cloud, 1.0, 0.01, grid))
+        _, bands = peak(lambda: sp.lp_projection_norms(nu, 9))
+        _, mollified = peak(lambda: sp.mollified_l2(nu, [0.08, 0.04, 0.02, 0.01]))
+        _, smoothed = peak(lambda: sp.mollify(nu, 0.08))
+    finally:
+        if started:
+            tracemalloc.stop()
+    full = nu.values.nbytes
+    # the deposit and its bits, and the span kernel's int64 count buffer of
+    # one row block (2^22 cells, four grids at n = 1024)
+    assert deposit <= 7.0 * full
+    # one half spectrum (about one grid) and its power (about half)
+    assert bands <= 2.0 * full
+    assert mollified <= 2.0 * full
+    # the spectrum and the output
+    assert smoothed <= 2.5 * full
 
 
 def test_mollify_validation():
