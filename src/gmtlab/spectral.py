@@ -2,11 +2,11 @@
 
 Densities live on 2-D grids (see raster.GridSpec).  Every L2 norm here is
 read off one half-spectrum power array P = |rfft2(values)|^2 by the discrete
-Parseval identity; P (squared out of a spectrum whose y transform is written
-over its x transform) is the only full-size array formed.  A real density's
-DFT is conjugate-symmetric, so each column k of P with 0 < k < n/2 also
-stands for the mirror column n - k and is weighted by 2; column 0 and, for
-even n, the Nyquist column n/2 are their own mirrors and keep weight 1.
+Parseval identity; the only other full-size array is the spectrum P is
+squared out of, its y transform written over its x transform.  A real
+density's DFT is conjugate-symmetric, so each column k of P with 0 < k < n/2
+also stands for the mirror column n - k and is weighted by 2; column 0 and,
+for even n, the Nyquist column n/2 are their own mirrors and keep weight 1.
 
 - Dyadic band norms use radial raised-cosine windows eta, evaluated on the
   half grid a block of rows at a time: the band piece's cell-volume-weighted
