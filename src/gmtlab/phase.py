@@ -141,6 +141,60 @@ def diffeo_inverse(spec: PhaseSpec, z, tol=1e-13, max_iter=60):
     return y
 
 
+SIN32_ERROR = 2.0 ** -21      # assumed |float32 sin(v) - sin(v)| for float32 v (8 ULP of 1)
+SCREEN_MAX_COORD = 2.0 ** 20  # largest |y_i| the float32 screen is used for
+
+
+def screen_margin(spec: PhaseSpec, x, t: float, bound: float):
+    """Bound on |screened_distance - eval_phase_batch| over |y_i| <= bound, or None.
+
+    None means the kind has no screen (only diffeo-distance has one), or
+    bound exceeds SCREEN_MAX_COORD, or the margin is not finite.  The
+    screened Phi'(y) takes float32 sines s'_j = sin32(f32(y_j)), and
+        |s'_j - sin y_j| <= |sin32(f32 y_j) - sin(f32 y_j)| + |f32 y_j - y_j|
+                         <= SIN32_ERROR + bound * 2**-24,
+    since sin is 1-Lipschitz and a float32 cast is off by at most |y| * 2**-24
+    (2**-150 below float32's normal range, which the slack covers).  Every
+    coordinate of Phi' - Phi is kappa * (s'_j - sin y_j), and |Phi - x| is
+    1-Lipschitz in Phi, so the exact distances differ by at most
+    sqrt(d) * |kappa| * (SIN32_ERROR + bound * 2**-24).  Rounding in the two
+    float64 evaluations and in the comparison with t stays below a few d**1.5
+    units of 2**-53 times S = 1 + bound + |kappa| + max|x_i| + |t|; the slack
+    d**2 * 2**-40 * S covers it many times over.
+    """
+    if spec.kind != KIND_DIFFEO_DISTANCE or not bound <= SCREEN_MAX_COORD:
+        return None
+    d, kappa = spec.dim, abs(spec.kappa)
+    scale = 1.0 + bound + kappa + float(np.max(np.abs(x))) + abs(t)
+    margin = (np.sqrt(d) * kappa * (SIN32_ERROR + bound * 2.0 ** -24)
+              + d * d * scale * 2.0 ** -40)
+    return margin if np.isfinite(margin) else None
+
+
+def screened_distance(spec: PhaseSpec, x, ys) -> np.ndarray:
+    """|Phi'(y) - x| for (m, d) rows ys, with the sines of Phi' taken in float32.
+
+    The sines come from one cast of ys to a transposed (d, m) float32 array
+    and one sin call on it.  Phi' and the distance are formed in float64 a
+    column at a time, so no op runs over the (m, d) layout.  screen_margin
+    bounds the difference from eval_phase_batch.
+    """
+    m, d = ys.shape
+    s = np.array(ys.T, dtype=np.float32, order="C")
+    np.sin(s, out=s)
+    kappa = np.float64(spec.kappa)      # a float64 scalar keeps the products float64
+    acc, term = np.empty(m), np.empty(m)
+    for i in range(d):
+        col = acc if i == 0 else term
+        np.multiply(s[(i + 1) % d], kappa, out=col)
+        col += ys[:, i]
+        col -= x[i]
+        col *= col
+        if i:
+            acc += term
+    return np.sqrt(acc, out=acc)
+
+
 def check_diffeo(spec: PhaseSpec, box, samples=200, seed=0) -> float:
     """Smallest |det DPhi| over seeded sample points of the box; > 0 means invertible."""
     lo, hi = np.asarray(box[0], float), np.asarray(box[1], float)

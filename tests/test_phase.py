@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmtlab import phase as ph
 from gmtlab.errors import (
@@ -293,6 +295,56 @@ def test_diffeo_jacobian_matches_fd():
         e[j] = h
         col = (ph.diffeo_map(spec, y + e) - ph.diffeo_map(spec, y - e)) / (2 * h)
         assert np.allclose(col, jac[:, j], atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# float32 screen of the diffeo distance
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(dim=st.sampled_from([2, 3]), kappa=st.floats(-0.999, 0.999),
+       bound=st.floats(1e-3, 1e6), seed=st.integers(0, 2**32 - 1))
+def test_screened_distance_within_margin(dim, kappa, bound, seed):
+    spec = ph.PhaseSpec("diffeo-distance", dim, {"kappa": kappa})
+    rng = np.random.default_rng(seed)
+    ys = rng.uniform(-bound, bound, (515, dim))
+    ys[0], ys[1] = bound, -bound                # corners of the box
+    x = rng.uniform(-bound, bound, dim)
+    exact = ph.eval_phase_batch(spec, x, ys)
+    t = exact[2]                                # a level through one sample
+    margin = ph.screen_margin(spec, x, t, bound)
+    screened = ph.screened_distance(spec, x, ys)
+    assert np.max(np.abs(screened - exact)) <= margin
+    # the screen keeps every row the exact test keeps, at the tightest delta
+    # that keeps it: |exact - t| itself
+    tight = np.abs(exact - t)
+    assert np.all(np.abs(screened - t) <= tight + margin)
+
+
+def test_float32_sin_within_assumed_error():
+    # SIN32_ERROR is an assumption about the installed numpy's float32 sin:
+    # small and large arguments up to SCREEN_MAX_COORD, and the multiples of
+    # pi/2 there, where the argument reduction is hardest
+    rng = np.random.default_rng(0)
+    args = np.concatenate([
+        rng.uniform(-4.0, 4.0, 1 << 18),
+        rng.uniform(-ph.SCREEN_MAX_COORD, ph.SCREEN_MAX_COORD, 1 << 18),
+        np.arange(-(1 << 19), 1 << 19) * (np.pi / 2),
+    ]).astype(np.float32)
+    assert len(args) >= 10**6
+    assert np.max(np.abs(args)) <= ph.SCREEN_MAX_COORD
+    err = np.abs(np.sin(args) - np.sin(args.astype(np.float64)))
+    assert np.max(err) <= ph.SIN32_ERROR
+
+
+def test_screen_margin_only_for_diffeo_in_range():
+    x, t = (0.0, 0.0, 0.0), 1.0
+    diffeo = ph.PhaseSpec("diffeo-distance", 3, {"kappa": 0.3})
+    assert 0.0 < ph.screen_margin(diffeo, x, t, 1.45) < 1e-6
+    assert ph.screen_margin(diffeo, x, t, 2.0 * ph.SCREEN_MAX_COORD) is None
+    assert ph.screen_margin(diffeo, x, t, float("nan")) is None
+    for kind in ("unit-distance", "translated-paraboloid"):
+        assert ph.screen_margin(ph.PhaseSpec(kind, 3), x, t, 1.45) is None
 
 
 # ---------------------------------------------------------------------------

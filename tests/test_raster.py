@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from gmtlab import fractal as fr
+from gmtlab import phase as ph
 from gmtlab import raster as ra
 from gmtlab.errors import ArgumentError, GridMismatchError
-from gmtlab.phase import PhaseSpec
+from gmtlab.phase import PhaseSpec, eval_phase_batch
 
 BOX2 = ((-1.5, -1.5), (1.5, 1.5))
 
@@ -418,6 +419,14 @@ def test_monte_carlo_validation():
     for samples in (0, -5):
         with pytest.raises(ArgumentError, match="samples"):
             ra.monte_carlo_intersection(mc_family(), 0.1, BOX2, samples)
+    # non-finite inputs: a NaN box used to give a NaN estimate, an infinite
+    # one a RuntimeWarning, and a NaN delta zero hits
+    nan, inf = float("nan"), float("inf")
+    for box in (((-1.5, nan), (1.5, 1.5)), ((-1.5, -1.5), (inf, 1.5))):
+        with pytest.raises(ArgumentError, match="box"):
+            ra.monte_carlo_intersection(mc_family(), 0.1, box, 1000)
+    with pytest.raises(ArgumentError, match="delta"):
+        ra.monte_carlo_intersection(mc_family(), nan, BOX2, 1000)
 
 
 SPHERE3 = PhaseSpec("diffeo-distance", 3, {"kappa": 0.3})
@@ -457,6 +466,47 @@ def test_monte_carlo_hits_pinned():
     # recorded before the draws and band tests moved into reused buffers
     hits = [ra.monte_carlo_intersection(*call).hits for call in mixed_calls()]
     assert hits == [126, 250, 67, 289, 38, 266]
+
+
+def unscreened_hits(family, delta, box, samples, seed):
+    """Hits of monte_carlo_intersection without the float32 screen.
+
+    The loop before the screen: both exact band tests on every sample.
+    """
+    (spec_a, xa, ta), (spec_b, xb, tb) = family
+    lo, hi = np.asarray(box[0], float), np.asarray(box[1], float)
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for done in range(0, samples, ra._MC_CHUNK):
+        pts = rng.uniform(lo, hi, size=(min(ra._MC_CHUNK, samples - done), len(lo)))
+        in_a = np.abs(eval_phase_batch(spec_a, xa, pts) - ta) <= delta
+        dev = eval_phase_batch(spec_b, xb, pts[in_a]) - tb
+        hits += int(np.count_nonzero(np.abs(dev) <= delta))
+    return hits
+
+
+def test_screened_hits_equal_unscreened_on_random_boxes():
+    # far-out boxes make the float32 rounding of y, and so the margin, large
+    # against delta; a margin that missed a term would drop true hits there
+    rng = np.random.default_rng(21)
+    hits = []
+    for case in range(24):
+        d = 2 + case % 3
+        spec = PhaseSpec("diffeo-distance", d, {"kappa": rng.uniform(-0.95, 0.95)})
+        center = rng.uniform(-1.0, 1.0, d) * 10.0 ** (case % 6)
+        half = rng.uniform(0.5, 2.0, d)
+        box = (center - half, center + half)
+        # level sets through the box: t from the distance at a point inside it
+        xa, xb = center + rng.uniform(-2.0, 2.0, (2, d))
+        inside = center + rng.uniform(-0.5, 0.5, d) * half
+        ta, tb = (float(ph.eval_phase(spec, x, inside)) for x in (xa, xb))
+        family = ((spec, xa, ta), (spec, xb, tb))
+        delta = rng.uniform(0.02, 0.3)
+        assert ph.screen_margin(spec, xa, ta, float(np.max(np.abs(box)))) is not None
+        got = ra.monte_carlo_intersection(family, delta, box, 40_000, seed=case).hits
+        assert got == unscreened_hits(family, delta, box, 40_000, case), case
+        hits.append(got)
+    assert sum(h > 0 for h in hits) >= 20
 
 
 @pytest.mark.parametrize("chunk", [1000, 4097])

@@ -279,6 +279,36 @@ def test_intersection_zero_separation_reported_not_judged():
     assert r1 / r0 == pytest.approx(1.0, abs=0.05)
 
 
+def test_intersection_transversal_paraboloids_fail_degenerate_growth(monkeypatch):
+    # the second paraboloid moved sideways by sep at the same level is a
+    # distinct surface, transversal to the first: the intersection scales like
+    # delta^2/sep, so the ratio like (delta + sep)/sep and one halving gives
+    # (0.02 + 0.25)/(0.04 + 0.25) = 0.931, far below the growth floor
+    real = ra.monte_carlo_volumes
+    hits = []
+
+    def sideways(calls):
+        moved = []
+        for fam, delta, box, samples, seed in calls:
+            (spec, xa, ta), (_, xb, _) = fam
+            if spec.kind == "translated-paraboloid":
+                fam = ((spec, xa, ta), (spec, (xb[2], 0.0, 0.0), 1.0))
+            moved.append((fam, delta, box, samples, seed))
+        results = real(moved)
+        hits.extend(mc.hits for (fam, *_), mc in zip(moved, results)
+                    if fam[0][0].kind == "translated-paraboloid")
+        return results
+
+    monkeypatch.setattr(ra, "monte_carlo_volumes", sideways)
+    rep = sc.run_scenario("intersection-hypothesis",
+                          {"samples": 400_000, "separations": [0.25]})
+    # decided, not withheld: every paraboloid cell has enough hits
+    assert len(hits) == 2 and min(hits) >= ra.MC_MIN_HITS
+    assert "inconclusive" not in [v.name for v in rep.verdicts]
+    v = verdict(rep, "degenerate-growth")
+    assert v.measured == pytest.approx(0.931, abs=0.1) and not v.passed
+
+
 def test_intersection_low_confidence_withholds_verdicts():
     rep = sc.run_scenario("intersection-hypothesis",
                           {"samples": 2000, "separations": [0.0, 1.0]})

@@ -403,8 +403,8 @@ def test_spectral_calls_stay_within_memory_bounds():
             tracemalloc.stop()
     full = nu.values.nbytes
     # the deposit and its bits, and the span kernel's int64 count buffer of
-    # one row block (2^22 cells, four grids at n = 1024)
-    assert deposit <= 7.0 * full
+    # one row block, capped at the grid's n rows (one grid)
+    assert deposit <= 3.0 * full
     # one half spectrum (about one grid) and its power (about half)
     assert bands <= 2.0 * full
     assert mollified <= 2.0 * full
