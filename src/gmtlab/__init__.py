@@ -19,7 +19,6 @@ from .errors import (
     GmtLabError,
     GridMismatchError,
     SingularityError,
-    UnsupportedOperationError,
 )
 
 __all__ = [
@@ -29,6 +28,5 @@ __all__ = [
     "GmtLabError",
     "GridMismatchError",
     "SingularityError",
-    "UnsupportedOperationError",
     "__version__",
 ]

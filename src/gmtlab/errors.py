@@ -15,10 +15,6 @@ class ArgumentError(GmtLabError, ValueError):
     """Invalid argument: dimension mismatch, out-of-range parameter, bad key."""
 
 
-class UnsupportedOperationError(GmtLabError):
-    """Operation not defined for this input (e.g. derivatives of a non-smooth phase)."""
-
-
 class SingularityError(GmtLabError):
     """Evaluation at a singular configuration (e.g. distance phase at x == y)."""
 

@@ -93,24 +93,6 @@ class PointSet:
     def __len__(self):
         return len(self.points)
 
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    def bounding_box(self):
-        return self.points.min(axis=0), self.points.max(axis=0)
-
-    def pairwise_min_distance(self) -> float:
-        pts = self.points
-        best = np.inf
-        for i in range(0, len(pts), 512):
-            chunk = pts[i : i + 512]
-            d2 = np.sum((chunk[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-            rows = np.arange(len(chunk))
-            d2[rows, rows + i] = np.inf     # mask self-distances
-            best = min(best, float(d2.min()))
-        return float(np.sqrt(best))
-
 
 @dataclass(frozen=True, eq=False)   # array fields: compare and hash by identity
 class TriangleSet:

@@ -2,9 +2,11 @@
 
 A phase is a scalar function phi(x, y) of two d-dimensional points.  The
 families here are the ones the experiment scenarios need: Euclidean distance,
-dot product, a translated paraboloid graph, distance measured after a smooth
-warp of the y variable, the max-norm (non-smooth control case), and a cubic
-polynomial family whose level curves compress onto the surface X = Y*Z.
+dot product, a translated paraboloid graph, and distance measured after a
+smooth warp of the y variable.  All four are smooth away from their
+singularities.  The cubic curve family whose curves lie in the surface
+X = Y*Z is given by its frozen-parameter curves (bourgain_curve), not as a
+phase kind.
 
 Curvature of a family at (x, y) is the determinant of the (d+1) x (d+1)
 bordered matrix
@@ -14,7 +16,7 @@ bordered matrix
 
 which is nonzero exactly when the level surfaces curve in the way the
 positivity scenarios rely on.  Analytic derivative formulas are provided for
-every smooth family; an independent central finite-difference path exists so
+every family; an independent central finite-difference path exists so
 the two can be checked against each other.
 """
 
@@ -24,26 +26,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgumentError, EmptyLevelError, SingularityError, UnsupportedOperationError
+from .errors import ArgumentError, EmptyLevelError, SingularityError
 
 KIND_UNIT_DISTANCE = "unit-distance"
 KIND_DOT_PRODUCT = "dot-product"
 KIND_PARABOLOID = "translated-paraboloid"
 KIND_DIFFEO_DISTANCE = "diffeo-distance"
-KIND_MAX_NORM = "max-norm"
-KIND_BOURGAIN_CURVE = "bourgain-curve"
 
 ALL_KINDS = (
     KIND_UNIT_DISTANCE,
     KIND_DOT_PRODUCT,
     KIND_PARABOLOID,
     KIND_DIFFEO_DISTANCE,
-    KIND_MAX_NORM,
-    KIND_BOURGAIN_CURVE,
 )
-
-# max-norm has corners, so every derivative-based operation refuses it.
-SMOOTH_KINDS = tuple(k for k in ALL_KINDS if k != KIND_MAX_NORM)
 
 FD_STEP = 1e-5          # central-difference step for the independent oracle
 LEVEL_TOL = 1e-10       # |phi(x, y) - t| tolerance for level-set points
@@ -64,8 +59,6 @@ class PhaseSpec:
             raise ArgumentError(f"unknown phase kind {self.kind!r}")
         if self.dim < 2:
             raise ArgumentError("phase families need dim >= 2")
-        if self.kind == KIND_BOURGAIN_CURVE and self.dim != 3:
-            raise ArgumentError("bourgain-curve is a 3-parameter family: dim must be 3")
         if self.kind == KIND_DIFFEO_DISTANCE:
             kappa = self.params.get("kappa", DEFAULT_KAPPA)
             if abs(kappa) >= 1.0:
@@ -74,21 +67,6 @@ class PhaseSpec:
     @property
     def kappa(self) -> float:
         return float(self.params.get("kappa", DEFAULT_KAPPA))
-
-    @property
-    def is_smooth(self) -> bool:
-        return self.kind in SMOOTH_KINDS
-
-
-@dataclass(frozen=True)
-class CurvatureSample:
-    """One curvature evaluation: the pair, the determinant, and gradient sizes."""
-
-    x: tuple
-    y: tuple
-    det_value: float
-    grad_x_norm: float
-    grad_y_norm: float
 
 
 def _check_pair(spec: PhaseSpec, x, y):
@@ -195,15 +173,6 @@ def screened_distance(spec: PhaseSpec, x, ys) -> np.ndarray:
     return np.sqrt(acc, out=acc)
 
 
-def check_diffeo(spec: PhaseSpec, box, samples=200, seed=0) -> float:
-    """Smallest |det DPhi| over seeded sample points of the box; > 0 means invertible."""
-    lo, hi = np.asarray(box[0], float), np.asarray(box[1], float)
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(lo, hi, size=(samples, spec.dim))
-    dets = [abs(np.linalg.det(diffeo_jacobian(spec, p))) for p in pts]
-    return float(min(dets))
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
@@ -244,13 +213,6 @@ def eval_phase_batch(spec: PhaseSpec, x, ys) -> np.ndarray:
         return ys[..., -1] - x[-1] - _squared_distance(ys[..., :-1], x[:-1])
     if kind == KIND_DIFFEO_DISTANCE:
         return np.sqrt(_squared_distance(diffeo_map(spec, ys), x))
-    if kind == KIND_MAX_NORM:
-        return np.max(np.abs(ys - x), axis=-1)
-    if kind == KIND_BOURGAIN_CURVE:
-        # x = (x1, x2, t); only the first two y coordinates enter.
-        x1, x2, t = x
-        y1, y2 = ys[..., 0], ys[..., 1]
-        return x1 * y1 + x2 * y2 + t * y1 * y2 + 0.5 * t * t * y1 * y1
     raise ArgumentError(f"unknown phase kind {kind!r}")
 
 
@@ -261,8 +223,6 @@ def eval_phase_batch(spec: PhaseSpec, x, ys) -> np.ndarray:
 def gradients(spec: PhaseSpec, x, y):
     """Analytic (grad_x phi, grad_y phi, d2 phi/dx dy) with mixed[i, j] = d2/dx_i dy_j."""
     x, y = _check_pair(spec, x, y)
-    if not spec.is_smooth:
-        raise UnsupportedOperationError(f"{spec.kind} phase has no derivatives")
     d = spec.dim
     kind = spec.kind
 
@@ -298,26 +258,12 @@ def gradients(spec: PhaseSpec, x, y):
         mixed = (np.outer(u, u @ dphi) - dphi) / rho
         return gx, gy, mixed
 
-    if kind == KIND_BOURGAIN_CURVE:
-        x1, x2, t = x
-        y1, y2 = y[0], y[1]
-        gx = np.array([y1, y2, y1 * y2 + t * y1 * y1])
-        gy = np.array([x1 + t * y2 + t * t * y1, x2 + t * y1, 0.0])
-        mixed = np.array([
-            [1.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0],
-            [y2 + 2.0 * t * y1, y1, 0.0],
-        ])
-        return gx, gy, mixed
-
     raise ArgumentError(f"unknown phase kind {kind!r}")
 
 
 def gradients_fd(spec: PhaseSpec, x, y, h: float = FD_STEP):
     """Central finite differences; independent oracle for the analytic path."""
     x, y = _check_pair(spec, x, y)
-    if not spec.is_smooth:
-        raise UnsupportedOperationError(f"{spec.kind} phase has no derivatives")
     d = spec.dim
     eye = h * np.eye(d)
     gx = np.array([
@@ -361,40 +307,22 @@ def rotational_curvature_fd(spec: PhaseSpec, x, y, h: float = FD_STEP) -> float:
     return float(np.linalg.det(bordered_matrix(gx, gy, mixed)))
 
 
-def curvature_sample(spec: PhaseSpec, x, y) -> CurvatureSample:
-    gx, gy, mixed = gradients(spec, x, y)
-    det = float(np.linalg.det(bordered_matrix(gx, gy, mixed)))
-    return CurvatureSample(
-        x=tuple(float(v) for v in np.atleast_1d(x)),
-        y=tuple(float(v) for v in np.atleast_1d(y)),
-        det_value=det,
-        grad_x_norm=float(np.linalg.norm(gx)),
-        grad_y_norm=float(np.linalg.norm(gy)),
-    )
-
-
 # ---------------------------------------------------------------------------
 # level-set sampling
 # ---------------------------------------------------------------------------
 
-def _default_box(spec: PhaseSpec):
-    return (-2.0 * np.ones(spec.dim), 2.0 * np.ones(spec.dim))
-
-
-def level_points(spec: PhaseSpec, x, t: float, count: int, seed: int = 0, box=None):
+def level_points(spec: PhaseSpec, x, t: float, count: int, seed: int = 0):
     """Sample points on {y : phi(x, y) = t}, each within LEVEL_TOL of the level.
 
-    Distance-like and graph-like families use closed forms; the rest fall back
-    to bisection along seeded rays from x.  Rays that never cross the level are
-    skipped, and an empty result raises.
+    Every kind has a closed form: seeded directions from x for the distance
+    kinds (through the Newton inverse of the warp for diffeo-distance), and
+    seeded offsets along the level hyperplane or graph for dot-product and
+    translated-paraboloid.  Points off the level by more than LEVEL_TOL are
+    dropped, and an empty result raises.
     """
     x, _ = _check_pair(spec, x, np.zeros(spec.dim))
     if count < 1:
         raise ArgumentError("count must be >= 1")
-    if box is None:
-        lo, hi = _default_box(spec)
-    else:
-        lo, hi = np.asarray(box[0], float), np.asarray(box[1], float)
     rng = np.random.default_rng(seed)
     d = spec.dim
     kind = spec.kind
@@ -424,15 +352,6 @@ def level_points(spec: PhaseSpec, x, t: float, count: int, seed: int = 0, box=No
             y[:-1] = x[:-1] + row
             y[-1] = x[-1] + float(row @ row) + t
             pts.append(y)
-    else:
-        # generic path: bracket a sign change of phi - t along rays, then bisect
-        dirs = _directions(rng, d, max(4 * count, 32))
-        for w in dirs:
-            y = _ray_bisect(spec, x, t, w, lo, hi)
-            if y is not None:
-                pts.append(y)
-            if len(pts) == count:
-                break
 
     pts = [p for p in pts if abs(eval_phase(spec, x, p) - t) <= LEVEL_TOL]
     if not pts:
@@ -456,37 +375,8 @@ def _tangent_basis(x):
     return q[:, 1:]
 
 
-def _ray_bisect(spec, x, t, w, lo, hi, scan=256):
-    # longest step that keeps x + s*w inside the box
-    with np.errstate(divide="ignore", invalid="ignore"):
-        smax = np.min(np.where(w > 0, (hi - x) / w, np.where(w < 0, (lo - x) / w, np.inf)))
-    if not np.isfinite(smax) or smax <= 0:
-        return None
-    ss = np.linspace(smax / scan, smax, scan)
-    vals = eval_phase_batch(spec, x, x + ss[:, None] * w) - t
-    sign = np.sign(vals)
-    idx = np.nonzero(sign[:-1] * sign[1:] <= 0)[0]
-    if len(idx) == 0:
-        return None
-    a, b = ss[idx[0]], ss[idx[0] + 1]
-    fa = eval_phase(spec, x, x + a * w) - t
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        fm = eval_phase(spec, x, x + m * w) - t
-        if abs(fm) <= LEVEL_TOL * 0.5:
-            return x + m * w
-        if fa * fm <= 0:
-            b = m
-        else:
-            a, fa = m, fm
-    m = 0.5 * (a + b)
-    if abs(eval_phase(spec, x, x + m * w) - t) <= LEVEL_TOL:
-        return x + m * w
-    return None
-
-
 # ---------------------------------------------------------------------------
-# frozen-parameter curve family of the cubic phase
+# frozen-parameter curves of the cubic family
 # ---------------------------------------------------------------------------
 
 def bourgain_curve(y1, y2, t):

@@ -118,9 +118,6 @@ class GridRaster:
     def area(self) -> float:
         return self.filled_count * self.grid.cell_volume
 
-    def check_count(self) -> bool:
-        return self.filled_count == int(np.count_nonzero(self.bits))
-
 
 # ---------------------------------------------------------------------------
 # geometric band descriptors
@@ -461,9 +458,6 @@ class MCResult:
     hits: int
     samples: int
     low_confidence: bool
-
-    def __iter__(self):                 # allows (est, err) unpacking
-        return iter((self.estimate, self.std_error))
 
 
 MC_MIN_SAMPLES = 100_000

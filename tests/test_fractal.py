@@ -119,8 +119,7 @@ def test_product_cloud_counts_weights_exponent():
     assert len(ps) == 4096
     assert abs(ps.weights.sum() - 1.0) <= 1e-12
     assert ps.claimed_exponent == pytest.approx(2 * LOG32, abs=1e-12)
-    lo, hi = ps.bounding_box()
-    assert np.all(lo >= 0.0) and np.all(hi <= 1.0)
+    assert ps.points.min() >= 0.0 and ps.points.max() <= 1.0
 
 
 def test_product_cloud_line_factor_exponent():
@@ -151,11 +150,18 @@ def test_product_cloud_points_inside_cells():
 # separated lattice
 # ---------------------------------------------------------------------------
 
+def min_distance(points):
+    """Smallest distance between two distinct rows of points."""
+    gaps = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
+    np.fill_diagonal(gaps, np.inf)
+    return gaps.min()
+
+
 def test_lattice_basic():
     ps = fr.separated_lattice(2, seed=0)
     assert len(ps) == 4
     assert ps.min_separation == 0.5
-    assert ps.pairwise_min_distance() >= 0.5
+    assert min_distance(ps.points) >= 0.5
 
 
 def test_lattice_q16_rescaled_fits_unit_square():
@@ -168,7 +174,7 @@ def test_lattice_q16_rescaled_fits_unit_square():
 def test_lattice_separation_over_100_seeds():
     for seed in range(100):
         ps = fr.separated_lattice(5, seed=seed)
-        assert ps.pairwise_min_distance() >= 0.5
+        assert min_distance(ps.points) >= 0.5
 
 
 def test_lattice_rejects_small_q():

@@ -240,6 +240,43 @@ def test_discrete_incidence_integral_dominates_each_q():
         assert integral[q] >= area[q]
 
 
+def doctored_circles(monkeypatch, doctor):
+    """rasterize_circles with its (union, counts, per_band) passed through doctor."""
+    real = ra.rasterize_circles
+    monkeypatch.setattr(ra, "rasterize_circles",
+                        lambda circles, delta, grid: doctor(*real(circles, delta, grid)))
+
+
+def test_discrete_incidence_first_band_only_fails_incidence_dominates(monkeypatch):
+    # per-band totals that keep only the first annulus: the integral drops
+    # to one band's area, below the union of all of them
+    def first_band_only(union, counts, per_band):
+        kept = np.zeros_like(per_band)
+        kept[0] = per_band[0]
+        return union, counts, kept
+
+    doctored_circles(monkeypatch, first_band_only)
+    rep = sc.run_scenario("discrete-incidence", {"n": 512, "qs": [8, 16]})
+    v = verdict(rep, "incidence-dominates")
+    assert v.measured < 0.0 and not v.passed
+
+
+def test_discrete_incidence_thinned_union_fails_area_spread(monkeypatch):
+    # the q = 16 union keeps one cell row in four: its area falls about
+    # fourfold while q = 8 keeps its own, so the spread passes 2
+    def thinned_at_16(union, counts, per_band):
+        if len(per_band) == 16 ** 2:
+            bits = union.bits.copy()
+            bits[np.arange(len(bits)) % 4 != 0] = False
+            union = ra.GridRaster(union.grid, bits)
+        return union, counts, per_band
+
+    doctored_circles(monkeypatch, thinned_at_16)
+    rep = sc.run_scenario("discrete-incidence", {"n": 512, "qs": [8, 16]})
+    v = verdict(rep, "area-spread")
+    assert v.measured == pytest.approx(4.0, rel=0.1) and not v.passed
+
+
 def test_discrete_incidence_rejects_bad_s():
     with pytest.raises(ArgumentError):
         sc.run_scenario("discrete-incidence", {"qs": [8], "s": 2.5})
@@ -307,6 +344,28 @@ def test_intersection_transversal_paraboloids_fail_degenerate_growth(monkeypatch
     assert "inconclusive" not in [v.name for v in rep.verdicts]
     v = verdict(rep, "degenerate-growth")
     assert v.measured == pytest.approx(0.931, abs=0.1) and not v.passed
+
+
+def test_intersection_coincident_spheres_fail_intersection_bound(monkeypatch):
+    # the second warped sphere moved onto the first: the two bands coincide,
+    # so the intersection is a whole band slab and the ratio far exceeds c_pass
+    real = ra.monte_carlo_volumes
+
+    def coincident(calls):
+        moved = []
+        for fam, delta, box, samples, seed in calls:
+            (spec, xa, ta), _ = fam
+            if spec.kind == "diffeo-distance":
+                fam = ((spec, xa, ta), (spec, xa, ta))
+            moved.append((fam, delta, box, samples, seed))
+        return real(moved)
+
+    monkeypatch.setattr(ra, "monte_carlo_volumes", coincident)
+    rep = sc.run_scenario("intersection-hypothesis",
+                          {"samples": 200_000, "separations": [1.0]})
+    assert "inconclusive" not in [v.name for v in rep.verdicts]
+    v = verdict(rep, "intersection-bound")
+    assert v.measured > 2 * v.threshold and not v.passed
 
 
 def test_intersection_low_confidence_withholds_verdicts():
@@ -518,6 +577,19 @@ def test_transversality_perturbed_offset_map_fails_cosine(monkeypatch):
     rep = sc.run_scenario("transversality", {"samples": 16})
     v = verdict(rep, "jacobian-matches-cosine")
     assert v.measured == pytest.approx(0.01, rel=1e-3) and not v.passed
+
+
+def test_transversality_shrunk_offset_fails_transversal_floor(monkeypatch):
+    # an offset of radius 0.9 scales the Jacobian to 0.9 |cos u|, which is
+    # 0.45 at u = pi/3, below the 0.49 floor
+    def shrunk(curve, ts, us):
+        g, tan, nor = sc._frame(curve, ts)
+        return g + 0.9 * (np.cos(us)[..., None] * tan + np.sin(us)[..., None] * nor)
+
+    monkeypatch.setattr(sc, "_offset_map", shrunk)
+    rep = sc.run_scenario("transversality", {"samples": 16})
+    v = verdict(rep, "transversal-floor")
+    assert v.measured == pytest.approx(0.45, abs=1e-6) and not v.passed
 
 
 def test_transversality_validates_curve_and_grid():
