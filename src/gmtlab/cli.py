@@ -6,11 +6,12 @@ Usage:
     gmt-lab list
 
 Exit codes: 0 all verdicts pass, 1 some verdict fails, 2 usage error,
-3 runtime error.  Flags override config-file values, which override the
-scenario defaults.  The config file is flat `key = value` text with
-comma-separated lists; `#` starts a comment line.  A single-scenario run
-takes only its own keys, from --set or the file, and the seed must be
-non-negative.
+3 runtime error.  --seed, --out, --jobs and --force come from flags only.
+The config file holds scenario keys only, the keys --set takes, as flat
+`key = value` text with comma-separated lists; `#` starts a comment line.
+--set overrides file keys, which override the scenario defaults.  A
+single-scenario run takes only its own keys, from --set or the file; floats
+must be finite and the seed non-negative.
 
 Each scenario writes only inside <out>/<scenario-id>/: the report manifest,
 one CSV per series, PGM snapshots, and a FAILED marker if the run raised.
@@ -20,6 +21,7 @@ Human-readable one-line summaries go to standard output.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
@@ -34,12 +36,6 @@ class UsageError(Exception):
     """Bad flags, keys, or values: mapped to exit code 2."""
 
 
-# top-level settings a config file may carry besides scenario params
-_FILE_SETTINGS = {"seed": 0, "out": "results", "jobs": 1, "force": False}
-_TRUE_WORDS = {"1", "true", "yes", "on"}
-_FALSE_WORDS = {"0", "false", "no", "off"}
-
-
 @dataclass
 class RunConfig:
     scenario: str = "all"
@@ -51,28 +47,27 @@ class RunConfig:
     list_only: bool = False
 
 
+def _number(text, like):
+    """int(text) if like is an int, else float(text), which must be finite."""
+    if isinstance(like, int):
+        return int(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _coerce(key, default, text):
     """Parse a value string into the type of the default it replaces."""
     try:
-        if isinstance(default, bool):
-            low = text.strip().lower()
-            if low in _TRUE_WORDS:
-                return True
-            if low in _FALSE_WORDS:
-                return False
-            raise ValueError(text)
-        if isinstance(default, int):
-            return int(text)
-        if isinstance(default, float):
-            return float(text)
         if isinstance(default, str):
             return text.strip()
+        if not isinstance(default, (list, tuple)):
+            return _number(text, default)
         parts = [p.strip() for p in text.split(",") if p.strip() != ""]
         if not parts:
             raise ValueError("empty list")
-        elem = default[0]
-        vals = [int(p) if isinstance(elem, int) and not isinstance(elem, bool)
-                else float(p) for p in parts]
+        vals = [_number(p, default[0]) for p in parts]
         if isinstance(default, tuple):
             if len(vals) != len(default):
                 raise ValueError(f"expected {len(default)} values")
@@ -114,11 +109,11 @@ def parse_config(argv) -> RunConfig:
     commands = parser.add_subparsers(dest="command")
     runner = commands.add_parser("run", help="run one scenario or all")
     runner.add_argument("scenario", help="scenario id or 'all'")
-    runner.add_argument("--seed", type=int, default=None)
-    runner.add_argument("--out", default=None, help="output directory")
-    runner.add_argument("--jobs", type=int, default=None,
+    runner.add_argument("--seed", type=int, default=0)
+    runner.add_argument("--out", default="results", help="output directory")
+    runner.add_argument("--jobs", type=int, default=1,
                         help="scenario-level parallelism, at least 1 (default 1)")
-    runner.add_argument("--force", action="store_true", default=None,
+    runner.add_argument("--force", action="store_true",
                         help="allow a non-empty output directory")
     runner.add_argument("--config", default=None, help="key = value file")
     runner.add_argument("--set", action="append", default=[], dest="sets",
@@ -134,14 +129,10 @@ def parse_config(argv) -> RunConfig:
     if args.scenario != "all" and args.scenario not in SCENARIOS:
         raise UsageError(f"unknown scenario {args.scenario!r}; "
                          f"try one of: {', '.join(scenario_ids())}")
-    settings = dict(_FILE_SETTINGS)
     given = []          # (key, text, source), file first so --set wins
     if args.config is not None:
-        for key, text in _parse_file(args.config).items():
-            if key in settings:
-                settings[key] = _coerce(key, _FILE_SETTINGS[key], text)
-            else:
-                given.append((key, text, f"config file {args.config}"))
+        given += [(key, text, f"config file {args.config}")
+                  for key, text in _parse_file(args.config).items()]
     for item in args.sets:
         key, eq, text = item.partition("=")
         if not eq:
@@ -159,20 +150,12 @@ def parse_config(argv) -> RunConfig:
                              f"its keys: {', '.join(keys)}")
         overrides[key] = _coerce(key, keys[key], text)
 
-    jobs = args.jobs if args.jobs is not None else settings["jobs"]
-    if jobs < 1:
-        raise UsageError(f"jobs must be at least 1, got {jobs}")
-    seed = args.seed if args.seed is not None else settings["seed"]
-    if seed < 0:
-        raise UsageError(f"seed must be non-negative, got {seed}")
-    return RunConfig(
-        scenario=args.scenario,
-        output_dir=Path(args.out if args.out is not None else settings["out"]),
-        seed=seed,
-        jobs=jobs,
-        force=args.force if args.force is not None else settings["force"],
-        overrides=overrides,
-    )
+    if args.jobs < 1:
+        raise UsageError(f"jobs must be at least 1, got {args.jobs}")
+    if args.seed < 0:
+        raise UsageError(f"seed must be non-negative, got {args.seed}")
+    return RunConfig(scenario=args.scenario, output_dir=Path(args.out), seed=args.seed,
+                     jobs=args.jobs, force=args.force, overrides=overrides)
 
 
 def _run_one(sid: str, config: RunConfig):

@@ -90,9 +90,6 @@ class PointSet:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
 
-    def __len__(self):
-        return len(self.points)
-
 
 @dataclass(frozen=True, eq=False)   # array fields: compare and hash by identity
 class TriangleSet:
@@ -109,12 +106,6 @@ class TriangleSet:
         if np.any(triangle_area(tris) <= 1e-12):
             raise ArgumentError("degenerate triangle in set")
         object.__setattr__(self, "triangles", tris)
-
-    def directions(self) -> np.ndarray:
-        """Unit direction of each triangle's base-midpoint-to-apex median."""
-        tris = self.triangles
-        v = tris[:, 2] - 0.5 * (tris[:, 0] + tris[:, 1])
-        return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 def triangle_area(tri):
@@ -222,8 +213,6 @@ def thickening_radius(q: int, s: float) -> float:
 
 def frostman_ratio(points: PointSet, a: float, radii) -> float:
     """Empirical Frostman constant: max over (data center, r) of mu(B(x,r)) / r^a."""
-    if len(points) == 0:
-        raise ArgumentError("empty point set")
     if a <= 0:
         raise ArgumentError("exponent a must be positive")
     radii = np.asarray(radii, dtype=float)

@@ -211,9 +211,8 @@ def eval_phase_batch(spec: PhaseSpec, x, ys) -> np.ndarray:
     if kind == KIND_PARABOLOID:
         # the whole sum is subtracted at once; square by square rounds differently
         return ys[..., -1] - x[-1] - _squared_distance(ys[..., :-1], x[:-1])
-    if kind == KIND_DIFFEO_DISTANCE:
-        return np.sqrt(_squared_distance(diffeo_map(spec, ys), x))
-    raise ArgumentError(f"unknown phase kind {kind!r}")
+    # KIND_DIFFEO_DISTANCE, the last kind PhaseSpec admits
+    return np.sqrt(_squared_distance(diffeo_map(spec, ys), x))
 
 
 # ---------------------------------------------------------------------------
@@ -246,19 +245,17 @@ def gradients(spec: PhaseSpec, x, y):
         mixed[: d - 1, : d - 1] = 2.0 * np.eye(d - 1)
         return gx, gy, mixed
 
-    if kind == KIND_DIFFEO_DISTANCE:
-        z = diffeo_map(spec, y) - x
-        rho = np.linalg.norm(z)
-        if rho < 1e-12:
-            raise SingularityError("diffeo-distance phase is singular at Phi(y) == x")
-        u = z / rho
-        dphi = diffeo_jacobian(spec, y)
-        gx = -u
-        gy = dphi.T @ u
-        mixed = (np.outer(u, u @ dphi) - dphi) / rho
-        return gx, gy, mixed
-
-    raise ArgumentError(f"unknown phase kind {kind!r}")
+    # KIND_DIFFEO_DISTANCE, the last kind PhaseSpec admits
+    z = diffeo_map(spec, y) - x
+    rho = np.linalg.norm(z)
+    if rho < 1e-12:
+        raise SingularityError("diffeo-distance phase is singular at Phi(y) == x")
+    u = z / rho
+    dphi = diffeo_jacobian(spec, y)
+    gx = -u
+    gy = dphi.T @ u
+    mixed = (np.outer(u, u @ dphi) - dphi) / rho
+    return gx, gy, mixed
 
 
 def gradients_fd(spec: PhaseSpec, x, y, h: float = FD_STEP):

@@ -67,8 +67,9 @@ class GridSpec:
         object.__setattr__(self, "box", (lo, hi))
         if len(lo) != 2 or len(hi) != 2:
             raise ArgumentError("box must be 2-D (lo, hi) tuples")
-        if any(h <= l for l, h in zip(lo, hi)):
-            raise ArgumentError("box must have hi > lo on every axis")
+        # hi - lo is finite only if both corners are, and lo < hi fails on NaN
+        if not all(l < h and np.isfinite(h - l) for l, h in zip(lo, hi)):
+            raise ArgumentError("box must have finite corners with hi > lo on every axis")
         n = self.cells_per_axis
         if not (MIN_CELLS <= n <= MAX_CELLS_2D):
             raise ArgumentError(f"cells_per_axis must be in [{MIN_CELLS}, {MAX_CELLS_2D}]")

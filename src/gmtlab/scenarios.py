@@ -2,9 +2,10 @@
 
 SCENARIOS is the one registry: scenario id -> (defaults, runner).  Each
 runner is registered with its defaults by the @_scenario line above it, and
-those defaults are the only place a parameter or threshold gets its value.
-run_scenario overlays the caller's overrides on a copy of the defaults and
-calls runner(p, seed, out_dir) on the resolved dict p.  The runner reads
+those defaults are the only place a parameter gets its value.  Thresholds
+are literals at their verdicts, so no override can move one.  run_scenario
+overlays the caller's overrides on a copy of the defaults and calls
+runner(p, seed, out_dir) on the resolved dict p.  The runner reads
 everything from p, writes the normalised values back into it (sorted
 ladders, integer sizes, float boxes), may add derived entries, and returns
 its series, verdicts and PGM names.  p becomes the report's params.
@@ -138,8 +139,7 @@ def _step_ratios(rows):
 # ---------------------------------------------------------------------------
 
 @_scenario("fixed-level-positivity", depths=[6], deltas=[0.04, 0.02, 0.01],
-           n=2048, box=(-1.1, -1.1, 2.1, 2.1), area_floor=0.5,
-           stability_tol=0.05, control_ratio=0.5)
+           n=2048, box=(-1.1, -1.1, 2.1, 2.1))
 def _fixed_level_positivity(p, seed, out_dir):
     """Unit-circle unions over a planar Cantor product vs a Cantor line.
 
@@ -171,17 +171,17 @@ def _fixed_level_positivity(p, seed, out_dir):
         ]
 
     # the loop leaves the deepest depth's rows and its finest union behind
-    verdicts = [_at_least("union-area-floor", p["area_floor"], cxc_rows[-1][1])]
+    verdicts = [_at_least("union-area-floor", 0.5, cxc_rows[-1][1])]
     changes = [v for _, v in series[f"cxc-stability-depth{depth}"]]
     if changes:
-        verdicts.append(_at_most("union-area-stability", p["stability_tol"], max(changes)))
+        verdicts.append(_at_most("union-area-stability", 0.05, max(changes)))
     # control pair: finest delta against the entry nearest 4x coarser
     d_lo, a_lo = line_rows[-1]
     d_hi, a_hi = min(line_rows, key=lambda row: abs(row[0] - 4.0 * d_lo))
     if d_hi > d_lo and a_hi > 0.0:
         shrink = a_lo / a_hi
         series[f"line-shrink-depth{depth}"] = [(d_lo, shrink)]
-        verdicts.append(_at_most("control-shrink", p["control_ratio"], shrink))
+        verdicts.append(_at_most("control-shrink", 0.5, shrink))
 
     return series, verdicts, _pgm(union, "fixed-level-positivity", deltas[-1], out_dir)
 
@@ -191,7 +191,7 @@ def _fixed_level_positivity(p, seed, out_dir):
 # ---------------------------------------------------------------------------
 
 @_scenario("flat-counterexample", depths=[3, 4, 5], deltas=[0.08, 0.04, 0.02, 0.01],
-           n=2048, box=(-1.5, -1.5, 2.5, 2.5), shrink_ratio=0.8, intercept_tol=0.05)
+           n=2048, box=(-1.5, -1.5, 2.5, 2.5))
 def _flat_counterexample(p, seed, out_dir):
     """Square-boundary bands over the Cantor product, circles as contrast.
 
@@ -221,7 +221,7 @@ def _flat_counterexample(p, seed, out_dir):
     sq_ratios = _step_ratios(square_rows)
     if sq_ratios:
         series["square-step-ratio"] = sq_ratios
-        verdicts.append(_at_most("flat-shrink", p["shrink_ratio"], max(v for _, v in sq_ratios)))
+        verdicts.append(_at_most("flat-shrink", 0.8, max(v for _, v in sq_ratios)))
     ci_ratios = _step_ratios(circle_rows)
     if ci_ratios:
         series["circle-step-ratio"] = ci_ratios
@@ -236,7 +236,7 @@ def _flat_counterexample(p, seed, out_dir):
         ys = np.array([a for _, a in ladder])
         intercept = float(np.polyfit(xs, ys, 1)[1])
         series["zero-area-intercept"] = [(0.0, intercept)]
-        verdicts.append(_at_most("zero-area-intercept", p["intercept_tol"], intercept))
+        verdicts.append(_at_most("zero-area-intercept", 0.05, intercept))
 
     return series, verdicts, _pgm(union, "flat-counterexample", d_min, out_dir)
 
@@ -246,14 +246,14 @@ def _flat_counterexample(p, seed, out_dir):
 # ---------------------------------------------------------------------------
 
 @_scenario("discrete-incidence", qs=[8, 16, 32], s=1.5, r=1.0, n=2048,
-           box=(-1.1, -1.1, 2.1, 2.1), c0=6.0, ratio_bound=2.0)
+           box=(-1.1, -1.1, 2.1, 2.1))
 def _discrete_incidence(p, seed, out_dir):
     """Annuli of width q^(-2/s) around a 1-separated lattice, unit frame.
 
     Everything is rescaled by 1/q: centers land in [0,1]^2, radii stay r,
-    and the reported areas equal area/q^2 of the q-frame picture.  c0 is a
-    calibration constant frozen from the q=8 run (measured 7.73, kept with
-    a 20 percent margin), not a derived bound.
+    and the reported areas equal area/q^2 of the q-frame picture.  The area
+    floor c0 = 6.0 is a calibration constant frozen from the q=8 run
+    (measured 7.73, kept with a 20 percent margin), not a derived bound.
     """
     p["qs"] = qs = sorted(int(q) for q in p["qs"])
     if not qs:
@@ -283,8 +283,8 @@ def _discrete_incidence(p, seed, out_dir):
     series["area-spread"] = [(qs[-1], spread)]
     slack = min(v for _, v in series["incidence-slack"])
     verdicts = [
-        _at_least("area-floor", p["c0"], least),
-        _at_most("area-spread", p["ratio_bound"], spread),
+        _at_least("area-floor", 6.0, least),
+        _at_most("area-spread", 2.0, spread),
         _at_least("incidence-dominates", 0.0, slack),
     ]
     return series, verdicts, _pgm(union, "discrete-incidence", rho, out_dir)
@@ -307,8 +307,7 @@ def _mc_boxes(sep: float, d_max: float):
 
 
 @_scenario("intersection-hypothesis", deltas=[0.04, 0.02],
-           separations=[0.0, 0.25, 0.5, 1.0], samples=2_000_000, kappa=0.3,
-           c_pass=50.0, growth_floor=1.8)
+           separations=[0.0, 0.25, 0.5, 1.0], samples=2_000_000, kappa=0.3)
 def _intersection_hypothesis(p, seed, out_dir):
     """Monte Carlo measure of band intersections for two sphere selections.
 
@@ -379,10 +378,9 @@ def _intersection_hypothesis(p, seed, out_dir):
 
     verdicts = []
     if diffeo_vals and not unsure["diffeo"]:
-        verdicts.append(_at_most("intersection-bound", p["c_pass"], max(diffeo_vals)))
+        verdicts.append(_at_most("intersection-bound", 50.0, max(diffeo_vals)))
     if growth and not unsure["paraboloid"]:
-        verdicts.append(_at_least("degenerate-growth", p["growth_floor"],
-                                  min(v for _, v in growth)))
+        verdicts.append(_at_least("degenerate-growth", 1.8, min(v for _, v in growth)))
     p["low_confidence_cells"] = low = int(sum(unsure.values()))
     if low:
         # a withheld verdict leaves the run undecided, and undecided is no pass
@@ -396,7 +394,7 @@ def _intersection_hypothesis(p, seed, out_dir):
 
 @_scenario("interior-failure", depths=[3, 4, 5, 6], deltas=[0.04, 0.02, 0.01],
            n=2048, box=(-1.5, -1.5, 2.5, 1.5), probe_n=8192,
-           probe_box=(-1.05, -0.905, 2.05, 0.905), run_band=0.9, area_floor=0.3)
+           probe_box=(-1.05, -0.905, 2.05, 0.905), run_band=0.9)
 def _interior_failure(p, seed, out_dir):
     """Unit circles centered on a fat Cantor set sitting on the x-axis.
 
@@ -433,7 +431,7 @@ def _interior_failure(p, seed, out_dir):
          else raster.union_scanline(family, d, grid).area())
         for d in deltas]
 
-    verdicts = [_at_least("area-floor", p["area_floor"], areas[-1][1])]
+    verdicts = [_at_least("area-floor", 0.3, areas[-1][1])]
     ratios = _step_ratios(runs)
     if ratios:
         series["run-step-ratio"] = ratios
@@ -446,8 +444,7 @@ def _interior_failure(p, seed, out_dir):
 # 6. kakeya compression: the sliding-wedge tree sheds area, keeps directions
 # ---------------------------------------------------------------------------
 
-@_scenario("kakeya-compression", stages=[0, 1, 2, 3, 4, 5], n=2048,
-           box=(-2.0, -1.0, 2.0, 1.5), compression_ratio=0.35)
+@_scenario("kakeya-compression", stages=[0, 1, 2, 3, 4, 5], n=2048, box=(-2.0, -1.0, 2.0, 1.5))
 def _kakeya_compression(p, seed, out_dir):
     """Perron tree per stage: union area shrinks, direction coverage holds."""
     p["stages"] = stages = sorted(int(s) for s in p["stages"])
@@ -460,7 +457,10 @@ def _kakeya_compression(p, seed, out_dir):
     series = {"union-area": [], "direction-coverage": [], "directions": []}
     for stage in stages:
         tree = fractal.perron_tree(stage)
-        union = raster.rasterize_triangles(tree.triangles, grid)
+        tris = tree.triangles
+        _require_box(grid, tris.min(axis=(0, 1)), tris.max(axis=(0, 1)),
+                     f"the stage-{stage} triangles")
+        union =raster.rasterize_triangles(tree.triangles, grid)
         covered = fractal.verify_direction_coverage(tree)
         series["union-area"].append((stage, union.area()))
         series["direction-coverage"].append((stage, 1.0 if covered else 0.0))
@@ -477,7 +477,7 @@ def _kakeya_compression(p, seed, out_dir):
     if 0 in by_stage and 5 in by_stage and by_stage[0] > 0:
         compression = by_stage[5] / by_stage[0]
         series["compression"] = [(5, compression)]
-        verdicts.append(_at_most("stage-compression", p["compression_ratio"], compression))
+        verdicts.append(_at_most("stage-compression", 0.35, compression))
     coverage = min(v for _, v in series["direction-coverage"])
     verdicts.append(_at_least("direction-coverage", 1.0, coverage))
     return series, verdicts, _pgm(union, "kakeya-compression", 0.0, out_dir)
@@ -487,7 +487,7 @@ def _kakeya_compression(p, seed, out_dir):
 # 7. bourgain compression: a 3-parameter curve family trapped in a surface
 # ---------------------------------------------------------------------------
 
-@_scenario("bourgain-compression", samples=10_000, residual_tol=1e-12)
+@_scenario("bourgain-compression", samples=10_000)
 def _bourgain_compression(p, seed, out_dir):
     """Curves (w1 - t*y2 - t^2*y1, w2 - t*y1, t), w1 = 0, w2 = -y2.
 
@@ -504,7 +504,7 @@ def _bourgain_compression(p, seed, out_dir):
     t = rng.uniform(0.0, 1.0, count)
     x, y, z = phase.bourgain_curve(y1, y2, t)
     worst = float(np.abs(x - y * z).max())
-    verdicts = [_at_most("hypersurface-identity", p["residual_tol"], worst)]
+    verdicts = [_at_most("hypersurface-identity", 1e-12, worst)]
     return {"max-residual": [(count, worst)]}, verdicts, []
 
 
@@ -543,8 +543,7 @@ def _offset_map(curve: str, ts, us):
     return g + cu * tan + su * nor
 
 
-@_scenario("transversality", curve="line", samples=100, fd_step=1e-6,
-           min_floor=0.49, err_tol=1e-3)
+@_scenario("transversality", curve="line", samples=100, fd_step=1e-6)
 def _transversality(p, seed, out_dir):
     """Finite-difference Jacobian of the unit-offset map on a (t, u) grid."""
     curve = p["curve"]
@@ -572,6 +571,6 @@ def _transversality(p, seed, out_dir):
         raise ArgumentError("grid too coarse to sample u in [pi/6, pi/3]")
     worst_err = max(v for _, v in series["jacobian-err-by-u"])
     floor = min(v for u, v in series["jacobian-min-by-u"] if np.pi / 6 <= u <= np.pi / 3)
-    verdicts = [_at_most("jacobian-matches-cosine", p["err_tol"], worst_err),
-                _at_least("transversal-floor", p["min_floor"], floor)]
+    verdicts = [_at_most("jacobian-matches-cosine", 1e-3, worst_err),
+                _at_least("transversal-floor", 0.49, floor)]
     return series, verdicts, []

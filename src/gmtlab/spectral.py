@@ -50,7 +50,7 @@ class GriddedDensity:
 
     grid: GridSpec
     values: np.ndarray
-    total_mass: float = field(default=-1.0)
+    total_mass: float = field(init=False)
 
     def __post_init__(self):
         n = self.grid.cells_per_axis
@@ -58,11 +58,7 @@ class GriddedDensity:
             raise ArgumentError("values shape does not match grid")
         if float(self.values.min(initial=0.0)) < 0.0:
             raise ArgumentError("density values must be nonnegative")
-        mass = float(self.values.sum() * self.grid.cell_volume)
-        if self.total_mass < 0.0:
-            self.total_mass = mass
-        elif abs(mass - self.total_mass) > 1e-9 * max(abs(self.total_mass), 1e-300):
-            raise ArgumentError("total_mass inconsistent with values")
+        self.total_mass = float(self.values.sum() * self.grid.cell_volume)
 
     def l2_norm(self) -> float:
         return float(np.sqrt(np.vdot(self.values, self.values) * self.grid.cell_volume))
@@ -164,9 +160,6 @@ class DecayFit:
     slope: float
     intercept: float
     residual: float
-
-    def fitted(self, a: float) -> float:
-        return 2.0 ** (self.slope * a + self.intercept)
 
 
 def fit_decay(abscissae, norms) -> DecayFit:

@@ -472,7 +472,7 @@ def test_criterion_12_infrastructure(tmp_path):
 
     codes = (
         cli.main(["run", "transversality", "--out", str(tmp_path / "ok")]),
-        cli.main(["run", "transversality", "--set", "min_floor=0.99",
+        cli.main(["run", "transversality", "--set", "fd_step=0.1",
                   "--out", str(tmp_path / "red")]),
         cli.main(["run", "no-such-scenario", "--out", str(tmp_path / "use")]),
         cli.main(["run", "kakeya-compression", "--set", "stages=7",

@@ -52,7 +52,7 @@ def test_parse_rejects_unknown_key_by_name():
 
 def test_single_scenario_rejects_keys_it_does_not_declare(tmp_path, capsys):
     # qs belongs to discrete-incidence; transversality must not drop it silently
-    with pytest.raises(UsageError, match="curve, samples, fd_step, min_floor, err_tol"):
+    with pytest.raises(UsageError, match="its keys: curve, samples, fd_step$"):
         parse_config(["run", "transversality", "--set", "qs=8"])
     out = tmp_path / "r"
     assert run_cli(["run", "transversality", "--set", "qs=8", "--out", str(out)]) == 2
@@ -64,16 +64,18 @@ def test_single_scenario_rejects_keys_it_does_not_declare(tmp_path, capsys):
 
 def test_single_scenario_rejects_config_file_keys_it_does_not_declare(tmp_path, capsys):
     cfg_file = tmp_path / "lab.cfg"
-    cfg_file.write_text("seed = 2\nn = 64\n")
+    cfg_file.write_text("samples = 50\nn = 64\n")
     out = tmp_path / "r"
     assert run_cli(["run", "transversality", "--config", str(cfg_file),
                     "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "transversality has no key 'n'" in err and str(cfg_file) in err
     assert not out.exists()
-    # run all accepts every declared key from the file
+    # run all accepts every declared key from the file, and --set wins over it
     cfg = parse_config(["run", "all", "--config", str(cfg_file)])
-    assert cfg.seed == 2 and cfg.overrides == {"n": 64}
+    assert cfg.overrides == {"samples": 50, "n": 64}
+    cfg = parse_config(["run", "all", "--config", str(cfg_file), "--set", "n=128"])
+    assert cfg.overrides == {"samples": 50, "n": 128}
 
 
 def test_kakeya_has_no_samples_key(tmp_path, capsys):
@@ -82,7 +84,7 @@ def test_kakeya_has_no_samples_key(tmp_path, capsys):
     assert run_cli(args) == 2
     err = capsys.readouterr().err
     assert "kakeya-compression has no key 'samples'" in err
-    assert "its keys: stages, n, box, compression_ratio" in err
+    assert "its keys: stages, n, box\n" in err
 
 
 def test_parse_rejects_unknown_scenario():
@@ -90,13 +92,22 @@ def test_parse_rejects_unknown_scenario():
         parse_config(["run", "no-such"])
 
 
-def test_parse_rejects_bad_values():
+def test_parse_rejects_bad_values(tmp_path, capsys):
     with pytest.raises(UsageError):
         parse_config(["run", "all", "--set", "n=abc"])
     with pytest.raises(UsageError):
         parse_config(["run", "all", "--set", "box=1,2,3"])  # needs 4 entries
     with pytest.raises(UsageError):
         parse_config(["run", "all", "--set", "deltas="])
+    # floats must be finite, alone or in a list
+    for item in ("deltas=inf,0.04", "kappa=nan", "fd_step=-inf", "s=1e400"):
+        with pytest.raises(UsageError, match="not a finite number"):
+            parse_config(["run", "all", "--set", item])
+    out = tmp_path / "r"
+    assert run_cli(["run", "kakeya-compression", "--set", "box=-2,-1,2,nan",
+                    "--out", str(out)]) == 2
+    assert "not a finite number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_every_registry_default_parses_back_to_itself():
@@ -115,13 +126,14 @@ def test_parse_list_modes():
 
 def test_config_file_then_flag_precedence(tmp_path):
     cfg_file = tmp_path / "lab.cfg"
-    cfg_file.write_text("# defaults for the lab\nseed = 9\njobs = 2\ns = 1.7\n")
+    cfg_file.write_text("# defaults for the lab\ns = 1.7\nqs = 8,16\n")
     cfg = parse_config(["run", "all", "--config", str(cfg_file)])
-    assert cfg.seed == 9 and cfg.jobs == 2
-    assert cfg.overrides == {"s": 1.7}
-    # an explicit flag wins over the file value
-    cfg = parse_config(["run", "all", "--config", str(cfg_file), "--seed", "3"])
-    assert cfg.seed == 3 and cfg.jobs == 2
+    assert cfg.overrides == {"s": 1.7, "qs": [8, 16]}
+    # run settings keep their flag defaults
+    assert (cfg.seed, cfg.output_dir, cfg.jobs, cfg.force) == (0, Path("results"), 1, False)
+    # --set wins over the file value, whichever comes first on the line
+    cfg = parse_config(["run", "all", "--set", "s=1.9", "--config", str(cfg_file)])
+    assert cfg.overrides == {"s": 1.9, "qs": [8, 16]}
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -133,9 +145,10 @@ def test_parse_rejects_jobs_below_one(jobs, capsys):
 
 
 def test_config_file_rejects_jobs_below_one(tmp_path):
+    # jobs is a flag only, so the file line fails as an unknown key
     cfg_file = tmp_path / "lab.cfg"
     cfg_file.write_text("jobs = 0\n")
-    with pytest.raises(UsageError, match="jobs"):
+    with pytest.raises(UsageError, match="unknown key 'jobs' in config file"):
         parse_config(["run", "all", "--config", str(cfg_file)])
 
 
@@ -145,17 +158,22 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys):
         parse_config(["run", "transversality", "--seed", "-1"])
     assert run_cli(["run", "transversality", "--seed", "-1", "--out", str(out)]) == 2
     assert "seed" in capsys.readouterr().err
+    # seed is a flag only, so the file line fails as an unknown key
     cfg_file = tmp_path / "lab.cfg"
     cfg_file.write_text("seed = -2\n")
     assert run_cli(["run", "all", "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert "unknown key 'seed' in config file" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_config_file_unknown_key(tmp_path):
+    # --seed, --out, --jobs and --force come from flags only
     cfg_file = tmp_path / "lab.cfg"
-    cfg_file.write_text("mystery = 1\n")
-    with pytest.raises(UsageError, match="mystery"):
-        parse_config(["run", "all", "--config", str(cfg_file)])
+    for key, value in [("mystery", "1"), ("seed", "3"), ("out", "elsewhere"),
+                       ("jobs", "2"), ("force", "yes")]:
+        cfg_file.write_text(f"{key} = {value}\n")
+        with pytest.raises(UsageError, match=f"unknown key '{key}' in config file"):
+            parse_config(["run", "all", "--config", str(cfg_file)])
 
 
 def test_config_file_missing(tmp_path):
@@ -191,11 +209,28 @@ def test_passing_scenario_exits_zero(tmp_path, capsys):
 
 
 def test_threshold_sabotage_exits_one(tmp_path, capsys):
-    code = run_cli(["run", "intersection-hypothesis", "--out", str(tmp_path / "r"),
-                    "--set", "c_pass=0.001", "--set", "samples=120000",
-                    "--set", "separations=1.0"])
+    # thresholds are not keys, so the red comes from the measurement: a
+    # 0.1 difference step misses the cosine Jacobian by about 1.7e-3
+    code = run_cli(["run", "transversality", "--out", str(tmp_path / "r"),
+                    "--set", "fd_step=0.1"])
     assert code == 1
-    assert "intersection-hypothesis: FAIL" in capsys.readouterr().out
+    assert "transversality: FAIL (1/2 verdicts)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("target", ["fixed-level-positivity", "all"])
+def test_thresholds_are_not_keys(tmp_path, capsys, target):
+    out = tmp_path / "r"
+    assert run_cli(["run", target, "--set", "control_ratio=1", "--out", str(out)]) == 2
+    assert "'control_ratio'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_kakeya_box_that_misses_the_tree_exits_three(tmp_path, capsys):
+    code = run_cli(["run", "kakeya-compression", "--out", str(tmp_path / "r"),
+                    "--set", "box=10,10,11,11", "--set", "n=256"])
+    assert code == 3
+    assert "must contain the stage-0 triangles" in capsys.readouterr().out
+    assert (tmp_path / "r" / "kakeya-compression" / "FAILED").exists()
 
 
 def test_low_confidence_run_exits_one(tmp_path, capsys):

@@ -15,7 +15,6 @@ CONSTRUCTION_DIGESTS = {
     "cantor_middle_thirds": "f8a7d2aea050f80cd74628b405f457fdbba612fbe09a2d214304fa0ff326f4d3",
     "fat_cantor": "b501a74218c7b401d6ccfa28c7514f5eea7a427d70530073560b599e49af34fb",
     "perron_tree": "d847ab499957a9c4f634435123da6ef3f46e42b8579550d7b9b942f89289eb41",
-    "directions": "3b991cb4bfa5fe8b41126163e40d28f0254eb80a4897b3b600f969db33aa788b",
 }
 
 
@@ -109,14 +108,14 @@ def test_interval_set_rejects_disorder():
 
 def test_product_cloud_depth0_single_point():
     ps = fr.product_point_cloud(fr.cantor_middle_thirds(0), fr.cantor_middle_thirds(0), 1, 5)
-    assert len(ps) == 1
+    assert len(ps.points) == 1
     assert ps.weights[0] == 1.0
 
 
 def test_product_cloud_counts_weights_exponent():
     c6 = fr.cantor_middle_thirds(6)
     ps = fr.product_point_cloud(c6, c6, 1, seed=0)
-    assert len(ps) == 4096
+    assert len(ps.points) == 4096
     assert abs(ps.weights.sum() - 1.0) <= 1e-12
     assert ps.claimed_exponent == pytest.approx(2 * LOG32, abs=1e-12)
     assert ps.points.min() >= 0.0 and ps.points.max() <= 1.0
@@ -124,7 +123,7 @@ def test_product_cloud_counts_weights_exponent():
 
 def test_product_cloud_line_factor_exponent():
     ps = cantor_line_cloud(6)
-    assert len(ps) == 64
+    assert len(ps.points) == 64
     assert ps.claimed_exponent == pytest.approx(LOG32, abs=1e-12)
     assert np.all(ps.points[:, 1] == 0.0)
 
@@ -159,14 +158,14 @@ def min_distance(points):
 
 def test_lattice_basic():
     ps = fr.separated_lattice(2, seed=0)
-    assert len(ps) == 4
+    assert len(ps.points) == 4
     assert ps.min_separation == 0.5
     assert min_distance(ps.points) >= 0.5
 
 
 def test_lattice_q16_rescaled_fits_unit_square():
     ps = fr.separated_lattice(16, seed=1)
-    assert len(ps) == 256
+    assert len(ps.points) == 256
     scaled = ps.points / 16.0
     assert scaled.min() >= 0.0 and scaled.max() <= 1.0
 
@@ -233,6 +232,9 @@ def test_frostman_validation():
         fr.frostman_ratio(ps, -1.0, [0.5])
     with pytest.raises(ArgumentError):
         fr.frostman_ratio(ps, 1.0, [0.0])
+    # an empty point set never reaches frostman_ratio
+    with pytest.raises(ArgumentError, match="sum to 1"):
+        fr.PointSet(np.zeros((0, 2)), np.zeros(0))
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +295,6 @@ def test_perron_counts_and_area_budget():
         assert total == pytest.approx(0.5, rel=1e-12)
 
 
-def test_perron_directions_distinct():
-    t = fr.perron_tree(5)
-    dirs = np.round(t.directions(), 12)
-    assert len(np.unique(dirs, axis=0)) == 32
-
-
 def moved_apex_tree():
     """perron_tree(3) with the apex of wedge 2 moved 5 units to the right."""
     tris = fr.perron_tree(3).triangles.copy()
@@ -356,6 +352,5 @@ def test_construction_golden_digests():
                                         for d in range(17)),
         "fat_cantor": _digest(fr.fat_cantor(d).intervals for d in range(17)),
         "perron_tree": _digest(t.triangles for t in trees),
-        "directions": _digest(t.directions() for t in trees),
     }
     assert got == CONSTRUCTION_DIGESTS

@@ -37,6 +37,12 @@ def test_grid_spec_validation():
         ra.GridSpec(((0, 0, 0), (1, 1, 1)), 64)        # 3-D volumes go by Monte Carlo
     with pytest.raises(ArgumentError):
         ra.GridSpec(((0, 0), (1, 1, 1)), 64)
+    # a corner that is not finite, or finite corners whose width overflows
+    for box in (((-2.0, -1.0), (2.0, np.nan)), ((np.nan, 0.0), (1.0, 1.0)),
+                ((0.0, -np.inf), (1.0, 1.0)), ((0.0, 0.0), (np.inf, 1.0)),
+                ((-1e308, 0.0), (1e308, 1.0))):
+        with pytest.raises(ArgumentError, match="finite corners"):
+            ra.GridSpec(box, 64)
 
 
 def test_grid_spec_geometry():

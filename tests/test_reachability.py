@@ -28,7 +28,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "gmtlab"
 
 # the run the ledger measures: these small grids enter the same functions as
-# `run all` at defaults, apart from cli._coerce, which only --set enters
+# `run all` at defaults, apart from cli._coerce and cli._number, which only
+# --set enters
 RUN = ["run", "all", "--jobs", "1", "--set", "n=512", "--set", "probe_n=2048"]
 
 _CHILD = """
@@ -48,8 +49,6 @@ print(json.dumps([code, sorted(entered)]))
 
 ALLOWED = {
     "cli._parse_file": "flag --config",
-    "fractal.PointSet.__len__": "roadmap:reachability ledger",
-    "fractal.TriangleSet.directions": "roadmap:reachability ledger",
     "fractal.box_dimension": "roadmap:hypotheses",
     "fractal.frostman_ratio": "roadmap:hypotheses",
     "phase._check_pair": "criterion 01",
@@ -70,7 +69,6 @@ ALLOWED = {
     "raster.rasterize_band": "oracle of union_scanline",
     "raster.union_raster": "criterion 12",
     "reporting.read_report": "roadmap:one telemetry source",
-    "spectral.DecayFit.fitted": "roadmap:reachability ledger",
     "spectral.GriddedDensity.__post_init__":
         "perfbench:spectral-profile, criterion 02, criterion 12",
     "spectral.GriddedDensity.l2_norm": "perfbench:spectral-profile",

@@ -348,7 +348,7 @@ def test_intersection_transversal_paraboloids_fail_degenerate_growth(monkeypatch
 
 def test_intersection_coincident_spheres_fail_intersection_bound(monkeypatch):
     # the second warped sphere moved onto the first: the two bands coincide,
-    # so the intersection is a whole band slab and the ratio far exceeds c_pass
+    # so the intersection is a whole band slab and the ratio far exceeds 50
     real = ra.monte_carlo_volumes
 
     def coincident(calls):
@@ -509,7 +509,9 @@ def test_kakeya_moved_apex_fails_direction_coverage(monkeypatch):
     tris = fr.perron_tree(3).triangles.copy()
     tris[2, 2, 0] += 5.0            # wedge 2 no longer covers its directions
     monkeypatch.setattr(fr, "perron_tree", lambda stage: fr.TriangleSet(tris, 3, 8))
-    rep = sc.run_scenario("kakeya-compression", {"n": 256, "stages": [3]})
+    # the grid must hold the moved apex (x about 5.33), or the box check refuses it
+    rep = sc.run_scenario("kakeya-compression",
+                          {"n": 256, "stages": [3], "box": (-2.0, -1.0, 6.0, 1.5)})
     v = verdict(rep, "direction-coverage")
     assert v.measured == 0.0 and not v.passed
 

