@@ -24,10 +24,10 @@ import argparse
 import math
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .raster import fan_out
 from .reporting import write_report
 from .scenarios import SCENARIOS, run_scenario, scenario_ids
 
@@ -199,18 +199,17 @@ def execute(config: RunConfig) -> int:
         print(f"error: cannot write to {out}: {exc}", file=sys.stderr)
         return 3
 
-    results = []
     if config.jobs == 1:
+        results = []
         for sid in targets:
             results.append(_run_one(sid, config))
             print(results[-1][0])
     else:
-        # buffered summaries keep the log order deterministic under --jobs
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            futures = [pool.submit(_run_one, sid, config) for sid in targets]
-            for fut in futures:
-                results.append(fut.result())
-                print(results[-1][0])
+        # scenarios run on worker processes, whose own fan-outs run serially;
+        # the summaries print once all are done, in input order
+        results = fan_out(_run_one, [(sid, config) for sid in targets], workers=config.jobs)
+        for line, _, _ in results:
+            print(line)
 
     if any(crashed for _, _, crashed in results):
         return 3

@@ -33,11 +33,22 @@ tests both bands in place on the phase values, so a chunk allocates little
 beyond the phase evaluation itself.  Where band A's phase has a float32
 screen (phase.screen_margin), the exact test of band A runs only on the
 samples the screen keeps.
+
+The span kernels hold the interpreter lock, so threads cannot overlap them.
+fan_out runs independent calls on forked worker processes instead, one per
+usable CPU, and returns their results in input order: each scenario hands
+it the unions, probes and rasters it needs, and the CLI its scenarios under
+--jobs.  A job returns only what its caller reads (an area, a cell total,
+the one raster a PGM shows), which keeps the pickled results small.  Where
+forking is unsafe or pointless (one CPU, no fork, another live thread, or
+already inside a worker) the calls run serially in the calling process, so
+the results never depend on the worker count.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -560,16 +571,49 @@ def monte_carlo_volumes(calls) -> list:
         return list(pool.map(lambda call: monte_carlo_intersection(*call), calls))
 
 
+def fan_out(fn, calls, workers=None) -> list:
+    """[fn(*call) for call in calls], run on forked worker processes.
+
+    fn is a module-level function; calls and results are pickled, so a job
+    should return only what its caller reads.  min(len(calls), usable CPUs,
+    workers) processes run the calls and the results come back in input
+    order.  The calls run serially in this process instead where one worker
+    would do, where the platform cannot fork, while another thread is alive
+    (a forked child would inherit that thread's locks in whatever state they
+    are), and inside a worker process, so workers never start workers.  The
+    workers are joined before this returns, also when a job raises; its
+    exception then re-raises here.
+    """
+    calls = list(calls)
+    workers = min(len(calls), _usable_cpus(), workers or len(calls))
+    if workers <= 1 or threading.active_count() > 1:
+        return [fn(*call) for call in calls]
+    # imported here, like ThreadPoolExecutor above, to keep them off the
+    # import of raster
+    import multiprocessing
+    if multiprocessing.parent_process() is not None or (
+            "fork" not in multiprocessing.get_all_start_methods()):
+        return [fn(*call) for call in calls]
+    from concurrent.futures.process import ProcessPoolExecutor
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(fn, *call) for call in calls]
+        return [fut.result() for fut in futures]
+
+
 # ---------------------------------------------------------------------------
 # PGM export
 # ---------------------------------------------------------------------------
 
 def write_pgm(raster: GridRaster, path):
-    """Binary PGM (P5), 255 = filled, top row = largest y."""
-    img = np.where(raster.bits[::-1, :], 255, 0).astype(np.uint8)
+    """Binary PGM (P5), 255 = filled, top row = largest y.
+
+    The image is built as uint8 and written from its own buffer, so the only
+    array this allocates is one byte per cell.
+    """
+    img = np.where(raster.bits[::-1, :], np.uint8(255), np.uint8(0))
     with open(path, "wb") as fh:
         fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
-        fh.write(img.tobytes())
+        fh.write(img)
 
 
 def pgm_band_filename(scenario: str, n: int, delta: float) -> str:

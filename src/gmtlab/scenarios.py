@@ -129,6 +129,28 @@ def _cantor_cloud(depth: int, seed: int, on_line: bool = False):
     return fractal.product_point_cloud(c, cols, seed=seed)
 
 
+def _union_job(shapes, delta: float, grid: GridSpec, keep=False):
+    """(area, the union if keep else None) of a span batch's delta-band union.
+
+    This and the jobs below are raster.fan_out jobs: each returns only what
+    its runner reads, so no raster but the PGM's crosses back.
+    """
+    union = raster.union_scanline(shapes, delta, grid)
+    return union.area(), (union if keep else None)
+
+
+def _incidence_job(circles, delta: float, grid: GridSpec, keep=False):
+    """(area, summed per-band cell totals, the union if keep else None)."""
+    union, _, per_band = raster.rasterize_circles(circles, delta, grid)
+    return union.area(), per_band.sum(), (union if keep else None)
+
+
+def _triangles_job(triangles, grid: GridSpec, keep=False):
+    """(area, the union if keep else None) of filled triangles."""
+    union = raster.rasterize_triangles(triangles, grid)
+    return union.area(), (union if keep else None)
+
+
 def _step_ratios(rows):
     """(abscissa, value / previous value) for consecutive rows, skipping zeros."""
     return [(b[0], b[1] / a[1]) for a, b in zip(rows, rows[1:]) if a[1] > 0]
@@ -154,15 +176,24 @@ def _fixed_level_positivity(p, seed, out_dir):
     grid = _grid(p)
     _require_box(grid, (-1.0, -1.0), (2.0, 2.0), "all unit circles around [0,1]^2")
 
-    series = {}
+    # per depth and delta, the cloud's union and then the line's; only the
+    # deepest, finest cloud union comes back whole, for the PGM
+    calls = []
     for depth in depths:
         cloud = raster.Circle(_cantor_cloud(depth, seed).points, 1.0)
         line = raster.Circle(_cantor_cloud(depth, seed, on_line=True).points, 1.0)
+        for d in deltas:
+            last = depth == depths[-1] and d == deltas[-1]
+            calls += [(cloud, d, grid, last), (line, d, grid)]
+    results = iter(raster.fan_out(_union_job, calls))
+
+    series = {}
+    for depth in depths:
         cxc_rows, line_rows = [], []
         for d in deltas:
-            union = raster.union_scanline(cloud, d, grid)
-            cxc_rows.append((d, union.area()))
-            line_rows.append((d, raster.union_scanline(line, d, grid).area()))
+            (area, union), (line_area, _) = next(results), next(results)
+            cxc_rows.append((d, area))
+            line_rows.append((d, line_area))
         series[f"cxc-area-depth{depth}"] = cxc_rows
         series[f"line-area-depth{depth}"] = line_rows
         series[f"cxc-stability-depth{depth}"] = [
@@ -206,14 +237,23 @@ def _flat_counterexample(p, seed, out_dir):
     _require_box(grid, (-1.5, -1.5), (2.5, 2.5), "[-1.5, 2.5]^2")
 
     d_min = deltas[-1]
-    square_rows, circle_rows = [], []
+    # per depth the squares' union at d_min and the circles', then the
+    # deepest squares at the ladder's coarser deltas
+    calls = []
     for depth in depths:
         cloud = _cantor_cloud(depth, seed)
         squares = raster.SquareBoundary(cloud.points, 1.0)
-        union = raster.union_scanline(squares, d_min, grid)
-        square_rows.append((depth, union.area()))
-        circles = raster.Circle(cloud.points, 1.0)
-        circle_rows.append((depth, raster.union_scanline(circles, d_min, grid).area()))
+        calls += [(squares, d_min, grid, depth == depths[-1]),
+                  (raster.Circle(cloud.points, 1.0), d_min, grid)]
+    coarse = [d for d in deltas if d != d_min]
+    calls += [(squares, d, grid) for d in coarse]
+    results = iter(raster.fan_out(_union_job, calls))
+    square_rows, circle_rows = [], []
+    for depth in depths:
+        (area, union), (circle_area, _) = next(results), next(results)
+        square_rows.append((depth, area))
+        circle_rows.append((depth, circle_area))
+    ladder_areas = {d: area for d, (area, _) in zip(coarse, results)}
     series = {f"square-area-d{d_min:g}": square_rows,
               f"circle-area-d{d_min:g}": circle_rows}
 
@@ -228,8 +268,7 @@ def _flat_counterexample(p, seed, out_dir):
         verdicts.append(_at_least("curved-growth", 1.0, min(v for _, v in ci_ratios)))
 
     # delta ladder over the deepest level's squares, extrapolated to delta = 0
-    ladder = [(d, square_rows[-1][1] if d == d_min
-               else raster.union_scanline(squares, d, grid).area()) for d in deltas]
+    ladder = [(d, square_rows[-1][1] if d == d_min else ladder_areas[d]) for d in deltas]
     series[f"square-ladder-depth{depths[-1]}"] = ladder
     if len(ladder) >= 2:
         xs = np.array([d for d, _ in ladder])
@@ -264,14 +303,11 @@ def _discrete_incidence(p, seed, out_dir):
 
     series = {"unit-area": [], "incidence-integral": [], "incidence-slack": [],
               "band-width": []}
-    for q in qs:
-        lattice = fractal.separated_lattice(q, seed=seed)
-        rho = fractal.thickening_radius(q, s)
-        circles = raster.Circle(lattice.points / q, r)
-        union, counts, per_band = raster.rasterize_circles(circles, rho, grid)
-        del counts      # 16 MiB at n=2048 that would live through the next q's raster
-        area = union.area()
-        integral = float(per_band.sum() * grid.cell_volume)
+    rhos = [fractal.thickening_radius(q, s) for q in qs]
+    calls = [(raster.Circle(fractal.separated_lattice(q, seed=seed).points / q, r), rho, grid,
+              q == qs[-1]) for q, rho in zip(qs, rhos)]
+    for q, rho, (area, cells, union) in zip(qs, rhos, raster.fan_out(_incidence_job, calls)):
+        integral = float(cells * grid.cell_volume)
         series["unit-area"].append((q, area))
         series["incidence-integral"].append((q, integral))
         series["incidence-slack"].append((q, integral - area))
@@ -413,23 +449,26 @@ def _interior_failure(p, seed, out_dir):
     d_run = float(np.max(probe.cell_sizes)) / 4.0
     d_min = deltas[-1]
 
-    areas, runs, bounds = [], [], []
-    for depth in depths:
-        f_set = fractal.fat_cantor(depth)
-        family = raster.CircleFamily(f_set, 0.0, 1.0)
-        union = raster.union_scanline(family, d_min, grid)
-        areas.append((depth, union.area()))
-        run = raster.max_inscribed_interval(family, d_run, probe,
-                                            within=(-p["run_band"], p["run_band"]))
-        runs.append((depth, run))
-        bounds.append((depth, 2.0 * f_set.max_interval_length()
+    families = [raster.CircleFamily(fractal.fat_cantor(depth), 0.0, 1.0) for depth in depths]
+    # the union per depth at d_min, then the deepest family's delta ladder
+    coarse = [d for d in deltas if d != d_min]
+    unions = iter(raster.fan_out(
+        _union_job, [(fam, d_min, grid, i == len(depths) - 1) for i, fam in enumerate(families)]
+        + [(families[-1], d, grid) for d in coarse]))
+    within = (-p["run_band"], p["run_band"])
+    run_lengths = raster.fan_out(raster.max_inscribed_interval,
+                                 [(fam, d_run, probe, within) for fam in families])
+    areas, bounds = [], []
+    for depth, family in zip(depths, families):
+        area, union = next(unions)
+        areas.append((depth, area))
+        bounds.append((depth, 2.0 * family.intervals.max_interval_length()
                        + 4.0 * float(probe.cell_sizes[0])))
+    ladder_areas = {d: area for d, (area, _) in zip(coarse, unions)}
+    runs = list(zip(depths, run_lengths))
     series = {f"area-d{d_min:g}": areas, "max-run": runs, "run-bound": bounds}
-    # the loop leaves the deepest family behind for its delta ladder
     series[f"area-ladder-depth{depths[-1]}"] = [
-        (d, areas[-1][1] if d == d_min
-         else raster.union_scanline(family, d, grid).area())
-        for d in deltas]
+        (d, areas[-1][1] if d == d_min else ladder_areas[d]) for d in deltas]
 
     verdicts = [_at_least("area-floor", 0.3, areas[-1][1])]
     ratios = _step_ratios(runs)
@@ -454,15 +493,18 @@ def _kakeya_compression(p, seed, out_dir):
         raise ArgumentError("stages beyond 6 are not part of this experiment")
     grid = _grid(p)
 
-    series = {"union-area": [], "direction-coverage": [], "directions": []}
-    for stage in stages:
-        tree = fractal.perron_tree(stage)
+    trees = [fractal.perron_tree(stage) for stage in stages]
+    for stage, tree in zip(stages, trees):
         tris = tree.triangles
         _require_box(grid, tris.min(axis=(0, 1)), tris.max(axis=(0, 1)),
                      f"the stage-{stage} triangles")
-        union =raster.rasterize_triangles(tree.triangles, grid)
+    results = raster.fan_out(_triangles_job, [(tree.triangles, grid, i == len(trees) - 1)
+                                              for i, tree in enumerate(trees)])
+
+    series = {"union-area": [], "direction-coverage": [], "directions": []}
+    for stage, tree, (area, union) in zip(stages, trees, results):
         covered = fractal.verify_direction_coverage(tree)
-        series["union-area"].append((stage, union.area()))
+        series["union-area"].append((stage, area))
         series["direction-coverage"].append((stage, 1.0 if covered else 0.0))
         series["directions"].append((stage, float(len(tree.triangles))))
 
@@ -553,6 +595,8 @@ def _transversality(p, seed, out_dir):
     if samples < 4:
         raise ArgumentError("need at least a 4x4 grid")
     p["fd_step"] = h = float(p["fd_step"])
+    if not h > 0.0:
+        raise ArgumentError(f"fd_step must be positive, got {h}")
 
     ts = np.linspace(0.0, 1.0, samples)[:, None]
     us = np.linspace(0.0, np.pi / 2.0, samples)[None, :]

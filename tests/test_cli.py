@@ -1,4 +1,6 @@
+import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -7,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import gmtlab
-from gmtlab import cli
+from gmtlab import cli, raster
 from gmtlab.cli import RunConfig, UsageError, parse_config
 from gmtlab.reporting import ExperimentReport
 from gmtlab.scenarios import SCENARIOS
@@ -328,6 +330,65 @@ def test_jobs_flag_runs_all_scenarios_in_order(tmp_path, capsys):
     assert [ln.split(":")[0] for ln in lines] == scenario_ids()
     for sid in scenario_ids():
         assert (tmp_path / "r" / sid / "report.json").exists()
+
+
+def artifacts(out):
+    """sha256 of every CSV and PGM under out, and each scenario's verdicts."""
+    digests = {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.rglob("*") if p.suffix in (".csv", ".pgm")}
+    verdicts = {p.parent.name: json.loads(p.read_text())["verdicts"]
+                for p in out.rglob("report.json")}
+    return digests, verdicts
+
+
+def test_jobs_two_writes_the_bytes_of_jobs_one(tmp_path, capsys, monkeypatch):
+    # the golden small grids; two usable CPUs, so the scenarios really fork
+    monkeypatch.setattr(raster, "_usable_cpus", lambda: 2)
+    runs = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        assert run_cli(["run", "all", "--jobs", jobs, "--out", str(out),
+                        "--set", "n=512", "--set", "probe_n=2048"]) == 1
+        runs[jobs] = artifacts(out), capsys.readouterr().out
+    (digests, verdicts), _ = runs["2"]
+    assert runs["1"] == runs["2"]
+    assert len(digests) == 42 and len(verdicts) == 8
+    assert multiprocessing.active_children() == []
+
+
+def test_scenario_that_raises_in_a_worker_exits_three(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(raster, "_usable_cpus", lambda: 2)
+    cfg = RunConfig(scenario="all", output_dir=tmp_path / "r", jobs=2,
+                    overrides={"samples": 16, "n": 256, "stages": [7],
+                               "depths": [2, 3], "probe_n": 2048})
+    assert cli.execute(cfg) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[list(SCENARIOS).index("kakeya-compression")].startswith(
+        "kakeya-compression: ERROR (stages beyond 6")
+    for sid in SCENARIOS:
+        failed = sid == "kakeya-compression"
+        assert (tmp_path / "r" / sid / "FAILED").exists() == failed
+        assert (tmp_path / "r" / sid / "report.json").exists() != failed
+    assert multiprocessing.active_children() == []
+
+
+def test_union_job_that_raises_in_a_worker_exits_three(tmp_path, capsys, monkeypatch):
+    # delta 0.001 is below a quarter cell: its union job raises in a worker
+    monkeypatch.setattr(raster, "_usable_cpus", lambda: 2)
+    code = run_cli(["run", "fixed-level-positivity", "--out", str(tmp_path / "r"),
+                    "--set", "n=64", "--set", "deltas=0.04,0.001"])
+    assert code == 3
+    marker = tmp_path / "r" / "fixed-level-positivity" / "FAILED"
+    assert "delta 0.001 below cell_size/4" in marker.read_text()
+    assert "ERROR" in capsys.readouterr().out
+    assert multiprocessing.active_children() == []
+
+
+def test_zero_fd_step_exits_three_by_name(tmp_path, capsys):
+    code = run_cli(["run", "transversality", "--out", str(tmp_path / "r"),
+                    "--set", "fd_step=0"])
+    assert code == 3
+    assert "fd_step must be positive" in capsys.readouterr().out
 
 
 def test_run_all_gives_each_scenario_only_its_own_keys(tmp_path, monkeypatch):

@@ -1,4 +1,8 @@
 import math
+import multiprocessing
+import os
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -465,6 +469,97 @@ def test_monte_carlo_volumes_raise_a_bad_call(monkeypatch):
         ra.monte_carlo_volumes(calls)
 
 
+# ---------------------------------------------------------------------------
+# fan_out: independent calls on forked worker processes
+# ---------------------------------------------------------------------------
+
+def pid_of(i):
+    """(i, the process the job ran in): a fan_out job."""
+    return i, os.getpid()
+
+
+def fail_on(i):
+    if i == 2:
+        raise ArgumentError(f"job {i} failed")
+    return i
+
+
+def nested(i):
+    """(pid of this job, pids of a fan-out started inside it)."""
+    return os.getpid(), [pid for _, pid in ra.fan_out(pid_of, [(0,), (1,)])]
+
+
+def forks_to(monkeypatch, cpus):
+    monkeypatch.setattr(ra, "_usable_cpus", lambda: cpus)
+
+
+def test_fan_out_equals_serial_calls_in_input_order(monkeypatch):
+    forks_to(monkeypatch, 2)
+    circles = ra.Circle(fr.product_point_cloud(fr.cantor_middle_thirds(3),
+                                               fr.cantor_middle_thirds(3), seed=1).points, 1.0)
+    grid = ra.GridSpec(((-1.1, -1.1), (2.1, 2.1)), 128)
+    calls = [(circles, d, grid) for d in (0.1, 0.05, 0.03)]
+    got = ra.fan_out(ra.rasterize_circles, calls)
+    assert multiprocessing.active_children() == []
+    for (union, counts, totals), call in zip(got, calls):
+        want_union, want_counts, want_totals = ra.rasterize_circles(*call)
+        assert np.array_equal(union.bits, want_union.bits)
+        assert np.array_equal(counts, want_counts) and np.array_equal(totals, want_totals)
+    assert ra.fan_out(pid_of, []) == []
+
+
+def test_fan_out_runs_on_forked_workers(monkeypatch):
+    forks_to(monkeypatch, 2)
+    got = ra.fan_out(pid_of, [(i,) for i in range(5)])
+    assert [i for i, _ in got] == list(range(5))
+    assert os.getpid() not in {pid for _, pid in got}
+    assert multiprocessing.active_children() == []
+
+
+def test_fan_out_caps_workers(monkeypatch):
+    forks_to(monkeypatch, 2)
+    assert {pid for _, pid in ra.fan_out(pid_of, [(0,), (1,)], workers=1)} == {os.getpid()}
+
+
+def test_fan_out_runs_serially_on_one_cpu(monkeypatch):
+    forks_to(monkeypatch, 1)
+    assert ra.fan_out(pid_of, [(0,), (1,)]) == [(0, os.getpid()), (1, os.getpid())]
+
+
+def test_fan_out_runs_serially_without_fork(monkeypatch):
+    forks_to(monkeypatch, 2)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert ra.fan_out(pid_of, [(0,), (1,)]) == [(0, os.getpid()), (1, os.getpid())]
+
+
+def test_fan_out_runs_serially_beside_another_thread(monkeypatch):
+    forks_to(monkeypatch, 2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert ra.fan_out(pid_of, [(0,), (1,)]) == [(0, os.getpid()), (1, os.getpid())]
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert multiprocessing.active_children() == []
+
+
+def test_fan_out_runs_serially_inside_a_worker(monkeypatch):
+    forks_to(monkeypatch, 2)
+    for worker, inner in ra.fan_out(nested, [(0,), (1,)]):
+        assert worker != os.getpid() and inner == [worker, worker]
+    assert multiprocessing.active_children() == []
+
+
+def test_fan_out_reraises_a_failed_job_after_joining(monkeypatch):
+    forks_to(monkeypatch, 2)
+    with pytest.raises(ArgumentError, match="job 2 failed"):
+        ra.fan_out(fail_on, [(i,) for i in range(4)])
+    assert multiprocessing.active_children() == []
+
+
 def test_monte_carlo_hits_pinned():
     # recorded before the draws and band tests moved into reused buffers
     hits = [ra.monte_carlo_intersection(*call).hits for call in mixed_calls()]
@@ -538,6 +633,22 @@ def test_pgm_bytes(tmp_path):
     assert len(payload) == 256
     assert payload[:16] == b"\xff" * 16      # written top row first
     assert payload[16:] == b"\x00" * 240
+
+
+def test_pgm_allocates_one_byte_per_cell(tmp_path):
+    # an int64 image cast to uint8 peaked at 36 MiB here; a uint8 image
+    # written from its own buffer allocates 4 MiB
+    g = ra.GridSpec(((0.0, 0.0), (1.0, 1.0)), 2048)
+    rst = ra.GridRaster(g, np.random.default_rng(0).random((2048, 2048)) < 0.3)
+    tracemalloc.start()
+    try:
+        ra.write_pgm(rst, tmp_path / "big.pgm")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 2048 * 2048
+    payload = (tmp_path / "big.pgm").read_bytes()[len(b"P5\n2048 2048\n255\n"):]
+    assert payload == np.where(rst.bits[::-1], 255, 0).astype(np.uint8).tobytes()
 
 
 def test_pgm_band_filename():

@@ -2,7 +2,9 @@
 
 A subprocess installs a profiler (sys.setprofile and threading.setprofile)
 before gmtlab is imported, so import-time calls such as the @_scenario
-registrations count, and then runs every scenario serially on small grids.
+registrations count, and then runs every scenario serially on small grids,
+with raster.fan_out pinned to this process so no call runs unseen in a
+forked worker.
 Each src/ `def` is keyed by its first line, decorators included, which is the
 co_firstlineno of its code object.  A def nested in an unreached def is
 covered by its parent's entry; lambdas are ignored.
@@ -40,7 +42,11 @@ def profile(frame, event, arg):
         entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 sys.setprofile(profile)
 threading.setprofile(profile)
-from gmtlab import cli
+from gmtlab import cli, raster
+# one usable CPU: every fan-out runs in this process, where the profiler sees
+# it (a forked worker's calls are lost with it); the real count is still read
+usable = raster._usable_cpus
+raster._usable_cpus = lambda: min(usable(), 1)
 code = cli.main(json.loads(sys.argv[1]))
 sys.setprofile(None)
 threading.setprofile(None)

@@ -599,3 +599,11 @@ def test_transversality_validates_curve_and_grid():
         sc.run_scenario("transversality", {"curve": "helix"})
     with pytest.raises(ArgumentError, match="4x4"):
         sc.run_scenario("transversality", {"samples": 3})
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-6])
+def test_transversality_refuses_a_step_that_is_not_positive(step):
+    # a zero step divided by zero (NaN Jacobians and two RuntimeWarnings)
+    # before any check, and a negative one ran on unnoticed
+    with pytest.raises(ArgumentError, match="fd_step must be positive"):
+        sc.run_scenario("transversality", {"fd_step": step})
