@@ -27,22 +27,20 @@ every cell center c.  It is the brute-force reference the span kernels are
 checked against, and the route for phase bands that have no spans.
 
 3-D set measures use Monte Carlo instead of dense grids; see
-monte_carlo_intersection, and monte_carlo_volumes for many volumes at once.
-Each call draws its chunks of points into one buffer that it reuses, and
-tests both bands in place on the phase values, so a chunk allocates little
-beyond the phase evaluation itself.  Where band A's phase has a float32
-screen (phase.screen_margin), the exact test of band A runs only on the
-samples the screen keeps.
+monte_carlo_intersection.  Each call draws its chunks of points into one
+buffer that it reuses, and tests both bands in place on the phase values, so
+a chunk allocates little beyond the phase evaluation itself.  Where band A's
+phase has a float32 screen (phase.screen_margin), the exact test of band A
+runs only on the samples the screen keeps.
 
-The span kernels hold the interpreter lock, so threads cannot overlap them.
-fan_out runs independent calls on forked worker processes instead, one per
-usable CPU, and returns their results in input order: each scenario hands
-it the unions, probes and rasters it needs, and the CLI its scenarios under
---jobs.  A job returns only what its caller reads (an area, a cell total,
-the one raster a PGM shows), which keeps the pickled results small.  Where
-forking is unsafe or pointless (one CPU, no fork, another live thread, or
-already inside a worker) the calls run serially in the calling process, so
-the results never depend on the worker count.
+fan_out runs independent calls on forked worker processes, one per usable
+CPU, and returns their results in input order: each scenario hands it the
+unions, probes, rasters or Monte Carlo volumes it needs, and the CLI its
+scenarios under --jobs.  A job returns only what its caller reads (an area,
+a cell total, a volume, the one raster a PGM shows), which keeps the pickled
+results small.  Where forking is unsafe or pointless (one CPU, no fork,
+another live thread, or already inside a worker) the calls run serially in
+the calling process, so the results never depend on the worker count.
 """
 
 from __future__ import annotations
@@ -477,7 +475,7 @@ MC_MIN_HITS = 100
 # Samples per draw, and rows of each call's reused point buffer.  A smaller
 # chunk makes more numpy calls, each of which releases and retakes the
 # interpreter lock.  A larger one leaves the CPU cache: with the reused buffers,
-# intersection-hypothesis (16 volumes on 2 threads, 2-core x86_64) took
+# intersection-hypothesis (16 volumes, two at a time, 2-core x86_64) took
 # 1.04-1.26 s at 2^15 and 1.37-1.73 s at 2^18, with a peak 30 MiB higher.
 _MC_CHUNK = 1 << 15
 
@@ -551,26 +549,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def monte_carlo_volumes(calls) -> list:
-    """monte_carlo_intersection over many independent volumes at once.
-
-    calls: (family, delta, box, samples, seed) tuples; the results come back
-    in input order and equal the serial calls, because every volume draws
-    from its own seed.  Up to one thread per usable CPU runs them; they
-    overlap because the sampling and band tests run in numpy, which releases
-    the interpreter lock.
-    """
-    calls = list(calls)
-    workers = min(len(calls), _usable_cpus())
-    if workers <= 1:
-        return [monte_carlo_intersection(*call) for call in calls]
-    # imported here: concurrent.futures loads logging, a cost at every import
-    # of raster that only this function needs
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda call: monte_carlo_intersection(*call), calls))
-
-
 def fan_out(fn, calls, workers=None) -> list:
     """[fn(*call) for call in calls], run on forked worker processes.
 
@@ -586,13 +564,11 @@ def fan_out(fn, calls, workers=None) -> list:
     """
     calls = list(calls)
     workers = min(len(calls), _usable_cpus(), workers or len(calls))
-    if workers <= 1 or threading.active_count() > 1:
-        return [fn(*call) for call in calls]
-    # imported here, like ThreadPoolExecutor above, to keep them off the
-    # import of raster
+    # imported here to keep them off the import of raster
     import multiprocessing
-    if multiprocessing.parent_process() is not None or (
-            "fork" not in multiprocessing.get_all_start_methods()):
+    if (workers <= 1 or threading.active_count() > 1
+            or multiprocessing.parent_process() is not None
+            or "fork" not in multiprocessing.get_all_start_methods()):
         return [fn(*call) for call in calls]
     from concurrent.futures.process import ProcessPoolExecutor
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:

@@ -353,8 +353,8 @@ def _intersection_hypothesis(p, seed, out_dir):
     single band and the ratio inflates as delta shrinks.  sep = 0 rows are
     degenerate (intersection = band) and stay out of both verdicts.  A
     verdict with a low-confidence Monte Carlo cell is withheld, and a failing
-    `inconclusive` verdict counts those cells instead.  The volumes run
-    concurrently; `mc_samples` and `mc_hits` record their totals.
+    `inconclusive` verdict counts those cells instead.  The volumes run on
+    raster.fan_out's workers; `mc_samples` and `mc_hits` record their totals.
     """
     p["deltas"] = deltas = sorted((float(d) for d in p["deltas"]), reverse=True)
     p["separations"] = separations = [float(v) for v in p["separations"]]
@@ -382,7 +382,7 @@ def _intersection_hypothesis(p, seed, out_dir):
             # same surface at both parameters: t(x) = 1 - x3 on a vertical segment
             fam = ((parab, (0.0, 0.0, 0.0), 1.0), (parab, (0.0, 0.0, sep), 1.0 - sep))
             calls.append((fam, d, pbox, samples, sub + 17))
-    volumes = raster.monte_carlo_volumes(calls)
+    volumes = raster.fan_out(raster.monte_carlo_intersection, calls)
     p["mc_samples"] = sum(mc.samples for mc in volumes)
     p["mc_hits"] = sum(mc.hits for mc in volumes)
 

@@ -457,8 +457,8 @@ def test_monte_carlo_volumes_match_serial_calls(monkeypatch, workers):
     serial = [ra.monte_carlo_intersection(*call) for call in calls]
     assert sum(r.hits for r in serial) > 0
     monkeypatch.setattr(ra, "_usable_cpus", lambda: workers)
-    assert ra.monte_carlo_volumes(calls) == serial
-    assert ra.monte_carlo_volumes([]) == []
+    assert ra.fan_out(ra.monte_carlo_intersection, calls) == serial
+    assert ra.fan_out(ra.monte_carlo_intersection, []) == []
 
 
 def test_monte_carlo_volumes_raise_a_bad_call(monkeypatch):
@@ -466,7 +466,7 @@ def test_monte_carlo_volumes_raise_a_bad_call(monkeypatch):
     calls = mixed_calls()
     calls[3] = calls[3][:3] + (0,) + calls[3][4:]
     with pytest.raises(ArgumentError, match="samples"):
-        ra.monte_carlo_volumes(calls)
+        ra.fan_out(ra.monte_carlo_intersection, calls)
 
 
 # ---------------------------------------------------------------------------

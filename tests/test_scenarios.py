@@ -1,6 +1,9 @@
 import copy
+import dataclasses
 import functools
 import math
+import multiprocessing
+import os
 import warnings
 
 import numpy as np
@@ -35,6 +38,11 @@ def verdict(report, name):
         if v.name == name:
             return v
     raise AssertionError(f"no verdict named {name} in {report.scenario_id}")
+
+
+def one_point(depth):
+    """A Cantor construction collapsed to the point 0.5 at every depth."""
+    return fr.IntervalSet(((0.5, 0.5),), depth)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +182,15 @@ def test_fixed_level_deterministic():
     assert c.series != a.series
 
 
+def test_fixed_level_one_point_center_set_fails_union_area_floor(monkeypatch):
+    # a center set of dimension 0: the product cloud is one unit circle, whose
+    # band has area pi((1 + d)^2 - (1 - d)^2) = 4 pi d, 0.126 at d = 0.01
+    monkeypatch.setattr(fr, "cantor_middle_thirds", one_point)
+    rep = sc.run_scenario("fixed-level-positivity", {"n": 512, "depths": [2]})
+    v = verdict(rep, "union-area-floor")
+    assert v.measured == pytest.approx(4 * math.pi * 0.01, rel=0.05) and not v.passed
+
+
 # ---------------------------------------------------------------------------
 # flat counterexample
 # ---------------------------------------------------------------------------
@@ -277,6 +294,16 @@ def test_discrete_incidence_thinned_union_fails_area_spread(monkeypatch):
     assert v.measured == pytest.approx(4.0, rel=0.1) and not v.passed
 
 
+def test_discrete_incidence_one_center_fails_area_floor(monkeypatch):
+    # the q^2 lattice points stacked on one center, so not separated: the
+    # union is one annulus of area 4 pi rho, 0.311 at q = 16 (rho = 16^(-4/3))
+    monkeypatch.setattr(fr, "separated_lattice",
+                        lambda q, seed=0: fr.PointSet([[q / 2.0, q / 2.0]], [1.0]))
+    rep = sc.run_scenario("discrete-incidence", {"n": 512, "qs": [8, 16]})
+    v = verdict(rep, "area-floor")
+    assert v.measured == pytest.approx(4 * math.pi * 16 ** (-4 / 3), rel=0.05) and not v.passed
+
+
 def test_discrete_incidence_rejects_bad_s():
     with pytest.raises(ArgumentError):
         sc.run_scenario("discrete-incidence", {"qs": [8], "s": 2.5})
@@ -321,22 +348,22 @@ def test_intersection_transversal_paraboloids_fail_degenerate_growth(monkeypatch
     # distinct surface, transversal to the first: the intersection scales like
     # delta^2/sep, so the ratio like (delta + sep)/sep and one halving gives
     # (0.02 + 0.25)/(0.04 + 0.25) = 0.931, far below the growth floor
-    real = ra.monte_carlo_volumes
+    real = ra.fan_out
     hits = []
 
-    def sideways(calls):
+    def sideways(fn, calls):
         moved = []
         for fam, delta, box, samples, seed in calls:
             (spec, xa, ta), (_, xb, _) = fam
             if spec.kind == "translated-paraboloid":
                 fam = ((spec, xa, ta), (spec, (xb[2], 0.0, 0.0), 1.0))
             moved.append((fam, delta, box, samples, seed))
-        results = real(moved)
+        results = real(fn, moved)
         hits.extend(mc.hits for (fam, *_), mc in zip(moved, results)
                     if fam[0][0].kind == "translated-paraboloid")
         return results
 
-    monkeypatch.setattr(ra, "monte_carlo_volumes", sideways)
+    monkeypatch.setattr(ra, "fan_out", sideways)
     rep = sc.run_scenario("intersection-hypothesis",
                           {"samples": 400_000, "separations": [0.25]})
     # decided, not withheld: every paraboloid cell has enough hits
@@ -349,18 +376,18 @@ def test_intersection_transversal_paraboloids_fail_degenerate_growth(monkeypatch
 def test_intersection_coincident_spheres_fail_intersection_bound(monkeypatch):
     # the second warped sphere moved onto the first: the two bands coincide,
     # so the intersection is a whole band slab and the ratio far exceeds 50
-    real = ra.monte_carlo_volumes
+    real = ra.fan_out
 
-    def coincident(calls):
+    def coincident(fn, calls):
         moved = []
         for fam, delta, box, samples, seed in calls:
             (spec, xa, ta), _ = fam
             if spec.kind == "diffeo-distance":
                 fam = ((spec, xa, ta), (spec, xa, ta))
             moved.append((fam, delta, box, samples, seed))
-        return real(moved)
+        return real(fn, moved)
 
-    monkeypatch.setattr(ra, "monte_carlo_volumes", coincident)
+    monkeypatch.setattr(ra, "fan_out", coincident)
     rep = sc.run_scenario("intersection-hypothesis",
                           {"samples": 200_000, "separations": [1.0]})
     assert "inconclusive" not in [v.name for v in rep.verdicts]
@@ -388,23 +415,38 @@ def test_intersection_validates_inputs():
 
 
 def test_intersection_rejects_empty_sample_counts(monkeypatch):
-    def no_volume(calls):
+    def no_volume(fn, calls):
         raise AssertionError("a volume was submitted")
-    monkeypatch.setattr(ra, "monte_carlo_volumes", no_volume)
+    monkeypatch.setattr(ra, "fan_out", no_volume)
     for samples in (0, -5):
         with pytest.raises(ArgumentError, match="samples"):
             sc.run_scenario("intersection-hypothesis", {"samples": samples})
 
 
-def test_intersection_counts_volumes_alike_on_one_or_two_workers(monkeypatch):
-    reports = []
+def test_intersection_volumes_run_on_forked_workers(monkeypatch, tmp_path):
+    # every phase evaluation logs the process it ran in
+    log = tmp_path / "pids"
+    real = ra.eval_phase_batch
+
+    def logged(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(*args)
+
+    monkeypatch.setattr(ra, "eval_phase_batch", logged)
+    reports, pids = [], []
     for workers in (1, 2):
         monkeypatch.setattr(ra, "_usable_cpus", lambda n=workers: n)
+        log.write_text("")
         reports.append(sc.run_scenario("intersection-hypothesis", {"samples": 20_000}, seed=2))
+        pids.append(set(log.read_text().split()))
     one, two = reports
     assert one.params["mc_samples"] == 16 * 20_000
     assert 0 < one.params["mc_hits"] < one.params["mc_samples"]
-    assert (one.series, one.params) == (two.series, two.params)
+    assert pids[0] == {str(os.getpid())}
+    assert pids[1] and str(os.getpid()) not in pids[1]
+    assert dataclasses.replace(two, wall_time=one.wall_time) == one
+    assert multiprocessing.active_children() == []
 
 
 def test_intersection_deterministic_per_seed():
@@ -466,6 +508,15 @@ def test_interior_failure_rejects_small_box():
     with pytest.raises(ArgumentError, match="box"):
         sc.run_scenario("interior-failure", {
             "depths": [3], "deltas": [0.04], "n": 64, "box": (-1.0, -1.0, 2.0, 1.0)})
+
+
+def test_interior_failure_one_point_center_set_fails_area_floor(monkeypatch):
+    # a center set of measure zero: every depth's family is one unit circle,
+    # whose band has area 4 pi d, 0.126 at d = 0.01
+    monkeypatch.setattr(fr, "fat_cantor", one_point)
+    rep = sc.run_scenario("interior-failure", {"n": 512, "probe_n": 2048, "depths": [3, 4]})
+    v = verdict(rep, "area-floor")
+    assert v.measured == pytest.approx(4 * math.pi * 0.01, rel=0.05) and not v.passed
 
 
 # ---------------------------------------------------------------------------
