@@ -16,11 +16,12 @@ a span to the cells whose center it contains, and spans_to_cells turns the
 spans of a batch into cells with a difference array (np.add.at, then a
 cumulative sum) per block of rows.  It gives the union (union_scanline), the
 exact per-cell cover counts (rasterize_circles), each shape's cell total
-and a weighted deposit, whose difference array is the output itself, summed
-in place.  The interior probe max_inscribed_interval reads its runs from
-the same cell ranges, with no raster.  One walk, _cell_ranges, asks for
-_SPAN_CHUNK // len(batch) rows of spans at a time and so bounds the span
-memory of every consumer, the probe included.
+and a weighted deposit.  The blocks of a deposit run as fan_out jobs that
+write into outputs in shared anonymous mappings; the other uses run their
+blocks in the calling process.  The interior probe max_inscribed_interval
+reads its runs from the same cell ranges, with no raster.  One walk,
+_cell_ranges, asks for _SPAN_CHUNK // len(batch) rows of spans at a time and
+so bounds the span memory of every consumer, the probe included.
 
 rasterize_band is the phase predicate: it tests |phi(x, c) - t| <= delta at
 every cell center c.  It is the brute-force reference the span kernels are
@@ -35,16 +36,19 @@ runs only on the samples the screen keeps.
 
 fan_out runs independent calls on forked worker processes, one per usable
 CPU, and returns their results in input order: each scenario hands it the
-unions, probes, rasters or Monte Carlo volumes it needs, and the CLI its
-scenarios under --jobs.  A job returns only what its caller reads (an area,
-a cell total, a volume, the one raster a PGM shows), which keeps the pickled
-results small.  Where forking is unsafe or pointless (one CPU, no fork,
-another live thread, or already inside a worker) the calls run serially in
-the calling process, so the results never depend on the worker count.
+unions, probes, rasters or Monte Carlo volumes it needs, spans_to_cells the
+row blocks of a deposit, and the CLI its scenarios under --jobs.  The
+workers inherit the calls through fork, so nothing but a job's index goes to
+them; a job returns only what its caller reads (an area, a cell total, a
+volume, the one raster a PGM shows), which keeps the pickled results small.
+Where forking is unsafe or pointless (one CPU, no fork, another live thread,
+or already inside a worker) the calls run serially in the calling process,
+so the results never depend on the worker count.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import threading
 import warnings
@@ -61,7 +65,7 @@ MIN_CELLS = 16
 
 _ROW_CHUNK = 64          # rows per predicate-evaluation chunk (memory bound)
 _SPAN_CHUNK = 1 << 14    # shapes x rows whose spans are built at once (memory bound)
-_BLOCK_CELLS = 1 << 22   # cells per row block of the span difference array (memory bound)
+_BLOCK_CELLS = 1 << 21   # cells per row block of the span difference array (memory bound)
 
 
 @dataclass(frozen=True)
@@ -310,57 +314,86 @@ def spans_to_cells(grid: GridSpec, count: int, spans, weights=None, counts=False
     deposit spreads weights[k] evenly over the cells of shape k as a density
     (weight per cell volume) and is zero off the union.
 
-    Rows go a block at a time, and the spans of a block come from
-    _cell_ranges a chunk of rows at a time, so the only full-grid arrays are
-    the outputs.  The count difference array of a block is one buffer, reused
-    and filled in place by np.add.at: np.bincount would allocate a
-    block-sized array per chunk, and freeing those leaves the heap fragmented
-    and the process larger for the rest of its run.  The deposit's difference
-    array is the block's own rows of the output, summed in place.
+    Rows go a block at a time (_block_cells), so the only full-grid arrays
+    are the outputs.  Without weights the blocks run in this process, which
+    is where every scenario calls this: in a fan_out worker.  A deposit
+    needs each shape's cell total over all rows before it can spread its
+    weight, so its blocks walk their spans twice, each walk a fan_out with
+    one job per block: the first returns the blocks' cell totals, the second
+    fills the outputs, which live in anonymous shared mappings so that the
+    workers' writes reach this process.  They are copied out once at the
+    end (about 15 ms at n=2048), so callers get private arrays, not views of
+    mappings that may get no transparent huge pages.
     """
     n = grid.cells_per_axis
-    ycent = grid.centers(1)
-    if weights is not None:
-        # a shape's weight per cell needs its cell total over all rows first
-        first = np.zeros(count)
-        for shape, _, i0, i1 in _cell_ranges(grid, count, spans, ycent):
-            first += np.bincount(shape, i1 - i0 + 1, minlength=count)
-        density = np.divide(weights, first * grid.cell_volume, out=np.zeros(count),
-                            where=first > 0)
-    totals = np.zeros(count, dtype=np.int64)
-    bits = np.zeros((n, n), dtype=bool)
-    cover = np.zeros((n, n), dtype=np.int32) if counts else None
-    mass = None if weights is None else np.zeros((n, n))
     block = min(n, max(1, _BLOCK_CELLS // n))
-    run = np.zeros(block * n + 1, dtype=np.int64)
-    for j0 in range(0, n, block):
-        j1 = min(j0 + block, n)
-        run[:] = 0
-        dep = None if mass is None else mass[j0:j1].reshape(-1)    # a view: sums land in mass
-        for shape, row, i0, i1 in _cell_ranges(grid, count, spans, ycent[j0:j1]):
-            # start is the flat index of a span's first cell in the block
-            start, cells = row * n + i0, i1 - i0 + 1
-            totals += np.bincount(shape, cells, minlength=count).astype(np.int64)
-            np.add.at(run, start, 1)
-            np.subtract.at(run, start + cells, 1)
-            if dep is not None:
-                w = density[shape]
-                np.add.at(dep, start, w)
-                inner = start + cells < len(dep)    # later ends never reach the sum
-                np.subtract.at(dep, (start + cells)[inner], w[inner])
-        np.cumsum(run, out=run)
-        block_counts = run[: (j1 - j0) * n].reshape(j1 - j0, n)
-        np.greater(block_counts, 0, out=bits[j0:j1])
-        if cover is not None:
-            cover[j0:j1] = block_counts
+    rows = [(j0, min(j0 + block, n)) for j0 in range(0, n, block)]
+    if weights is None:
+        bits = np.zeros((n, n), dtype=bool)
+        cover = np.zeros((n, n), dtype=np.int32) if counts else None
+        totals = sum(_block_cells(grid, count, spans, j0, j1, bits, cover) for j0, j1 in rows)
+        return bits, cover, totals, None
+    first = sum(fan_out(_block_totals, [(grid, count, spans, j0, j1) for j0, j1 in rows]))
+    density = np.divide(weights, first * grid.cell_volume, out=np.zeros(count),
+                        where=first > 0)
+
+    def shared(dtype):
+        # zero-filled pages that stay shared with the forked workers
+        return np.frombuffer(mmap.mmap(-1, n * n * np.dtype(dtype).itemsize), dtype).reshape(n, n)
+
+    bits, mass = shared(bool), shared(float)
+    cover = shared(np.int32) if counts else None
+    totals = sum(fan_out(_block_cells, [(grid, count, spans, j0, j1, bits, cover, mass, density)
+                                        for j0, j1 in rows]))
+    return bits.copy(), None if cover is None else cover.copy(), totals, mass.copy()
+
+
+def _block_totals(grid: GridSpec, count: int, spans, j0: int, j1: int):
+    """Per-shape cell totals of rows j0:j1: the first walk of a deposit."""
+    totals = np.zeros(count, dtype=np.int64)
+    for shape, _, i0, i1 in _cell_ranges(grid, count, spans, grid.centers(1)[j0:j1]):
+        totals += np.bincount(shape, i1 - i0 + 1, minlength=count).astype(np.int64)
+    return totals
+
+
+def _block_cells(grid: GridSpec, count: int, spans, j0: int, j1: int, bits, cover,
+                 mass=None, density=None):
+    """Fill rows j0:j1 of bits, cover and mass; return their per-shape cell totals.
+
+    The counts are a difference array (np.add.at, then a cumulative sum)
+    over the block's cells plus one, filled in place: np.bincount would
+    allocate a block-sized array per chunk of spans.  The deposit of
+    density[k] per cell of shape k is a second difference array, summed in
+    a private buffer; the integer cover then pins its support, so prefix-sum
+    roundoff dust cannot leak outside the banded cells, before its rows are
+    copied into mass.
+    """
+    n = grid.cells_per_axis
+    size = (j1 - j0) * n
+    run = np.zeros(size + 1, dtype=np.int64)
+    dep = None if mass is None else np.zeros(size + 1)
+    totals = np.zeros(count, dtype=np.int64)
+    for shape, row, i0, i1 in _cell_ranges(grid, count, spans, grid.centers(1)[j0:j1]):
+        # start is the flat index of a span's first cell in the block
+        start, cells = row * n + i0, i1 - i0 + 1
+        totals += np.bincount(shape, cells, minlength=count).astype(np.int64)
+        np.add.at(run, start, 1)
+        np.subtract.at(run, start + cells, 1)
         if dep is not None:
-            np.cumsum(dep, out=dep)
-    if mass is not None:
-        # the integer cover pins the support, so prefix-sum roundoff dust
-        # cannot leak outside the banded cells
-        mass[~bits] = 0.0
-        np.maximum(mass, 0.0, out=mass)
-    return bits, cover, totals, mass
+            w = density[shape]
+            np.add.at(dep, start, w)
+            np.subtract.at(dep, start + cells, w)
+    np.cumsum(run, out=run)
+    block_counts = run[:size].reshape(j1 - j0, n)
+    np.greater(block_counts, 0, out=bits[j0:j1])
+    if cover is not None:
+        cover[j0:j1] = block_counts
+    if dep is not None:
+        np.cumsum(dep, out=dep)
+        np.maximum(dep, 0.0, out=dep)
+        # mass starts zeroed, so the cells off the union stay 0
+        np.copyto(mass[j0:j1], dep[:size].reshape(j1 - j0, n), where=bits[j0:j1])
+    return totals
 
 
 def union_scanline(shapes, delta: float, grid: GridSpec) -> GridRaster:
@@ -549,11 +582,21 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+_JOBS = None     # (fn, calls) of the forking fan_out; its workers inherit it
+
+
+def _run_job(i: int):
+    fn, calls = _JOBS
+    return fn(*calls[i])
+
+
 def fan_out(fn, calls, workers=None) -> list:
     """[fn(*call) for call in calls], run on forked worker processes.
 
-    fn is a module-level function; calls and results are pickled, so a job
-    should return only what its caller reads.  min(len(calls), usable CPUs,
+    The workers inherit fn and calls through fork, so fn may be a lambda and
+    a call may hold a closure or an array in a shared mapping; each job is
+    sent as its index and only its result is pickled, so a job should
+    return only what its caller reads.  min(len(calls), usable CPUs,
     workers) processes run the calls and the results come back in input
     order.  The calls run serially in this process instead where one worker
     would do, where the platform cannot fork, while another thread is alive
@@ -562,18 +605,26 @@ def fan_out(fn, calls, workers=None) -> list:
     workers are joined before this returns, also when a job raises; its
     exception then re-raises here.
     """
+    global _JOBS
     calls = list(calls)
     workers = min(len(calls), _usable_cpus(), workers or len(calls))
     # imported here to keep them off the import of raster
     import multiprocessing
+    # serial calls leave the slot alone: calls from two threads would race
+    # for it, and a serial fan_out inside a job would take it from the
+    # worker's next job
     if (workers <= 1 or threading.active_count() > 1
             or multiprocessing.parent_process() is not None
             or "fork" not in multiprocessing.get_all_start_methods()):
         return [fn(*call) for call in calls]
     from concurrent.futures.process import ProcessPoolExecutor
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(fn, *call) for call in calls]
-        return [fut.result() for fut in futures]
+    _JOBS = (fn, calls)
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = [pool.submit(_run_job, i) for i in range(len(calls))]
+            return [fut.result() for fut in futures]
+    finally:
+        _JOBS = None
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Densities live on 2-D grids (see raster.GridSpec).  Every L2 norm here is
 read off one half-spectrum power array P = |rfft2(values)|^2 by the discrete
-Parseval identity; the only other full-size array is the spectrum P is
-squared out of, its y transform written over its x transform.  A real
+Parseval identity.  P lives in the real parts of the spectrum it is squared
+out of, whose y transform is written over its x transform, so the spectrum
+is the only full-size array beside the density.  A real
 density's DFT is conjugate-symmetric, so each column k of P with 0 < k < n/2
 also stands for the mirror column n - k and is weighted by 2; column 0 and,
 for even n, the Nyquist column n/2 are their own mirrors and keep weight 1.
@@ -131,19 +132,30 @@ def lp_projection_norms(density: GriddedDensity, j_max: int):
     step = max(1, _BLOCK_FREQS // power.shape[1])
     for r0 in range(0, n, step):
         rho = np.hypot(fy[r0 : r0 + step], fx)
+        block = np.ascontiguousarray(power[r0 : r0 + step])
+        # lp_window(rho, j), each smooth step computed once: band j's upper
+        # step is band j + 1's lower one
+        below = 0.0
         for j in range(j_max + 1):
-            eta = lp_window(rho, j)
+            above = _smooth_step(rho, 2.0 ** (j + 1))
+            eta = above - below
             eta *= eta
-            sums[j] += np.vdot(eta, power[r0 : r0 + step])
+            sums[j] += np.vdot(eta, block)
+            below = above
     scale = math.sqrt(density.grid.cell_volume) / n
     return [(j, scale * math.sqrt(float(s))) for j, s in enumerate(sums)]
 
 
 def _half_power(values: np.ndarray) -> np.ndarray:
-    """|rfft2(values)|^2, inner columns doubled for their conjugate mirrors."""
+    """|rfft2(values)|^2, inner columns doubled for their conjugate mirrors.
+
+    P is squared into the spectrum's own real parts and returned as that
+    strided view.  A vdot over a strided view sums in another order than
+    over contiguous memory, so readers take contiguous copies of their blocks.
+    """
     spec = np.fft.rfft(values, axis=1)
     np.fft.fft(spec, axis=0, out=spec)      # rfft2, in the memory of one spectrum
-    power = np.square(spec.real)
+    power = np.square(spec.real, out=spec.real)
     power += np.square(spec.imag, out=spec.imag)
     power[:, 1:(values.shape[1] + 1) // 2] *= 2.0
     return power
@@ -295,7 +307,8 @@ def mollified_l2(nu: GriddedDensity, epsilons) -> list:
     power = _half_power(nu.values)
     out = []
     for e in epsilons:
-        total = sum(float(np.vdot(k * k, power[:, cols])) for cols, k in _bump_dft(grid, float(e)))
+        total = sum(float(np.vdot(k * k, np.ascontiguousarray(power[:, cols])))
+                    for cols, k in _bump_dft(grid, float(e)))
         out.append((float(e), math.sqrt(grid.cell_volume**3 * total) / grid.cells_per_axis))
     return out
 

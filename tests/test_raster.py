@@ -1,7 +1,9 @@
 import math
+import mmap
 import multiprocessing
 import os
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -557,6 +559,60 @@ def test_fan_out_reraises_a_failed_job_after_joining(monkeypatch):
     forks_to(monkeypatch, 2)
     with pytest.raises(ArgumentError, match="job 2 failed"):
         ra.fan_out(fail_on, [(i,) for i in range(4)])
+    assert multiprocessing.active_children() == []
+
+
+def test_fan_out_runs_a_lambda_on_forked_workers(monkeypatch):
+    # the workers inherit fn and calls through fork: neither is pickled
+    forks_to(monkeypatch, 2)
+    offset = 10
+    got = ra.fan_out(lambda i: (i + offset, os.getpid()), [(i,) for i in range(4)])
+    assert [i for i, _ in got] == [10, 11, 12, 13]
+    assert os.getpid() not in {pid for _, pid in got}
+    assert multiprocessing.active_children() == []
+
+
+def test_fan_out_workers_write_into_a_shared_array(monkeypatch):
+    forks_to(monkeypatch, 2)
+    shared = np.frombuffer(mmap.mmap(-1, 6 * 8), np.int64)
+    assert ra.fan_out(lambda i: shared.__setitem__(i, os.getpid()),
+                      [(i,) for i in range(6)]) == [None] * 6
+    assert np.all(shared > 0) and os.getpid() not in set(shared.tolist())
+    assert multiprocessing.active_children() == []
+
+
+def test_nested_fan_out_keeps_the_outer_jobs(monkeypatch):
+    # six jobs on two workers: some worker runs a job after its first job's
+    # serial inner fan_out has finished, and must still find the outer calls
+    forks_to(monkeypatch, 2)
+
+    def job(i):
+        return i, ra.fan_out(lambda k: k * i, [(1,), (2,)]), os.getpid()
+
+    got = ra.fan_out(job, [(i,) for i in range(6)])
+    assert [(i, inner) for i, inner, _ in got] == [(i, [i, 2 * i]) for i in range(6)]
+    assert len({pid for _, _, pid in got}) < 6
+    assert ra._JOBS is None
+    assert multiprocessing.active_children() == []
+
+
+def test_fan_out_calls_from_two_threads_run_their_own_jobs(monkeypatch):
+    # beside another thread both calls run serially in their own threads,
+    # and the jobs of one must never run the other's calls
+    forks_to(monkeypatch, 2)
+    got = {}
+
+    def run(tag):
+        got[tag] = ra.fan_out(lambda i: (time.sleep(0.001), tag, i)[1:],
+                              [(i,) for i in range(20)])
+
+    threads = [threading.Thread(target=run, args=(tag,)) for tag in "ab"]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == {tag: [(tag, i) for i in range(20)] for tag in "ab"}
     assert multiprocessing.active_children() == []
 
 

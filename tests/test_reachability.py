@@ -69,10 +69,14 @@ ALLOWED = {
     "phase.level_points": "roadmap:hypotheses",
     "phase.rotational_curvature": "criterion 01",
     "phase.rotational_curvature_fd": "criterion 01, oracle of rotational_curvature",
+    "raster._block_totals": "perfbench:spectral-profile",
     "raster._check_same_grid": "criterion 12",
+    # runs only in forked fan_out workers, which this pinned run never starts
+    "raster._run_job": "perfbench:run-all, perfbench:spectral-profile",
     "raster.intersection_area": "oracle of monte_carlo_intersection",
     "raster.intersection_raster": "criterion 12",
     "raster.rasterize_band": "oracle of union_scanline",
+    "raster.spans_to_cells.shared": "perfbench:spectral-profile",
     "raster.union_raster": "criterion 12",
     "reporting.read_report": "roadmap:one telemetry source",
     "spectral.GriddedDensity.__post_init__":
@@ -89,7 +93,7 @@ ALLOWED = {
     "spectral.grid_density_from_points": "criterion 02, criterion 12",
     "spectral.incidence_density": "perfbench:spectral-profile",
     "spectral.lp_projection_norms": "perfbench:spectral-profile, criterion 02",
-    "spectral.lp_window": "perfbench:spectral-profile, criterion 02",
+    "spectral.lp_window": "oracle of lp_projection_norms",
     "spectral.mollified_l2": "perfbench:spectral-profile",
     "spectral.mollify": "criterion 12, oracle of mollified_l2",
     "spectral.surface_fourier_decay": "perfbench:spectral-profile, criterion 03",

@@ -10,9 +10,12 @@ for families only the union is compared.  The interior probe
 raster.max_inscribed_interval, which merges a batch's spans row by row, must
 read the longest row run of the same cells.  The kernel's block and chunk
 sizes are shrunk so that every example crosses row-block and row-chunk
-boundaries.
+boundaries.  A deposit's row blocks run on forked workers, which must give
+the bytes of the same blocks run serially.
 """
 
+import multiprocessing
+import os
 from unittest import mock
 
 import numpy as np
@@ -125,8 +128,12 @@ def test_span_kernel_matches_brute_force(obj, n, delta, rows, chunk, weights):
     x, y = _centers(grid)
     dist = _distances(obj, x, y)
     w = np.asarray(weights[: len(obj)])
+    # the deposit's blocks run in this process, which saves two worker pools
+    # an example; test_forked_blocks_give_the_bytes_of_serial_blocks holds
+    # the forked blocks to the same bytes
     with mock.patch.object(ra, "_BLOCK_CELLS", rows * n), \
-            mock.patch.object(ra, "_SPAN_CHUNK", chunk):
+            mock.patch.object(ra, "_SPAN_CHUNK", chunk), \
+            mock.patch.object(ra, "_usable_cpus", lambda: 1):
         bits, cover, totals, mass = ra.spans_to_cells(
             grid, len(obj), lambda ys: obj.spans(ys, delta), weights=w, counts=True)
         union = ra.union_scanline(obj, delta, grid)
@@ -247,6 +254,52 @@ def test_in_place_deposit_is_byte_equal_to_separate_buffer(n, rows):
         assert len(edge_ends) == -(-n // rows) and n % rows
         assert edge_ends[-1] > 0 and any(edge_ends[:-1])
         assert mass.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["circles", "squares", "triangles"])
+def test_forked_blocks_give_the_bytes_of_serial_blocks(monkeypatch, tmp_path, kind):
+    grid = ra.GridSpec(BOX, 45)
+    rng = np.random.default_rng(7)
+    centers, sizes = rng.uniform(-1.8, 1.8, (6, 2)), rng.uniform(0.2, 1.5, 6)
+    if kind == "triangles":
+        triangles = rng.uniform(-1.8, 1.8, (6, 3, 2))
+        shape_spans = lambda ys: ra._triangle_spans(triangles, ys)   # noqa: E731
+    else:
+        obj = (ra.Circle if kind == "circles" else ra.SquareBoundary)(centers, sizes)
+        shape_spans = lambda ys: obj.spans(ys, 0.2)                   # noqa: E731
+    weights = rng.uniform(0.01, 1.0, 6)
+    runs = {}
+    # four workers on fewer cores write their rows into the same mappings
+    for cpus in (4, 2, 1):
+        monkeypatch.setattr(ra, "_usable_cpus", lambda: cpus)
+        for tag, w in (("plain", None), ("deposit", weights)):
+            def spans(ys, tag=tag, cpus=cpus):
+                # the process that walks these rows leaves its pid
+                (tmp_path / f"{cpus}-{tag}-{os.getpid()}").touch()
+                return shape_spans(ys)
+
+            with mock.patch.object(ra, "_BLOCK_CELLS", 4 * 45), \
+                    mock.patch.object(ra, "_SPAN_CHUNK", 3):
+                runs[cpus, tag] = ra.spans_to_cells(grid, 6, spans, weights=w, counts=True)
+    assert multiprocessing.active_children() == []
+    for cpus in (4, 2):
+        for tag in ("plain", "deposit"):
+            for forked, serial in zip(runs[cpus, tag], runs[1, tag]):
+                assert type(forked) is type(serial)
+                if forked is not None:
+                    assert forked.dtype == serial.dtype and forked.tobytes() == serial.tobytes()
+    # the deposit's union, cover and totals are those of the plain call
+    for deposit, plain in zip(runs[2, "deposit"][:3], runs[2, "plain"][:3]):
+        assert deposit.tobytes() == plain.tobytes()
+    assert runs[2, "deposit"][3].any()
+
+    def pids(prefix):
+        return {int(f.name.rpartition("-")[2]) for f in tmp_path.glob(prefix + "-*")}
+
+    for cpus in (4, 2):
+        assert pids(f"{cpus}-deposit") and os.getpid() not in pids(f"{cpus}-deposit")
+        assert pids(f"{cpus}-plain") == {os.getpid()}
+    assert pids("1-plain") == pids("1-deposit") == {os.getpid()}
 
 
 def _longest_run(bits):
