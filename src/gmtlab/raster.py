@@ -16,9 +16,10 @@ a span to the cells whose center it contains, and spans_to_cells turns the
 spans of a batch into cells with a difference array (np.add.at, then a
 cumulative sum) per block of rows.  It gives the union (union_scanline), the
 exact per-cell cover counts (rasterize_circles), each shape's cell total
-and a weighted deposit.  The blocks of a deposit run as fan_out jobs that
-write into outputs in shared anonymous mappings; the other uses run their
-blocks in the calling process.  The interior probe max_inscribed_interval
+and a weighted deposit.  Every call runs its row blocks as fan_out jobs that
+write into outputs in shared anonymous mappings; a deposit first runs the
+same jobs without outputs for its per-shape totals.  Inside a fan_out worker
+the blocks run serially there.  The interior probe max_inscribed_interval
 reads its runs from the same cell ranges, with no raster.  One walk,
 _cell_ranges, asks for _SPAN_CHUNK // len(batch) rows of spans at a time and
 so bounds the span memory of every consumer, the probe included.
@@ -36,8 +37,8 @@ runs only on the samples the screen keeps.
 
 fan_out runs independent calls on forked worker processes, one per usable
 CPU, and returns their results in input order: each scenario hands it the
-unions, probes, rasters or Monte Carlo volumes it needs, spans_to_cells the
-row blocks of a deposit, and the CLI its scenarios under --jobs.  The
+unions, probes, rasters or Monte Carlo volumes it needs, spans_to_cells its
+row blocks, and the CLI its scenarios under --jobs.  The
 workers inherit the calls through fork, so nothing but a job's index goes to
 them; a job returns only what its caller reads (an area, a cell total, a
 volume, the one raster a PGM shows), which keeps the pickled results small.
@@ -249,8 +250,8 @@ def _triangle_spans(triangles, ys):
 # ---------------------------------------------------------------------------
 
 def _check_delta(delta: float, grid: GridSpec):
-    if delta <= 0.0:
-        raise ArgumentError("delta must be positive")
+    if not (np.isfinite(delta) and delta > 0.0):
+        raise ArgumentError("delta must be positive and finite")
     coarse = float(np.max(grid.cell_sizes))
     if delta < coarse / 4.0:
         raise ArgumentError(
@@ -301,6 +302,11 @@ def _cell_ranges(grid: GridSpec, count: int, spans, ys):
         yield shape, row, i0, i1
 
 
+def _shared(n: int, dtype):
+    """A zero-filled n x n array in an anonymous mapping that forked workers write into."""
+    return np.frombuffer(mmap.mmap(-1, n * n * np.dtype(dtype).itemsize), dtype).reshape(n, n)
+
+
 def spans_to_cells(grid: GridSpec, count: int, spans, weights=None, counts=False):
     """Cells whose center lies in the row spans of `count` 2-D shapes.
 
@@ -314,52 +320,32 @@ def spans_to_cells(grid: GridSpec, count: int, spans, weights=None, counts=False
     deposit spreads weights[k] evenly over the cells of shape k as a density
     (weight per cell volume) and is zero off the union.
 
-    Rows go a block at a time (_block_cells), so the only full-grid arrays
-    are the outputs.  Without weights the blocks run in this process, which
-    is where every scenario calls this: in a fan_out worker.  A deposit
-    needs each shape's cell total over all rows before it can spread its
-    weight, so its blocks walk their spans twice, each walk a fan_out with
-    one job per block: the first returns the blocks' cell totals, the second
-    fills the outputs, which live in anonymous shared mappings so that the
-    workers' writes reach this process.  They are copied out once at the
-    end (about 15 ms at n=2048), so callers get private arrays, not views of
-    mappings that may get no transparent huge pages.
+    Rows go a block at a time (_block_cells), one fan_out job per block, so
+    the only full-grid arrays are the outputs.  They live in anonymous shared
+    mappings, so that the workers' writes reach this process, and are
+    returned as they are.  A deposit needs each shape's cell total over all
+    rows before it can spread its weight, so it first runs the same jobs
+    without outputs, which return only the blocks' cell totals.
     """
     n = grid.cells_per_axis
     block = min(n, max(1, _BLOCK_CELLS // n))
-    rows = [(j0, min(j0 + block, n)) for j0 in range(0, n, block)]
-    if weights is None:
-        bits = np.zeros((n, n), dtype=bool)
-        cover = np.zeros((n, n), dtype=np.int32) if counts else None
-        totals = sum(_block_cells(grid, count, spans, j0, j1, bits, cover) for j0, j1 in rows)
-        return bits, cover, totals, None
-    first = sum(fan_out(_block_totals, [(grid, count, spans, j0, j1) for j0, j1 in rows]))
-    density = np.divide(weights, first * grid.cell_volume, out=np.zeros(count),
-                        where=first > 0)
-
-    def shared(dtype):
-        # zero-filled pages that stay shared with the forked workers
-        return np.frombuffer(mmap.mmap(-1, n * n * np.dtype(dtype).itemsize), dtype).reshape(n, n)
-
-    bits, mass = shared(bool), shared(float)
-    cover = shared(np.int32) if counts else None
-    totals = sum(fan_out(_block_cells, [(grid, count, spans, j0, j1, bits, cover, mass, density)
-                                        for j0, j1 in rows]))
-    return bits.copy(), None if cover is None else cover.copy(), totals, mass.copy()
+    jobs = [(grid, count, spans, j0, min(j0 + block, n)) for j0 in range(0, n, block)]
+    mass = density = None
+    if weights is not None:
+        first = sum(fan_out(_block_cells, jobs))
+        density = np.divide(weights, first * grid.cell_volume, out=np.zeros(count),
+                            where=first > 0)
+        mass = _shared(n, float)
+    bits, cover = _shared(n, bool), _shared(n, np.int32) if counts else None
+    totals = sum(fan_out(_block_cells, [job + (bits, cover, mass, density) for job in jobs]))
+    return bits, cover, totals, mass
 
 
-def _block_totals(grid: GridSpec, count: int, spans, j0: int, j1: int):
-    """Per-shape cell totals of rows j0:j1: the first walk of a deposit."""
-    totals = np.zeros(count, dtype=np.int64)
-    for shape, _, i0, i1 in _cell_ranges(grid, count, spans, grid.centers(1)[j0:j1]):
-        totals += np.bincount(shape, i1 - i0 + 1, minlength=count).astype(np.int64)
-    return totals
-
-
-def _block_cells(grid: GridSpec, count: int, spans, j0: int, j1: int, bits, cover,
+def _block_cells(grid: GridSpec, count: int, spans, j0: int, j1: int, bits=None, cover=None,
                  mass=None, density=None):
     """Fill rows j0:j1 of bits, cover and mass; return their per-shape cell totals.
 
+    Without bits only the totals are counted: the first walk of a deposit.
     The counts are a difference array (np.add.at, then a cumulative sum)
     over the block's cells plus one, filled in place: np.bincount would
     allocate a block-sized array per chunk of spans.  The deposit of
@@ -370,19 +356,24 @@ def _block_cells(grid: GridSpec, count: int, spans, j0: int, j1: int, bits, cove
     """
     n = grid.cells_per_axis
     size = (j1 - j0) * n
-    run = np.zeros(size + 1, dtype=np.int64)
+    run = None if bits is None else np.zeros(size + 1, dtype=np.int64)
     dep = None if mass is None else np.zeros(size + 1)
     totals = np.zeros(count, dtype=np.int64)
     for shape, row, i0, i1 in _cell_ranges(grid, count, spans, grid.centers(1)[j0:j1]):
-        # start is the flat index of a span's first cell in the block
-        start, cells = row * n + i0, i1 - i0 + 1
+        cells = i1 - i0 + 1
         totals += np.bincount(shape, cells, minlength=count).astype(np.int64)
+        if run is None:
+            continue
+        # start is the flat index of a span's first cell in the block
+        start = row * n + i0
         np.add.at(run, start, 1)
         np.subtract.at(run, start + cells, 1)
         if dep is not None:
             w = density[shape]
             np.add.at(dep, start, w)
             np.subtract.at(dep, start + cells, w)
+    if run is None:
+        return totals
     np.cumsum(run, out=run)
     block_counts = run[:size].reshape(j1 - j0, n)
     np.greater(block_counts, 0, out=bits[j0:j1])
@@ -470,8 +461,8 @@ def max_inscribed_interval(shape, delta: float, grid: GridSpec, within=None) -> 
     keeps only the rows whose y-center lies in that range.  Runs never cross
     rows, so the runs of each chunk of rows are merged on their own.
     """
-    if delta <= 0.0:
-        raise ArgumentError("delta must be positive")
+    if not (np.isfinite(delta) and delta > 0.0):
+        raise ArgumentError("delta must be positive and finite")
     n = grid.cells_per_axis
     ys = grid.centers(1)
     if within is not None:

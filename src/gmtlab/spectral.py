@@ -208,6 +208,8 @@ def incidence_density(obj, centers, level, delta: float, grid: GridSpec) -> Grid
     import warnings
 
     cell = float(np.max(grid.cell_sizes))
+    if not np.isfinite(delta):
+        raise ArgumentError("delta must be finite")
     if delta < cell:
         raise ArgumentError(f"delta {delta} under cell size {cell}: bands unresolved")
     pts = np.asarray(centers.points, float)

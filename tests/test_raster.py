@@ -13,6 +13,7 @@ import pytest
 from gmtlab import fractal as fr
 from gmtlab import phase as ph
 from gmtlab import raster as ra
+from gmtlab import spectral as sp
 from gmtlab.errors import ArgumentError, GridMismatchError
 from gmtlab.phase import PhaseSpec, eval_phase_batch
 
@@ -136,6 +137,24 @@ def test_delta_guards():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         annulus(n=64, delta=0.05)              # comfortably resolved
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", ["union_scanline", "rasterize_circles",
+                                   "max_inscribed_interval", "incidence_density"])
+def test_non_finite_delta_is_rejected(entry, delta):
+    # NaN and inf pass a bare delta <= 0 test, and would give empty bands
+    grid = ra.GridSpec(BOX2, 64)
+    circle = ra.Circle((0.0, 0.0), 1.0)
+    cloud = fr.product_point_cloud(fr.cantor_middle_thirds(1), fr.cantor_middle_thirds(1))
+    calls = {
+        "union_scanline": lambda: ra.union_scanline(circle, delta, grid),
+        "rasterize_circles": lambda: ra.rasterize_circles(circle, delta, grid),
+        "max_inscribed_interval": lambda: ra.max_inscribed_interval(circle, delta, grid),
+        "incidence_density": lambda: sp.incidence_density(ra.Circle, cloud, 1.0, delta, grid),
+    }
+    with pytest.raises(ArgumentError, match="finite"):
+        calls[entry]()
 
 
 def test_unknown_shape_rejected():

@@ -69,14 +69,12 @@ ALLOWED = {
     "phase.level_points": "roadmap:hypotheses",
     "phase.rotational_curvature": "criterion 01",
     "phase.rotational_curvature_fd": "criterion 01, oracle of rotational_curvature",
-    "raster._block_totals": "perfbench:spectral-profile",
     "raster._check_same_grid": "criterion 12",
     # runs only in forked fan_out workers, which this pinned run never starts
     "raster._run_job": "perfbench:run-all, perfbench:spectral-profile",
     "raster.intersection_area": "oracle of monte_carlo_intersection",
     "raster.intersection_raster": "criterion 12",
     "raster.rasterize_band": "oracle of union_scanline",
-    "raster.spans_to_cells.shared": "perfbench:spectral-profile",
     "raster.union_raster": "criterion 12",
     "reporting.read_report": "roadmap:one telemetry source",
     "spectral.GriddedDensity.__post_init__":

@@ -487,14 +487,14 @@ def test_deposit_memory_counts_its_shared_mappings(cpus):
     before, after, workers, full = json.loads(out.stdout)
     rise = (after - before) * 1024
     if cpus == 1:
-        # mapped outputs, their private copies, and a block's count buffer
-        # and deposit buffer (2.8 grids measured)
+        # the mapped outputs and a block's count buffer and deposit buffer
+        # (2.8 grids measured)
         assert rise <= 3.0 * full
     else:
-        # the parent holds the mapped outputs and their copies (2.35 grids
-        # measured); a worker starts from the parent's pages and adds its
-        # block's buffers and the half of the outputs it writes (0.93)
-        assert rise <= 2.5 * full
+        # the parent holds only the mapped outputs (1.14 grids measured); a
+        # worker starts from the parent's pages and adds its block's buffers
+        # and the half of the outputs it writes (0.93)
+        assert rise <= 1.3 * full
         assert 0 < (workers - before) * 1024 <= 1.15 * full
 
 
