@@ -18,11 +18,12 @@ cumulative sum) per block of rows.  It gives the union (union_scanline), the
 exact per-cell cover counts (rasterize_circles), each shape's cell total
 and a weighted deposit.  Every call runs its row blocks as fan_out jobs that
 write into outputs in shared anonymous mappings; a deposit first runs the
-same jobs without outputs for its per-shape totals.  Inside a fan_out worker
-the blocks run serially there.  The interior probe max_inscribed_interval
-reads its runs from the same cell ranges, with no raster.  One walk,
-_cell_ranges, asks for _SPAN_CHUNK // len(batch) rows of spans at a time and
-so bounds the span memory of every consumer, the probe included.
+same jobs without outputs for its per-shape totals, which its second walk
+does not count again.  Inside a fan_out worker the blocks run serially
+there.  The interior probe max_inscribed_interval reads its runs from the
+same cell ranges, with no raster.  One walk, _cell_ranges, asks for
+_SPAN_CHUNK // len(batch) rows of spans at a time and so bounds the span
+memory of every consumer, the probe included.
 
 rasterize_band is the phase predicate: it tests |phi(x, c) - t| <= delta at
 every cell center c.  It is the brute-force reference the span kernels are
@@ -38,10 +39,12 @@ runs only on the samples the screen keeps.
 fan_out runs independent calls on forked worker processes, one per usable
 CPU, and returns their results in input order: each scenario hands it the
 unions, probes, rasters or Monte Carlo volumes it needs, spans_to_cells its
-row blocks, and the CLI its scenarios under --jobs.  The
+row blocks, spectral.mollified_l2 its radii, spectral.surface_spectrum its
+frequencies, and the CLI its scenarios under --jobs.  The
 workers inherit the calls through fork, so nothing but a job's index goes to
 them; a job returns only what its caller reads (an area, a cell total, a
-volume, the one raster a PGM shows), which keeps the pickled results small.
+volume, the one raster a PGM shows, a radius's per-block sums, a frequency's
+peak), which keeps the pickled results small.
 Where forking is unsafe or pointless (one CPU, no fork, another live thread,
 or already inside a worker) the calls run serially in the calling process,
 so the results never depend on the worker count.
@@ -157,20 +160,26 @@ class Circle:
     def spans(self, ys, delta: float):
         (cx, cy), r = self.center.T, self.radius
         dy = np.asarray(ys)[:, None] - cy
-        ro2 = (r + delta) ** 2 - dy * dy
-        hit = ro2 > 0.0
-        rows, shape = np.nonzero(hit)
-        b = np.sqrt(ro2[hit])
-        cx, dy = cx[shape], dy[hit]
+        dy *= dy
+        ro2 = (r + delta) ** 2 - dy
+        # hit (row, shape) pairs in row-major order, as np.nonzero gives them,
+        # read by take on flat indexes in place of 2-D boolean gathers
+        hit = np.flatnonzero(ro2 > 0.0)
+        rows, shape = np.divmod(hit, len(cx))
+        b = np.sqrt(ro2.take(hit))
+        cx = cx.take(shape)
         # a radius under delta leaves no hole inside the band
-        ri2 = np.maximum(r[shape] - delta, 0.0) ** 2 - dy * dy
+        ri2 = (np.maximum(r - delta, 0.0) ** 2).take(shape) - dy.take(hit)
         a = np.sqrt(np.maximum(ri2, 0.0))
-        ring = ri2 > 0.0
+        inner = ri2 > 0.0
+        ring = np.flatnonzero(inner)
+        right = cx + b
         # spans [cx - b, cx - a] and [cx + a, cx + b]; one span [cx - b, cx + b]
         # on rows that miss the inner circle
-        return (np.concatenate([shape, shape[ring]]), np.concatenate([rows, rows[ring]]),
-                np.concatenate([cx - b, (cx + a)[ring]]),
-                np.concatenate([np.where(ring, cx - a, cx + b), (cx + b)[ring]]))
+        return (np.concatenate([shape, shape.take(ring)]),
+                np.concatenate([rows, rows.take(ring)]),
+                np.concatenate([cx - b, (cx + a).take(ring)]),
+                np.concatenate([np.where(inner, cx - a, right), right.take(ring)]))
 
 
 class SquareBoundary:
@@ -325,19 +334,22 @@ def spans_to_cells(grid: GridSpec, count: int, spans, weights=None, counts=False
     mappings, so that the workers' writes reach this process, and are
     returned as they are.  A deposit needs each shape's cell total over all
     rows before it can spread its weight, so it first runs the same jobs
-    without outputs, which return only the blocks' cell totals.
+    without outputs, which return only the blocks' cell totals; those are
+    the totals it returns, and its deposit walk does not count them again.
     """
     n = grid.cells_per_axis
     block = min(n, max(1, _BLOCK_CELLS // n))
     jobs = [(grid, count, spans, j0, min(j0 + block, n)) for j0 in range(0, n, block)]
     mass = density = None
     if weights is not None:
-        first = sum(fan_out(_block_cells, jobs))
-        density = np.divide(weights, first * grid.cell_volume, out=np.zeros(count),
-                            where=first > 0)
+        totals = sum(fan_out(_block_cells, jobs))
+        density = np.divide(weights, totals * grid.cell_volume, out=np.zeros(count),
+                            where=totals > 0)
         mass = _shared(n, float)
     bits, cover = _shared(n, bool), _shared(n, np.int32) if counts else None
-    totals = sum(fan_out(_block_cells, [job + (bits, cover, mass, density) for job in jobs]))
+    walked = fan_out(_block_cells, [job + (bits, cover, mass, density) for job in jobs])
+    if mass is None:
+        totals = sum(walked)
     return bits, cover, totals, mass
 
 
@@ -346,22 +358,24 @@ def _block_cells(grid: GridSpec, count: int, spans, j0: int, j1: int, bits=None,
     """Fill rows j0:j1 of bits, cover and mass; return their per-shape cell totals.
 
     Without bits only the totals are counted: the first walk of a deposit.
-    The counts are a difference array (np.add.at, then a cumulative sum)
-    over the block's cells plus one, filled in place: np.bincount would
-    allocate a block-sized array per chunk of spans.  The deposit of
-    density[k] per cell of shape k is a second difference array, summed in
-    a private buffer; the integer cover then pins its support, so prefix-sum
-    roundoff dust cannot leak outside the banded cells, before its rows are
-    copied into mass.
+    With mass, the second walk of a deposit, they are not counted again and
+    None is returned.  The counts are a difference array (np.add.at, then a
+    cumulative sum) over the block's cells plus one, filled in place:
+    np.bincount would allocate a block-sized array per chunk of spans.  The
+    deposit of density[k] per cell of shape k is a second difference array,
+    summed in a private buffer; the integer cover then pins its support, so
+    prefix-sum roundoff dust cannot leak outside the banded cells, before
+    its rows are copied into mass.
     """
     n = grid.cells_per_axis
     size = (j1 - j0) * n
     run = None if bits is None else np.zeros(size + 1, dtype=np.int64)
     dep = None if mass is None else np.zeros(size + 1)
-    totals = np.zeros(count, dtype=np.int64)
+    totals = np.zeros(count, dtype=np.int64) if dep is None else None
     for shape, row, i0, i1 in _cell_ranges(grid, count, spans, grid.centers(1)[j0:j1]):
         cells = i1 - i0 + 1
-        totals += np.bincount(shape, cells, minlength=count).astype(np.int64)
+        if totals is not None:
+            totals += np.bincount(shape, cells, minlength=count).astype(np.int64)
         if run is None:
             continue
         # start is the flat index of a span's first cell in the block

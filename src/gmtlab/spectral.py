@@ -4,23 +4,31 @@ Densities live on 2-D grids (see raster.GridSpec).  Every L2 norm here is
 read off one half-spectrum power array P = |rfft2(values)|^2 by the discrete
 Parseval identity.  P lives in the real parts of the spectrum it is squared
 out of, whose y transform is written over its x transform, so the spectrum
-is the only full-size array beside the density.  A real
+is the only full-size array beside the density.  A density's values are
+fixed once it is built, so its P is computed on the first band or mollified
+norm asked of it and kept on the density for the next.  A real
 density's DFT is conjugate-symmetric, so each column k of P with 0 < k < n/2
 also stands for the mirror column n - k and is weighted by 2; column 0 and,
 for even n, the Nyquist column n/2 are their own mirrors and keep weight 1.
 
 - Dyadic band norms use radial raised-cosine windows eta, evaluated on the
   half grid a block of rows at a time: the band piece's cell-volume-weighted
-  L2 norm is sqrt(cell_volume) / n * sqrt(sum(eta^2 P)).
+  L2 norm is sqrt(cell_volume) / n * sqrt(sum(eta^2 P)).  On a block of
+  rows whose frequencies all lie past a band's upper smooth step, both of
+  the band's steps are 0 and so is eta: the band is skipped there, since
+  adding its 0.0 would change no bit of the sum.
 - Mollified norms use the same P: the bump kernel is even at wrapped
   offsets, so its DFT K is real, and ||nu * bump||_2 is
   sqrt(cell_volume^3 * sum(K^2 P)) / n.  K comes from the bump's support
-  block a block of columns at a time, never from an n x n kernel.
+  block a block of columns at a time, never from an n x n kernel.  The
+  radii run as raster.fan_out jobs, whose forked workers inherit P; each
+  returns its per-block sums, which are added here in block order.
 
 Surface spectra are direct oscillatory quadratures of arc-length measures
 with a smooth cutoff; decay slopes come from a least-squares fit of log2
 magnitude against log2 frequency, taking the max over a seeded direction
-family per frequency because the bounds being probed are sup-type.
+family per frequency because the bounds being probed are sup-type.  The
+frequencies run as raster.fan_out jobs, each returning its max.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ import numpy as np
 
 from .errors import ArgumentError, EmptyLevelError, FitError
 from .phase import PhaseSpec
-from .raster import GridSpec, rasterize_band, spans_to_cells
+from .raster import GridSpec, fan_out, rasterize_band, spans_to_cells
 
 # Relative half-width of each window's cosine transition.  Wider transitions
 # smear band energy across neighbours: for a flat spectrum the deficit in
@@ -47,11 +55,17 @@ _BLOCK_FREQS = 1 << 16   # half-spectrum entries per window or kernel block (mem
 
 @dataclass
 class GriddedDensity:
-    """Nonnegative field on a 2-D grid; total_mass = sum(values) x cell volume."""
+    """Nonnegative field on a 2-D grid; total_mass = sum(values) x cell volume.
+
+    values are fixed once the density is built: total_mass is computed here,
+    and the half power P of the module docstring is kept in _power on first
+    use.
+    """
 
     grid: GridSpec
     values: np.ndarray
     total_mass: float = field(init=False)
+    _power: np.ndarray = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.grid.cells_per_axis
@@ -88,8 +102,7 @@ def grid_density_from_points(points, grid: GridSpec) -> GriddedDensity:
 
 def _cosine_step(x: np.ndarray, a: float, b: float) -> np.ndarray:
     """1 up to a, 0 from b on, a raised-cosine ramp between."""
-    out = np.zeros_like(x)
-    out[x <= a] = 1.0
+    out = (x <= a).astype(x.dtype)
     ramp = (x > a) & (x < b)
     out[ramp] = 0.5 * (1.0 + np.cos(np.pi * (x[ramp] - a) / (b - a)))
     return out
@@ -125,18 +138,29 @@ def lp_projection_norms(density: GriddedDensity, j_max: int):
         raise ArgumentError("j_max must be at least 1")
     if 2**j_max > n // 2:
         raise ArgumentError(f"2^j_max = {2**j_max} exceeds Nyquist {n // 2}")
-    power = _half_power(density.values)
+    if density._power is None:
+        density._power = _half_power(density.values)
+    power = density._power
     fy = np.fft.fftfreq(n, d=1.0 / n)[:, None]
     fx = np.fft.rfftfreq(n, d=1.0 / n)[None, :]
     sums = np.zeros(j_max + 1)
     step = max(1, _BLOCK_FREQS // power.shape[1])
     for r0 in range(0, n, step):
         rho = np.hypot(fy[r0 : r0 + step], fx)
+        nearest = float(rho.min())
         block = np.ascontiguousarray(power[r0 : r0 + step])
         # lp_window(rho, j), each smooth step computed once: band j's upper
-        # step is band j + 1's lower one
+        # step is band j + 1's lower one.  A block with rho >= the upper
+        # step's b everywhere (_cosine_step's own test) has eta = 0 and skips
+        # the band; None marks a lower step not yet computed.  Blocks hold
+        # whole rows, out to rho >= 2^j_max, so none lies on a 1 plateau
         below = 0.0
         for j in range(j_max + 1):
+            if nearest >= 2.0 ** (j + 1) * (1.0 + LP_WINDOW_WIDTH):
+                below = None
+                continue
+            if below is None:
+                below = _smooth_step(rho, 2.0**j)
             above = _smooth_step(rho, 2.0 ** (j + 1))
             eta = above - below
             eta *= eta
@@ -306,13 +330,15 @@ def mollified_l2(nu: GriddedDensity, epsilons) -> list:
     if len(epsilons) == 0:
         raise ArgumentError("no epsilons given")
     grid = nu.grid
-    power = _half_power(nu.values)
-    out = []
-    for e in epsilons:
-        total = sum(float(np.vdot(k * k, np.ascontiguousarray(power[:, cols])))
-                    for cols, k in _bump_dft(grid, float(e)))
-        out.append((float(e), math.sqrt(grid.cell_volume**3 * total) / grid.cells_per_axis))
-    return out
+    if nu._power is None:
+        nu._power = _half_power(nu.values)
+    power = nu._power
+    # one fan_out job per radius; the workers inherit P
+    blocks = fan_out(lambda e: [float(np.vdot(k * k, np.ascontiguousarray(power[:, cols])))
+                                for cols, k in _bump_dft(grid, e)],
+                     [(float(e),) for e in epsilons])
+    return [(float(e), math.sqrt(grid.cell_volume**3 * sum(sums)) / grid.cells_per_axis)
+            for e, sums in zip(epsilons, blocks)]
 
 
 # ---------------------------------------------------------------------------
@@ -352,16 +378,16 @@ def surface_spectrum(mode: str, freqs, directions: int, seed: int = 0) -> list:
     """
     if directions < 16:
         raise ArgumentError("need at least 16 directions")
+    freqs = list(freqs)
+    if any(f < 0 for f in freqs):
+        raise ArgumentError("frequencies must be nonnegative")
     gamma, w = _surface_nodes(mode)
     omegas = _surface_directions(mode, directions, seed)
     proj = omegas @ gamma.T                 # (directions, nodes)
-    out = []
-    for f in freqs:
-        if f < 0:
-            raise ArgumentError("frequencies must be nonnegative")
-        amp = np.abs((w * np.exp(-2j * np.pi * f * proj)).sum(axis=1))
-        out.append((float(f), float(amp.max())))
-    return out
+    # one fan_out job per frequency; the workers inherit w and proj
+    peaks = fan_out(lambda f: np.abs((w * np.exp(-2j * np.pi * f * proj)).sum(axis=1)).max(),
+                    [(f,) for f in freqs])
+    return [(float(f), float(peak)) for f, peak in zip(freqs, peaks)]
 
 
 def surface_fourier_decay(mode: str, freqs, directions: int, seed: int = 0) -> DecayFit:

@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -205,10 +206,12 @@ def test_norms_off_the_in_place_power_keep_their_bits(box, n):
     j_max = int(math.log2(n // 2))
     fy = np.fft.fftfreq(n, d=1.0 / n)[:, None]
     fx = np.fft.rfftfreq(n, d=1.0 / n)[None, :]
-    # several blocks, and one block of every column: a view of all columns
-    # of the strided P would reach vdot uncopied
-    for block in (6 * n, sp._BLOCK_FREQS):
-        with mock.patch.object(sp, "_BLOCK_FREQS", block):
+    # blocks of 3 and of 11 rows, whose high rows skip their low bands, and
+    # one block of every column: a view of all columns of the strided P
+    # would reach vdot uncopied
+    for block in (2 * n, 6 * n, sp._BLOCK_FREQS):
+        with mock.patch.object(sp, "_BLOCK_FREQS", block), \
+                mock.patch.object(sp, "_smooth_step", wraps=sp._smooth_step) as steps:
             bands = sp.lp_projection_norms(nu, j_max)
             mollified = sp.mollified_l2(nu, [0.15])
             kernel = list(sp._bump_dft(grid, 0.15))
@@ -220,8 +223,53 @@ def test_norms_off_the_in_place_power_keep_their_bits(box, n):
                 sums[j] += np.vdot(sp.lp_window(rho, j) ** 2, want[r0 : r0 + step])
         scale = math.sqrt(grid.cell_volume) / n
         assert bands == [(j, scale * math.sqrt(float(s))) for j, s in enumerate(sums)]
+        # without skips every block computes one smooth step per band
+        blocks = -(-n // step)
+        assert (steps.call_count < blocks * (j_max + 1)) == (blocks > 1)
         total = sum(float(np.vdot(k * k, want[:, cols])) for cols, k in kernel)
         assert mollified == [(0.15, math.sqrt(grid.cell_volume**3 * total) / n)]
+
+
+def test_half_power_runs_once_per_density():
+    nu = cantor_square_density(depth=3, n=128, samples=4)
+    with mock.patch.object(sp, "_half_power", wraps=sp._half_power) as half:
+        bands = sp.lp_projection_norms(nu, 6)
+        mollified = sp.mollified_l2(nu, [0.05, 0.1])
+        assert sp.lp_projection_norms(nu, 6) == bands
+    assert half.call_count == 1
+    # a new density over the same values computes its own P, to the same bits
+    fresh = sp.GriddedDensity(nu.grid, nu.values)
+    assert sp.mollified_l2(fresh, [0.05, 0.1]) == mollified
+    assert sp.lp_projection_norms(fresh, 6) == bands
+
+
+def test_spectral_floats_do_not_depend_on_usable_cpus(monkeypatch):
+    grid = ra.GridSpec(((-1.2, -1.3), (2.2, 1.3)), 96)
+    values = np.random.default_rng(96).random((96, 96))
+    freqs = [0.0, 3.0, 8.0, 64.0, 100.5]
+    runs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(ra, "_usable_cpus", lambda: cpus)
+        nu = sp.GriddedDensity(grid, values)
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            runs[cpus] = (sp.lp_projection_norms(nu, 5), sp.mollified_l2(nu, [0.08, 0.1, 0.3]),
+                          sp.surface_spectrum("circle-2d", freqs, 16, seed=2),
+                          sp.surface_spectrum("curve-3d", freqs, 24, seed=2))
+        # the radii and each spectrum's frequencies fork on two CPUs only
+        assert (fork.call_count > 0) == (cpus == 2)
+    assert runs[1] == runs[2]
+    assert multiprocessing.active_children() == []
+
+
+def test_negative_frequency_is_refused_before_forking(monkeypatch):
+    monkeypatch.setattr(ra, "_usable_cpus", lambda: 2)
+    with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        with pytest.raises(ArgumentError, match="nonnegative"):
+            sp.surface_spectrum("circle-2d", [8.0, -1.0, 16.0], 16, seed=0)
+        assert fork.call_count == 0
+        # the same call without the negative frequency does fork
+        sp.surface_spectrum("circle-2d", [8.0, 16.0], 16, seed=0)
+        assert fork.call_count > 0
 
 
 def test_lp_rejects_bad_j_max():
