@@ -76,7 +76,6 @@ class PointSet:
     points: np.ndarray
     weights: np.ndarray
     claimed_exponent: float | None = None
-    min_separation: float | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -97,12 +96,9 @@ class TriangleSet:
 
     triangles: np.ndarray     # vertices (x,y): base left, base right, apex
     stage: int
-    direction_count: int
 
     def __post_init__(self):
         tris = np.asarray(self.triangles, dtype=float).reshape(-1, 3, 2)
-        if self.direction_count != 2 ** self.stage:
-            raise ArgumentError("direction_count must equal 2^stage")
         if np.any(triangle_area(tris) <= 1e-12):
             raise ArgumentError("degenerate triangle in set")
         object.__setattr__(self, "triangles", tris)
@@ -197,7 +193,7 @@ def separated_lattice(q: int, seed: int = 0) -> PointSet:
     base = base.reshape(-1, 2).astype(float)
     pts = base + rng.uniform(0.25, 0.75, size=(q * q, 2))
     w = np.full(q * q, 1.0 / (q * q))
-    return PointSet(pts, w, min_separation=0.5)
+    return PointSet(pts, w)
 
 
 def thickening_radius(q: int, s: float) -> float:
@@ -288,7 +284,7 @@ def perron_tree(stage: int, base_triangle_height: float = 1.0) -> TriangleSet:
     i = np.arange(n)
     xs = np.column_stack([i / n, (i + 1) / n, np.full(n, 0.5)]) + shifts[:, None]
     ys = np.broadcast_to([0.0, 0.0, float(base_triangle_height)], xs.shape)
-    return TriangleSet(np.stack([xs, ys], axis=-1), stage, n)
+    return TriangleSet(np.stack([xs, ys], axis=-1), stage)
 
 
 def verify_direction_coverage(tree: TriangleSet) -> bool:

@@ -20,14 +20,14 @@ and a weighted deposit.  Every call runs its row blocks as fan_out jobs that
 write into outputs in shared anonymous mappings; a deposit first runs the
 same jobs without outputs for its per-shape totals, which its second walk
 does not count again.  Inside a fan_out worker the blocks run serially
-there.  The interior probe max_inscribed_interval reads its runs from the
-same cell ranges, with no raster.  One walk, _cell_ranges, asks for
-_SPAN_CHUNK // len(batch) rows of spans at a time and so bounds the span
-memory of every consumer, the probe included.
+there, into private outputs.  The interior probe max_inscribed_interval
+reads its runs from the same cell ranges, with no raster.  One walk,
+_cell_ranges, asks for _SPAN_CHUNK // len(batch) rows of spans at a time
+and so bounds the span memory of every consumer, the probe included.
 
 rasterize_band is the phase predicate: it tests |phi(x, c) - t| <= delta at
-every cell center c.  It is the brute-force reference the span kernels are
-checked against, and the route for phase bands that have no spans.
+every cell center c.  No run calls it: it is the brute-force reference the
+span kernels are checked against.
 
 3-D set measures use Monte Carlo instead of dense grids; see
 monte_carlo_intersection.  Each call draws its chunks of points into one
@@ -41,10 +41,11 @@ CPU, and returns their results in input order: each scenario hands it the
 unions, probes, rasters or Monte Carlo volumes it needs, spans_to_cells its
 row blocks, spectral.mollified_l2 its radii, spectral.surface_spectrum its
 frequencies, and the CLI its scenarios under --jobs.  The
-workers inherit the calls through fork, so nothing but a job's index goes to
-them; a job returns only what its caller reads (an area, a cell total, a
-volume, the one raster a PGM shows, a radius's per-block sums, a frequency's
-peak), which keeps the pickled results small.
+workers' initializer gets the calls, which fork hands over without pickling,
+so nothing but a job's index goes to them; a job returns only what its
+caller reads (an area, a cell total, a volume, the one raster a PGM shows, a
+radius's per-block sums, a frequency's peak), which keeps the pickled
+results small.
 Where forking is unsafe or pointless (one CPU, no fork, another live thread,
 or already inside a worker) the calls run serially in the calling process,
 so the results never depend on the worker count.
@@ -312,7 +313,13 @@ def _cell_ranges(grid: GridSpec, count: int, spans, ys):
 
 
 def _shared(n: int, dtype):
-    """A zero-filled n x n array in an anonymous mapping that forked workers write into."""
+    """A zero-filled n x n array in an anonymous mapping that forked workers write into.
+
+    Inside a worker no fan_out forks, so the array is private there.
+    """
+    import multiprocessing
+    if multiprocessing.parent_process() is not None:
+        return np.zeros((n, n), dtype)
     return np.frombuffer(mmap.mmap(-1, n * n * np.dtype(dtype).itemsize), dtype).reshape(n, n)
 
 
@@ -587,7 +594,12 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-_JOBS = None     # (fn, calls) of the forking fan_out; its workers inherit it
+_JOBS = None     # (fn, calls) of a fan_out worker, set by _take_jobs
+
+
+def _take_jobs(fn, calls):
+    global _JOBS
+    _JOBS = fn, calls
 
 
 def _run_job(i: int):
@@ -598,38 +610,30 @@ def _run_job(i: int):
 def fan_out(fn, calls, workers=None) -> list:
     """[fn(*call) for call in calls], run on forked worker processes.
 
-    The workers inherit fn and calls through fork, so fn may be a lambda and
-    a call may hold a closure or an array in a shared mapping; each job is
-    sent as its index and only its result is pickled, so a job should
-    return only what its caller reads.  min(len(calls), usable CPUs,
-    workers) processes run the calls and the results come back in input
-    order.  The calls run serially in this process instead where one worker
-    would do, where the platform cannot fork, while another thread is alive
-    (a forked child would inherit that thread's locks in whatever state they
-    are), and inside a worker process, so workers never start workers.  The
-    workers are joined before this returns, also when a job raises; its
-    exception then re-raises here.
+    The workers' initializer _take_jobs gets fn and calls, which under fork
+    are inherited, not pickled, so fn may be a lambda and a call may hold a
+    closure or an array in a shared mapping; each job is sent as its index
+    and only its result is pickled, so a job should return only what its
+    caller reads.  min(len(calls), usable CPUs, workers) processes run the
+    calls and the results come back in input order.  The calls run serially
+    in this process instead where one worker would do, where the platform
+    cannot fork, while another thread is alive (a forked child would inherit
+    that thread's locks in whatever state they are), and inside a worker
+    process, so workers never start workers.  The workers are joined before
+    this returns, also when a job raises; its exception then re-raises here.
     """
-    global _JOBS
     calls = list(calls)
     workers = min(len(calls), _usable_cpus(), workers or len(calls))
     # imported here to keep them off the import of raster
     import multiprocessing
-    # serial calls leave the slot alone: calls from two threads would race
-    # for it, and a serial fan_out inside a job would take it from the
-    # worker's next job
     if (workers <= 1 or threading.active_count() > 1
             or multiprocessing.parent_process() is not None
             or "fork" not in multiprocessing.get_all_start_methods()):
         return [fn(*call) for call in calls]
     from concurrent.futures.process import ProcessPoolExecutor
-    _JOBS = (fn, calls)
-    try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            futures = [pool.submit(_run_job, i) for i in range(len(calls))]
-            return [fut.result() for fut in futures]
-    finally:
-        _JOBS = None
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_take_jobs, initargs=(fn, calls)) as pool:
+        return list(pool.map(_run_job, range(len(calls))))
 
 
 # ---------------------------------------------------------------------------

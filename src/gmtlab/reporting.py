@@ -9,7 +9,7 @@ the manifest for that reason.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import ArgumentError
@@ -23,14 +23,6 @@ class Verdict:
     threshold: float
     measured: float
     passed: bool
-
-    def as_dict(self):
-        return {
-            "name": self.name,
-            "threshold": self.threshold,
-            "measured": self.measured,
-            "passed": self.passed,
-        }
 
 
 @dataclass
@@ -97,7 +89,7 @@ def write_report(report: ExperimentReport, out_dir) -> list:
         "wall_time": report.wall_time,
         "params": report.params,
         "series": {k: [[a, v] for a, v in rows] for k, rows in report.series.items()},
-        "verdicts": [v.as_dict() for v in report.verdicts],
+        "verdicts": [asdict(v) for v in report.verdicts],
         "artifacts": report.artifacts,
     }
     path = out / "report.json"

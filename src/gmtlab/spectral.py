@@ -1,15 +1,16 @@
 """Frequency-side diagnostics for gridded measures.
 
-Densities live on 2-D grids (see raster.GridSpec).  Every L2 norm here is
-read off one half-spectrum power array P = |rfft2(values)|^2 by the discrete
-Parseval identity.  P lives in the real parts of the spectrum it is squared
-out of, whose y transform is written over its x transform, so the spectrum
-is the only full-size array beside the density.  A density's values are
-fixed once it is built, so its P is computed on the first band or mollified
-norm asked of it and kept on the density for the next.  A real
-density's DFT is conjugate-symmetric, so each column k of P with 0 < k < n/2
-also stands for the mirror column n - k and is weighted by 2; column 0 and,
-for even n, the Nyquist column n/2 are their own mirrors and keep weight 1.
+Densities live on 2-D grids (see raster.GridSpec); the incidence measure is
+the weighted deposit of a span batch's bands (raster.spans_to_cells).  Every
+L2 norm here is read off one half-spectrum power array P = |rfft2(values)|^2
+by the discrete Parseval identity.  P lives in the real parts of the
+spectrum it is squared out of, whose y transform is written over its x
+transform, so the spectrum is the only full-size array beside the density.
+A density's values are fixed once it is built, so P is its cached power,
+computed on the first band or mollified norm asked of it.  A real density's
+DFT is conjugate-symmetric, so each column k of P with 0 < k < n/2 also
+stands for the mirror column n - k and is weighted by 2; column 0 and, for
+even n, the Nyquist column n/2 are their own mirrors and keep weight 1.
 
 - Dyadic band norms use radial raised-cosine windows eta, evaluated on the
   half grid a block of rows at a time: the band piece's cell-volume-weighted
@@ -35,12 +36,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ArgumentError, EmptyLevelError, FitError
-from .phase import PhaseSpec
-from .raster import GridSpec, fan_out, rasterize_band, spans_to_cells
+from .raster import GridSpec, fan_out, spans_to_cells
 
 # Relative half-width of each window's cosine transition.  Wider transitions
 # smear band energy across neighbours: for a flat spectrum the deficit in
@@ -58,14 +59,12 @@ class GriddedDensity:
     """Nonnegative field on a 2-D grid; total_mass = sum(values) x cell volume.
 
     values are fixed once the density is built: total_mass is computed here,
-    and the half power P of the module docstring is kept in _power on first
-    use.
+    and power (the half power P of the module docstring) on its first use.
     """
 
     grid: GridSpec
     values: np.ndarray
     total_mass: float = field(init=False)
-    _power: np.ndarray = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.grid.cells_per_axis
@@ -77,6 +76,10 @@ class GriddedDensity:
 
     def l2_norm(self) -> float:
         return float(np.sqrt(np.vdot(self.values, self.values) * self.grid.cell_volume))
+
+    @cached_property
+    def power(self) -> np.ndarray:
+        return _half_power(self.values)
 
 
 def grid_density_from_points(points, grid: GridSpec) -> GriddedDensity:
@@ -138,9 +141,7 @@ def lp_projection_norms(density: GriddedDensity, j_max: int):
         raise ArgumentError("j_max must be at least 1")
     if 2**j_max > n // 2:
         raise ArgumentError(f"2^j_max = {2**j_max} exceeds Nyquist {n // 2}")
-    if density._power is None:
-        density._power = _half_power(density.values)
-    power = density._power
+    power = density.power
     fy = np.fft.fftfreq(n, d=1.0 / n)[:, None]
     fx = np.fft.rfftfreq(n, d=1.0 / n)[None, :]
     sums = np.zeros(j_max + 1)
@@ -191,8 +192,6 @@ def _half_power(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DecayFit:
-    abscissae: tuple
-    norms: tuple
     slope: float
     intercept: float
     residual: float
@@ -211,7 +210,7 @@ def fit_decay(abscissae, norms) -> DecayFit:
     logs = np.log2(v)
     slope, intercept = np.polyfit(a, logs, 1)
     resid = float(np.sqrt(np.mean((logs - (slope * a + intercept)) ** 2)))
-    return DecayFit(tuple(a.tolist()), tuple(v.tolist()), float(slope), float(intercept), resid)
+    return DecayFit(float(slope), float(intercept), resid)
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +220,11 @@ def fit_decay(abscissae, norms) -> DecayFit:
 def incidence_density(obj, centers, level, delta: float, grid: GridSpec) -> GriddedDensity:
     """Weighted superposition of level bands, one per center.
 
-    obj is either a PhaseSpec (band = {y : |phi(x_i, y) - level_i| <= delta},
-    rasterized per center) or a span shape class such as Circle, built once
-    as the batch obj(centers, levels) and deposited by
-    raster.spans_to_cells.  Each center's weight is spread uniformly over
-    its band's filled cells.  Centers whose band misses the grid are
-    dropped with a warning count; if all bands are empty the measure is
-    undefined.
+    obj is a span shape class such as Circle, built once as the batch
+    obj(centers, levels) and deposited by raster.spans_to_cells.  Each
+    center's weight is spread uniformly over its band's filled cells.
+    Centers whose band misses the grid are dropped with a warning count; if
+    all bands are empty the measure is undefined.
     """
     import warnings
 
@@ -239,31 +236,15 @@ def incidence_density(obj, centers, level, delta: float, grid: GridSpec) -> Grid
     pts = np.asarray(centers.points, float)
     weights = np.asarray(centers.weights, float)
     levels = np.broadcast_to(np.asarray(level, float), (len(pts),))
-    if isinstance(obj, PhaseSpec):
-        values, dropped = _incidence_phase(obj, pts, levels, weights, delta, grid)
-    else:
-        shapes = obj(pts, levels)
-        _, _, cells, values = spans_to_cells(
-            grid, len(shapes), lambda ys: shapes.spans(ys, delta), weights=weights)
-        dropped = int(np.count_nonzero(cells == 0))
+    shapes = obj(pts, levels)
+    _, _, cells, values = spans_to_cells(
+        grid, len(shapes), lambda ys: shapes.spans(ys, delta), weights=weights)
+    dropped = int(np.count_nonzero(cells == 0))
     if dropped == len(pts):
         raise EmptyLevelError("every center's band misses the grid")
     if dropped:
         warnings.warn(f"{dropped} of {len(pts)} centers had empty bands; mass dropped")
     return GriddedDensity(grid, values)
-
-
-def _incidence_phase(spec, pts, levels, weights, delta, grid):
-    n = grid.cells_per_axis
-    values = np.zeros((n, n))
-    dropped = 0
-    for x, t, w in zip(pts, levels, weights):
-        band = rasterize_band(spec, x, float(t), delta, grid)
-        if band.filled_count == 0:
-            dropped += 1
-            continue
-        values[band.bits] += w / (band.filled_count * grid.cell_volume)
-    return values, dropped
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +262,8 @@ def _bump_dft(grid: GridSpec, epsilon: float):
     n (2m+1) (n/2+1), cubic for a full-period bump.
     """
     cell = float(np.max(grid.cell_sizes))
-    if epsilon < 2.0 * cell:
-        raise ArgumentError(f"epsilon {epsilon} under 2 x cell size {2 * cell}")
+    if not 2.0 * cell <= epsilon < math.inf:
+        raise ArgumentError(f"epsilon {epsilon} not finite or under 2 x cell size {2 * cell}")
     n = grid.cells_per_axis
     hx, hy = (float(c) for c in grid.cell_sizes)
     ix, iy = (np.arange(-min(m, (n - 1) // 2), min(m, n // 2) + 1)
@@ -329,10 +310,10 @@ def mollified_l2(nu: GriddedDensity, epsilons) -> list:
     """
     if len(epsilons) == 0:
         raise ArgumentError("no epsilons given")
+    if not all(map(math.isfinite, epsilons)):
+        raise ArgumentError("epsilons must be finite")
     grid = nu.grid
-    if nu._power is None:
-        nu._power = _half_power(nu.values)
-    power = nu._power
+    power = nu.power
     # one fan_out job per radius; the workers inherit P
     blocks = fan_out(lambda e: [float(np.vdot(k * k, np.ascontiguousarray(power[:, cols])))
                                 for cols, k in _bump_dft(grid, e)],
@@ -379,8 +360,8 @@ def surface_spectrum(mode: str, freqs, directions: int, seed: int = 0) -> list:
     if directions < 16:
         raise ArgumentError("need at least 16 directions")
     freqs = list(freqs)
-    if any(f < 0 for f in freqs):
-        raise ArgumentError("frequencies must be nonnegative")
+    if not all(0.0 <= f < math.inf for f in freqs):
+        raise ArgumentError("frequencies must be nonnegative and finite")
     gamma, w = _surface_nodes(mode)
     omegas = _surface_directions(mode, directions, seed)
     proj = omegas @ gamma.T                 # (directions, nodes)
@@ -393,8 +374,8 @@ def surface_spectrum(mode: str, freqs, directions: int, seed: int = 0) -> list:
 def surface_fourier_decay(mode: str, freqs, directions: int, seed: int = 0) -> DecayFit:
     """Decay slope of the max direction-envelope, log2-log2, over dyadic freqs."""
     freqs = [float(f) for f in freqs]
-    if any(f <= 0 for f in freqs):
-        raise ArgumentError("decay fit needs strictly positive frequencies")
+    if not all(0.0 < f < math.inf for f in freqs):
+        raise ArgumentError("decay fit needs strictly positive finite frequencies")
     if any(b <= a for a, b in zip(freqs, freqs[1:])):
         raise ArgumentError("frequencies must be strictly increasing")
     if math.log2(freqs[-1] / freqs[0]) < 2.0:

@@ -6,6 +6,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from concurrent.futures.process import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -604,6 +605,18 @@ def test_nested_fan_out_keeps_the_outer_jobs(monkeypatch):
     # six jobs on two workers: some worker runs a job after its first job's
     # serial inner fan_out has finished, and must still find the outer calls
     forks_to(monkeypatch, 2)
+    # the caller's job slot, read as the pool is handed the jobs and as each
+    # result comes back: only the workers' initializer fills a slot
+    slots = []
+    pool_map = ProcessPoolExecutor.map
+
+    def watched_map(self, *args, **kwargs):
+        slots.append(ra._JOBS)
+        for result in pool_map(self, *args, **kwargs):
+            slots.append(ra._JOBS)
+            yield result
+
+    monkeypatch.setattr(ProcessPoolExecutor, "map", watched_map)
 
     def job(i):
         return i, ra.fan_out(lambda k: k * i, [(1,), (2,)]), os.getpid()
@@ -611,7 +624,35 @@ def test_nested_fan_out_keeps_the_outer_jobs(monkeypatch):
     got = ra.fan_out(job, [(i,) for i in range(6)])
     assert [(i, inner) for i, inner, _ in got] == [(i, [i, 2 * i]) for i in range(6)]
     assert len({pid for _, _, pid in got}) < 6
+    assert slots == [None] * 7
     assert ra._JOBS is None
+    assert multiprocessing.active_children() == []
+
+
+def in_mapping(array):
+    """Whether array's memory is an mmap (a _shared output)."""
+    while isinstance(array, np.ndarray):
+        array = array.base
+    return isinstance(array, memoryview) and isinstance(array.obj, mmap.mmap)
+
+
+def test_union_in_a_forked_job_is_private_and_equals_the_serial_bytes(monkeypatch):
+    # no fan_out forks inside a worker, so a job's span outputs need no mapping
+    forks_to(monkeypatch, 2)
+    grid = ra.GridSpec(BOX2, 64)
+    circles = ra.Circle(((0.0, 0.0), (0.3, -0.2)), (1.0, 0.7))
+    deltas = [0.1, 0.05]
+
+    def job(delta):
+        bits = ra.union_scanline(circles, delta, grid).bits
+        return in_mapping(bits), bits.tobytes(), os.getpid()
+
+    got = ra.fan_out(job, [(d,) for d in deltas])
+    assert [mapped for mapped, _, _ in got] == [False, False]
+    assert os.getpid() not in {pid for _, _, pid in got}
+    serial = [ra.union_scanline(circles, d, grid).bits for d in deltas]
+    assert all(in_mapping(bits) for bits in serial)
+    assert [bits for _, bits, _ in got] == [bits.tobytes() for bits in serial]
     assert multiprocessing.active_children() == []
 
 

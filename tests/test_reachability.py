@@ -70,8 +70,9 @@ ALLOWED = {
     "phase.rotational_curvature": "criterion 01",
     "phase.rotational_curvature_fd": "criterion 01, oracle of rotational_curvature",
     "raster._check_same_grid": "criterion 12",
-    # runs only in forked fan_out workers, which this pinned run never starts
+    # run only in forked fan_out workers, which this pinned run never starts
     "raster._run_job": "perfbench:run-all, perfbench:spectral-profile",
+    "raster._take_jobs": "perfbench:run-all, perfbench:spectral-profile",
     "raster.intersection_area": "oracle of monte_carlo_intersection",
     "raster.intersection_raster": "criterion 12",
     "raster.rasterize_band": "oracle of union_scanline",
@@ -79,11 +80,11 @@ ALLOWED = {
     "reporting.read_report": "roadmap:one telemetry source",
     "spectral.GriddedDensity.__post_init__":
         "perfbench:spectral-profile, criterion 02, criterion 12",
+    "spectral.GriddedDensity.power": "perfbench:spectral-profile, criterion 02",
     "spectral.GriddedDensity.l2_norm": "perfbench:spectral-profile",
     "spectral._bump_dft": "perfbench:spectral-profile, criterion 12",
     "spectral._cosine_step": "perfbench:spectral-profile, criterion 02, criterion 03",
     "spectral._half_power": "perfbench:spectral-profile, criterion 02",
-    "spectral._incidence_phase": "oracle of spans_to_cells",
     "spectral._smooth_step": "perfbench:spectral-profile, criterion 02",
     "spectral._surface_directions": "perfbench:spectral-profile, criterion 03",
     "spectral._surface_nodes": "perfbench:spectral-profile, criterion 03",

@@ -182,6 +182,17 @@ def test_fixed_level_deterministic():
     assert c.series != a.series
 
 
+def test_fixed_level_line_centers_fail_union_area_stability(monkeypatch):
+    # the Cantor line in place of the product cloud: its union drains by
+    # about 2^-0.37 per halving of delta, a change near 0.24 against 0.05
+    cloud = sc._cantor_cloud
+    monkeypatch.setattr(sc, "_cantor_cloud",
+                        lambda depth, seed, on_line=False: cloud(depth, seed, on_line=True))
+    rep = sc.run_scenario("fixed-level-positivity", {"n": 512})
+    v = verdict(rep, "union-area-stability")
+    assert v.measured > 0.2 and not v.passed
+
+
 def test_fixed_level_one_point_center_set_fails_union_area_floor(monkeypatch):
     # a center set of dimension 0: the product cloud is one unit circle, whose
     # band has area pi((1 + d)^2 - (1 - d)^2) = 4 pi d, 0.126 at d = 0.01
@@ -222,6 +233,21 @@ def test_flat_circle_substitute_grows():
     v = verdict(rep, "curved-growth")
     assert v.passed
     assert v.measured >= 1.0
+
+
+def test_flat_thinned_deeper_clouds_fail_curved_growth(monkeypatch):
+    # 2^(8 - depth) centers of each cloud, so a deeper cloud has half as many
+    # circles and their union area shrinks
+    cloud = sc._cantor_cloud
+
+    def thinned(depth, seed, on_line=False):
+        points = cloud(depth, seed, on_line).points[: 2 ** (8 - depth)]
+        return fr.PointSet(points, np.full(len(points), 1.0 / len(points)))
+
+    monkeypatch.setattr(sc, "_cantor_cloud", thinned)
+    rep = sc.run_scenario("flat-counterexample", {"n": 512, "depths": [3, 4]})
+    v = verdict(rep, "curved-growth")
+    assert v.measured < 0.6 and not v.passed
 
 
 def test_flat_ladder_series_monotone_in_band():
@@ -559,7 +585,7 @@ def test_kakeya_unslid_tree_fails_stage_compression(monkeypatch):
 def test_kakeya_moved_apex_fails_direction_coverage(monkeypatch):
     tris = fr.perron_tree(3).triangles.copy()
     tris[2, 2, 0] += 5.0            # wedge 2 no longer covers its directions
-    monkeypatch.setattr(fr, "perron_tree", lambda stage: fr.TriangleSet(tris, 3, 8))
+    monkeypatch.setattr(fr, "perron_tree", lambda stage: fr.TriangleSet(tris, 3))
     # the grid must hold the moved apex (x about 5.33), or the box check refuses it
     rep = sc.run_scenario("kakeya-compression",
                           {"n": 256, "stages": [3], "box": (-2.0, -1.0, 6.0, 1.5)})

@@ -16,7 +16,6 @@ from gmtlab import fractal as fr
 from gmtlab import raster as ra
 from gmtlab import spectral as sp
 from gmtlab.errors import ArgumentError, EmptyLevelError, FitError
-from gmtlab.phase import PhaseSpec
 
 UNIT_BOX = ((0.0, 0.0), (1.0, 1.0))
 
@@ -272,6 +271,38 @@ def test_negative_frequency_is_refused_before_forking(monkeypatch):
         assert fork.call_count > 0
 
 
+def refused_before_forking(monkeypatch, bad, good):
+    """bad() raises ArgumentError with no fork; good(), its finite twin, forks."""
+    monkeypatch.setattr(ra, "_usable_cpus", lambda: 2)
+    with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        with pytest.raises(ArgumentError, match="finite"):
+            bad()
+        assert fork.call_count == 0
+        good()
+        assert fork.call_count > 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_radius_is_refused_before_forking(monkeypatch, bad):
+    nu = dirac_density(n=64)
+    refused_before_forking(monkeypatch, lambda: sp.mollified_l2(nu, [0.1, bad, 0.2]),
+                           lambda: sp.mollified_l2(nu, [0.1, 0.2]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_frequency_is_refused_before_forking(monkeypatch, bad):
+    refused_before_forking(
+        monkeypatch, lambda: sp.surface_spectrum("circle-2d", [8.0, bad, 16.0], 16),
+        lambda: sp.surface_spectrum("circle-2d", [8.0, 16.0], 16))
+
+
+@pytest.mark.parametrize("freqs", [[4.0, 8.0, math.nan, 32.0], [4.0, 8.0, 16.0, math.inf]])
+def test_non_finite_decay_frequency_is_refused_before_forking(monkeypatch, freqs):
+    refused_before_forking(
+        monkeypatch, lambda: sp.surface_fourier_decay("circle-2d", freqs, 16),
+        lambda: sp.surface_fourier_decay("circle-2d", [4.0, 8.0, 16.0, 32.0], 16))
+
+
 def test_lp_rejects_bad_j_max():
     d = dirac_density(n=64)
     with pytest.raises(ArgumentError):
@@ -328,12 +359,18 @@ def test_two_far_centers_split_mass():
 
 
 def test_phase_route_matches_circle_route():
+    # cell-centre brute force: each centre's weight is spread evenly over the
+    # cells whose centre lies within delta of its unit circle
     grid = ra.GridSpec(((-1.5, -1.5), (1.5, 1.5)), 256)
     centers = fr.PointSet(((0.1, -0.2), (-0.3, 0.25)), (0.4, 0.6))
     fast = sp.incidence_density(ra.Circle, centers, 1.0, 0.05, grid)
-    slow = sp.incidence_density(PhaseSpec("unit-distance", 2), centers, 1.0, 0.05, grid)
-    assert np.array_equal(fast.values > 0, slow.values > 0)
-    assert np.max(np.abs(fast.values - slow.values)) <= 1e-9 * float(fast.values.max())
+    x, y = np.meshgrid(grid.centers(0), grid.centers(1), indexing="xy")
+    slow = np.zeros((256, 256))
+    for (cx, cy), w in zip(centers.points, centers.weights):
+        band = np.abs(np.hypot(x - cx, y - cy) - 1.0) <= 0.05
+        slow[band] += w / (np.count_nonzero(band) * grid.cell_volume)
+    assert np.array_equal(fast.values > 0, slow > 0)
+    assert np.max(np.abs(fast.values - slow)) <= 1e-9 * float(fast.values.max())
 
 
 def test_empty_band_centers_drop_mass_with_warning():
@@ -551,6 +588,9 @@ def test_mollify_validation():
     u = sp.GriddedDensity(grid, np.ones((64, 64)))
     with pytest.raises(ArgumentError):
         sp.mollify(u, 0.02)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ArgumentError, match="finite"):
+            sp.mollify(u, bad)
     with pytest.raises(ArgumentError):
         sp.mollified_l2(u, [])
 
