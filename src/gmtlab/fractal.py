@@ -14,7 +14,6 @@ cell with uniform weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log
 
 import numpy as np
 
@@ -75,7 +74,6 @@ class PointSet:
 
     points: np.ndarray
     weights: np.ndarray
-    claimed_exponent: float | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -95,7 +93,6 @@ class TriangleSet:
     """2-D triangles from the Perron bisect-and-slide scheme, as a (k, 3, 2) array."""
 
     triangles: np.ndarray     # vertices (x,y): base left, base right, apex
-    stage: int
 
     def __post_init__(self):
         tris = np.asarray(self.triangles, dtype=float).reshape(-1, 3, 2)
@@ -148,22 +145,9 @@ def fat_cantor(depth: int) -> IntervalSet:
 # point clouds
 # ---------------------------------------------------------------------------
 
-def _factor_exponent(iset: IntervalSet) -> float:
-    side = iset.max_interval_length()
-    if side <= 0.0:
-        return 0.0          # degenerate one-point factor contributes nothing
-    if side >= 1.0:
-        return 0.0          # single full interval: zero cells of small scale
-    return log(len(iset)) / log(1.0 / side)
-
-
 def product_point_cloud(rows: IntervalSet, cols: IntervalSet,
                         samples_per_cell: int = 1, seed: int = 0) -> PointSet:
-    """Seeded uniform samples in every product cell rows x cols, uniform weights.
-
-    claimed_exponent sums the per-factor cell-count exponents, which matches
-    log(cells)/log(1/side) when both factors share the same side length.
-    """
+    """Seeded uniform samples in every product cell rows x cols, uniform weights."""
     if samples_per_cell < 1:
         raise ArgumentError("samples_per_cell must be >= 1")
     rng = np.random.default_rng(seed)
@@ -177,8 +161,7 @@ def product_point_cloud(rows: IntervalSet, cols: IntervalSet,
     ys = ca[ci] + u[:, 1] * (cb[ci] - ca[ci])
     pts = np.column_stack([xs, ys])
     n = len(pts)
-    exponent = _factor_exponent(rows) + _factor_exponent(cols)
-    return PointSet(pts, np.full(n, 1.0 / n), claimed_exponent=exponent)
+    return PointSet(pts, np.full(n, 1.0 / n))
 
 
 def separated_lattice(q: int, seed: int = 0) -> PointSet:
@@ -284,7 +267,7 @@ def perron_tree(stage: int, base_triangle_height: float = 1.0) -> TriangleSet:
     i = np.arange(n)
     xs = np.column_stack([i / n, (i + 1) / n, np.full(n, 0.5)]) + shifts[:, None]
     ys = np.broadcast_to([0.0, 0.0, float(base_triangle_height)], xs.shape)
-    return TriangleSet(np.stack([xs, ys], axis=-1), stage)
+    return TriangleSet(np.stack([xs, ys], axis=-1))
 
 
 def verify_direction_coverage(tree: TriangleSet) -> bool:

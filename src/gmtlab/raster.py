@@ -17,10 +17,10 @@ spans of a batch into cells with a difference array (np.add.at, then a
 cumulative sum) per block of rows.  It gives the union (union_scanline), the
 exact per-cell cover counts (rasterize_circles), each shape's cell total
 and a weighted deposit.  Every call runs its row blocks as fan_out jobs that
-write into outputs in shared anonymous mappings; a deposit first runs the
-same jobs without outputs for its per-shape totals, which its second walk
-does not count again.  Inside a fan_out worker the blocks run serially
-there, into private outputs.  The interior probe max_inscribed_interval
+write into outputs in shared anonymous mappings: first the union walk, which
+returns the per-shape totals, then for a deposit a second walk that writes
+the deposit alone.  Inside a fan_out worker the blocks run serially there,
+into private outputs.  The interior probe max_inscribed_interval
 reads its runs from the same cell ranges, with no raster.  One walk,
 _cell_ranges, asks for _SPAN_CHUNK // len(batch) rows of spans at a time
 and so bounds the span memory of every consumer, the probe included.
@@ -42,10 +42,10 @@ unions, probes, rasters or Monte Carlo volumes it needs, spans_to_cells its
 row blocks, spectral.mollified_l2 its radii, spectral.surface_spectrum its
 frequencies, and the CLI its scenarios under --jobs.  The
 workers' initializer gets the calls, which fork hands over without pickling,
-so nothing but a job's index goes to them; a job returns only what its
-caller reads (an area, a cell total, a volume, the one raster a PGM shows, a
-radius's per-block sums, a frequency's peak), which keeps the pickled
-results small.
+so nothing but a job's index goes to them; a job writes its one output
+where it computes it (a PGM, a block of shared rows) and returns only the
+numbers its caller reads (an area, a cell total, a volume, a radius's
+per-block sums, a frequency's peak), which keeps the pickled results small.
 Where forking is unsafe or pointless (one CPU, no fork, another live thread,
 or already inside a worker) the calls run serially in the calling process,
 so the results never depend on the worker count.
@@ -224,7 +224,7 @@ class CircleFamily:
     radius: float
 
     def __len__(self):
-        return len(self.intervals.intervals)
+        return len(self.intervals)
 
     def spans(self, ys, delta: float):
         # the circle at (0, y0) covers [-b, -a] and [a, b] (or [-b, b]) per row
@@ -339,72 +339,63 @@ def spans_to_cells(grid: GridSpec, count: int, spans, weights=None, counts=False
     Rows go a block at a time (_block_cells), one fan_out job per block, so
     the only full-grid arrays are the outputs.  They live in anonymous shared
     mappings, so that the workers' writes reach this process, and are
-    returned as they are.  A deposit needs each shape's cell total over all
-    rows before it can spread its weight, so it first runs the same jobs
-    without outputs, which return only the blocks' cell totals; those are
-    the totals it returns, and its deposit walk does not count them again.
+    returned as they are.  The union walk fills bits and cover and returns
+    the blocks' cell totals.  A deposit needs each shape's cell total over
+    all rows before it can spread its weight, so it then walks the spans
+    again with mass and density, into the deposit alone.
     """
     n = grid.cells_per_axis
     block = min(n, max(1, _BLOCK_CELLS // n))
     jobs = [(grid, count, spans, j0, min(j0 + block, n)) for j0 in range(0, n, block)]
-    mass = density = None
+    bits, cover = _shared(n, bool), _shared(n, np.int32) if counts else None
+    totals = sum(fan_out(_block_cells, [job + (bits, cover) for job in jobs]))
+    mass = None
     if weights is not None:
-        totals = sum(fan_out(_block_cells, jobs))
         density = np.divide(weights, totals * grid.cell_volume, out=np.zeros(count),
                             where=totals > 0)
         mass = _shared(n, float)
-    bits, cover = _shared(n, bool), _shared(n, np.int32) if counts else None
-    walked = fan_out(_block_cells, [job + (bits, cover, mass, density) for job in jobs])
-    if mass is None:
-        totals = sum(walked)
+        fan_out(_block_cells, [job + (bits, None, mass, density) for job in jobs])
     return bits, cover, totals, mass
 
 
-def _block_cells(grid: GridSpec, count: int, spans, j0: int, j1: int, bits=None, cover=None,
+def _block_cells(grid: GridSpec, count: int, spans, j0: int, j1: int, bits, cover,
                  mass=None, density=None):
-    """Fill rows j0:j1 of bits, cover and mass; return their per-shape cell totals.
+    """Walk the spans on rows j0:j1 into bits and cover, or with mass into mass alone.
 
-    Without bits only the totals are counted: the first walk of a deposit.
-    With mass, the second walk of a deposit, they are not counted again and
-    None is returned.  The counts are a difference array (np.add.at, then a
-    cumulative sum) over the block's cells plus one, filled in place:
-    np.bincount would allocate a block-sized array per chunk of spans.  The
-    deposit of density[k] per cell of shape k is a second difference array,
-    summed in a private buffer; the integer cover then pins its support, so
-    prefix-sum roundoff dust cannot leak outside the banded cells, before
-    its rows are copied into mass.
+    The union walk returns the rows' per-shape cell totals, a deposit's
+    second walk (with mass) None.  Either walk sums one difference array
+    (np.add.at, then a cumulative sum) over the block's cells plus one, in
+    place: np.bincount would allocate a block-sized array per chunk of
+    spans.  The union walk adds 1 per span into an integer buffer, the
+    deposit walk density[k] per span of shape k into a float one; the
+    union's bits then pin the deposit's support, so prefix-sum roundoff dust
+    cannot leak outside the banded cells, as its rows are copied into mass.
     """
     n = grid.cells_per_axis
     size = (j1 - j0) * n
-    run = None if bits is None else np.zeros(size + 1, dtype=np.int64)
-    dep = None if mass is None else np.zeros(size + 1)
-    totals = np.zeros(count, dtype=np.int64) if dep is None else None
+    run = np.zeros(size + 1, dtype=np.int64 if mass is None else float)
+    totals = np.zeros(count, dtype=np.int64)
     for shape, row, i0, i1 in _cell_ranges(grid, count, spans, grid.centers(1)[j0:j1]):
         cells = i1 - i0 + 1
-        if totals is not None:
+        if mass is None:
+            w = 1
             totals += np.bincount(shape, cells, minlength=count).astype(np.int64)
-        if run is None:
-            continue
+        else:
+            w = density[shape]
         # start is the flat index of a span's first cell in the block
         start = row * n + i0
-        np.add.at(run, start, 1)
-        np.subtract.at(run, start + cells, 1)
-        if dep is not None:
-            w = density[shape]
-            np.add.at(dep, start, w)
-            np.subtract.at(dep, start + cells, w)
-    if run is None:
-        return totals
+        np.add.at(run, start, w)
+        np.subtract.at(run, start + cells, w)
     np.cumsum(run, out=run)
-    block_counts = run[:size].reshape(j1 - j0, n)
-    np.greater(block_counts, 0, out=bits[j0:j1])
-    if cover is not None:
-        cover[j0:j1] = block_counts
-    if dep is not None:
-        np.cumsum(dep, out=dep)
-        np.maximum(dep, 0.0, out=dep)
+    summed = run[:size].reshape(j1 - j0, n)
+    if mass is not None:
+        np.maximum(summed, 0.0, out=summed)
         # mass starts zeroed, so the cells off the union stay 0
-        np.copyto(mass[j0:j1], dep[:size].reshape(j1 - j0, n), where=bits[j0:j1])
+        np.copyto(mass[j0:j1], summed, where=bits[j0:j1])
+        return None
+    np.greater(summed, 0, out=bits[j0:j1])
+    if cover is not None:
+        cover[j0:j1] = summed
     return totals
 
 

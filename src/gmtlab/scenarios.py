@@ -113,13 +113,12 @@ def _require_box(grid: GridSpec, lo, hi, why: str):
         raise ArgumentError(f"box {grid.box} must contain {why}")
 
 
-def _pgm(rst, scenario_id: str, delta: float, out_dir) -> list:
-    """Write rst as a PGM snapshot into out_dir; returns the names written."""
+def _pgm(scenario_id: str, grid: GridSpec, delta: float, out_dir):
+    """(path, [name]) of a run's PGM snapshot in out_dir, or (None, []) without one."""
     if out_dir is None:
-        return []
-    name = raster.pgm_band_filename(scenario_id, rst.grid.cells_per_axis, delta)
-    raster.write_pgm(rst, Path(out_dir) / name)
-    return [name]
+        return None, []
+    name = raster.pgm_band_filename(scenario_id, grid.cells_per_axis, delta)
+    return Path(out_dir) / name, [name]
 
 
 def _cantor_cloud(depth: int, seed: int, on_line: bool = False):
@@ -129,26 +128,32 @@ def _cantor_cloud(depth: int, seed: int, on_line: bool = False):
     return fractal.product_point_cloud(c, cols, seed=seed)
 
 
-def _union_job(shapes, delta: float, grid: GridSpec, keep=False):
-    """(area, the union if keep else None) of a span batch's delta-band union.
+def _area(union, pgm):
+    """union's area, after writing it as a PGM to the path pgm unless that is None."""
+    if pgm is not None:
+        raster.write_pgm(union, pgm)
+    return union.area()
 
-    This and the jobs below are raster.fan_out jobs: each returns only what
-    its runner reads, so no raster but the PGM's crosses back.
+
+def _union_job(shapes, delta: float, grid: GridSpec, pgm=None):
+    """Area of a span batch's delta-band union, written as a PGM to pgm if given.
+
+    This and the jobs below are raster.fan_out jobs: each writes its PGM
+    where it computes the union and returns only numbers, so no raster
+    crosses back.
     """
-    union = raster.union_scanline(shapes, delta, grid)
-    return union.area(), (union if keep else None)
+    return _area(raster.union_scanline(shapes, delta, grid), pgm)
 
 
-def _incidence_job(circles, delta: float, grid: GridSpec, keep=False):
-    """(area, summed per-band cell totals, the union if keep else None)."""
+def _incidence_job(circles, delta: float, grid: GridSpec, pgm=None):
+    """(area, summed per-band cell totals) of a Circle batch's union."""
     union, _, per_band = raster.rasterize_circles(circles, delta, grid)
-    return union.area(), per_band.sum(), (union if keep else None)
+    return _area(union, pgm), per_band.sum()
 
 
-def _triangles_job(triangles, grid: GridSpec, keep=False):
-    """(area, the union if keep else None) of filled triangles."""
-    union = raster.rasterize_triangles(triangles, grid)
-    return union.area(), (union if keep else None)
+def _triangles_job(triangles, grid: GridSpec, pgm=None):
+    """Area of the filled triangles' union."""
+    return _area(raster.rasterize_triangles(triangles, grid), pgm)
 
 
 def _step_ratios(rows):
@@ -176,22 +181,23 @@ def _fixed_level_positivity(p, seed, out_dir):
     grid = _grid(p)
     _require_box(grid, (-1.0, -1.0), (2.0, 2.0), "all unit circles around [0,1]^2")
 
-    # per depth and delta, the cloud's union and then the line's; only the
-    # deepest, finest cloud union comes back whole, for the PGM
+    # per depth and delta, the cloud's union and then the line's; the
+    # deepest, finest cloud union is the PGM
+    pgm, artifacts = _pgm("fixed-level-positivity", grid, deltas[-1], out_dir)
     calls = []
     for depth in depths:
         cloud = raster.Circle(_cantor_cloud(depth, seed).points, 1.0)
         line = raster.Circle(_cantor_cloud(depth, seed, on_line=True).points, 1.0)
         for d in deltas:
             last = depth == depths[-1] and d == deltas[-1]
-            calls += [(cloud, d, grid, last), (line, d, grid)]
+            calls += [(cloud, d, grid, pgm if last else None), (line, d, grid)]
     results = iter(raster.fan_out(_union_job, calls))
 
     series = {}
     for depth in depths:
         cxc_rows, line_rows = [], []
         for d in deltas:
-            (area, union), (line_area, _) = next(results), next(results)
+            area, line_area = next(results), next(results)
             cxc_rows.append((d, area))
             line_rows.append((d, line_area))
         series[f"cxc-area-depth{depth}"] = cxc_rows
@@ -201,7 +207,7 @@ def _fixed_level_positivity(p, seed, out_dir):
             for (coarse, ac), (fine, af) in zip(cxc_rows, cxc_rows[1:])
         ]
 
-    # the loop leaves the deepest depth's rows and its finest union behind
+    # the loop leaves the deepest depth's rows behind
     verdicts = [_at_least("union-area-floor", 0.5, cxc_rows[-1][1])]
     changes = [v for _, v in series[f"cxc-stability-depth{depth}"]]
     if changes:
@@ -214,7 +220,7 @@ def _fixed_level_positivity(p, seed, out_dir):
         series[f"line-shrink-depth{depth}"] = [(d_lo, shrink)]
         verdicts.append(_at_most("control-shrink", 0.5, shrink))
 
-    return series, verdicts, _pgm(union, "fixed-level-positivity", deltas[-1], out_dir)
+    return series, verdicts, artifacts
 
 
 # ---------------------------------------------------------------------------
@@ -239,21 +245,22 @@ def _flat_counterexample(p, seed, out_dir):
     d_min = deltas[-1]
     # per depth the squares' union at d_min and the circles', then the
     # deepest squares at the ladder's coarser deltas
+    pgm, artifacts = _pgm("flat-counterexample", grid, d_min, out_dir)
     calls = []
     for depth in depths:
         cloud = _cantor_cloud(depth, seed)
         squares = raster.SquareBoundary(cloud.points, 1.0)
-        calls += [(squares, d_min, grid, depth == depths[-1]),
+        calls += [(squares, d_min, grid, pgm if depth == depths[-1] else None),
                   (raster.Circle(cloud.points, 1.0), d_min, grid)]
     coarse = [d for d in deltas if d != d_min]
     calls += [(squares, d, grid) for d in coarse]
     results = iter(raster.fan_out(_union_job, calls))
     square_rows, circle_rows = [], []
     for depth in depths:
-        (area, union), (circle_area, _) = next(results), next(results)
+        area, circle_area = next(results), next(results)
         square_rows.append((depth, area))
         circle_rows.append((depth, circle_area))
-    ladder_areas = {d: area for d, (area, _) in zip(coarse, results)}
+    ladder_areas = dict(zip(coarse, results))
     series = {f"square-area-d{d_min:g}": square_rows,
               f"circle-area-d{d_min:g}": circle_rows}
 
@@ -277,7 +284,7 @@ def _flat_counterexample(p, seed, out_dir):
         series["zero-area-intercept"] = [(0.0, intercept)]
         verdicts.append(_at_most("zero-area-intercept", 0.05, intercept))
 
-    return series, verdicts, _pgm(union, "flat-counterexample", d_min, out_dir)
+    return series, verdicts, artifacts
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +311,10 @@ def _discrete_incidence(p, seed, out_dir):
     series = {"unit-area": [], "incidence-integral": [], "incidence-slack": [],
               "band-width": []}
     rhos = [fractal.thickening_radius(q, s) for q in qs]
+    pgm, artifacts = _pgm("discrete-incidence", grid, rhos[-1], out_dir)
     calls = [(raster.Circle(fractal.separated_lattice(q, seed=seed).points / q, r), rho, grid,
-              q == qs[-1]) for q, rho in zip(qs, rhos)]
-    for q, rho, (area, cells, union) in zip(qs, rhos, raster.fan_out(_incidence_job, calls)):
+              pgm if q == qs[-1] else None) for q, rho in zip(qs, rhos)]
+    for q, rho, (area, cells) in zip(qs, rhos, raster.fan_out(_incidence_job, calls)):
         integral = float(cells * grid.cell_volume)
         series["unit-area"].append((q, area))
         series["incidence-integral"].append((q, integral))
@@ -323,7 +331,7 @@ def _discrete_incidence(p, seed, out_dir):
         _at_most("area-spread", 2.0, spread),
         _at_least("incidence-dominates", 0.0, slack),
     ]
-    return series, verdicts, _pgm(union, "discrete-incidence", rho, out_dir)
+    return series, verdicts, artifacts
 
 
 # ---------------------------------------------------------------------------
@@ -452,19 +460,19 @@ def _interior_failure(p, seed, out_dir):
     families = [raster.CircleFamily(fractal.fat_cantor(depth), 0.0, 1.0) for depth in depths]
     # the union per depth at d_min, then the deepest family's delta ladder
     coarse = [d for d in deltas if d != d_min]
+    pgm, artifacts = _pgm("interior-failure", grid, d_min, out_dir)
     unions = iter(raster.fan_out(
-        _union_job, [(fam, d_min, grid, i == len(depths) - 1) for i, fam in enumerate(families)]
+        _union_job, [(fam, d_min, grid, pgm if fam is families[-1] else None) for fam in families]
         + [(families[-1], d, grid) for d in coarse]))
     within = (-p["run_band"], p["run_band"])
     run_lengths = raster.fan_out(raster.max_inscribed_interval,
                                  [(fam, d_run, probe, within) for fam in families])
     areas, bounds = [], []
     for depth, family in zip(depths, families):
-        area, union = next(unions)
-        areas.append((depth, area))
+        areas.append((depth, next(unions)))
         bounds.append((depth, 2.0 * family.intervals.max_interval_length()
                        + 4.0 * float(probe.cell_sizes[0])))
-    ladder_areas = {d: area for d, (area, _) in zip(coarse, unions)}
+    ladder_areas = dict(zip(coarse, unions))
     runs = list(zip(depths, run_lengths))
     series = {f"area-d{d_min:g}": areas, "max-run": runs, "run-bound": bounds}
     series[f"area-ladder-depth{depths[-1]}"] = [
@@ -476,7 +484,7 @@ def _interior_failure(p, seed, out_dir):
         series["run-step-ratio"] = ratios
         verdicts.append(_at_most("run-monotone", 1.0, max(v for _, v in ratios)))
     verdicts.append(_at_most("run-bound", bounds[-1][1], runs[-1][1]))
-    return series, verdicts, _pgm(union, "interior-failure", d_min, out_dir)
+    return series, verdicts, artifacts
 
 
 # ---------------------------------------------------------------------------
@@ -498,11 +506,12 @@ def _kakeya_compression(p, seed, out_dir):
         tris = tree.triangles
         _require_box(grid, tris.min(axis=(0, 1)), tris.max(axis=(0, 1)),
                      f"the stage-{stage} triangles")
-    results = raster.fan_out(_triangles_job, [(tree.triangles, grid, i == len(trees) - 1)
-                                              for i, tree in enumerate(trees)])
+    pgm, artifacts = _pgm("kakeya-compression", grid, 0.0, out_dir)
+    calls = [(tree.triangles, grid, pgm if tree is trees[-1] else None) for tree in trees]
+    results = raster.fan_out(_triangles_job, calls)
 
     series = {"union-area": [], "direction-coverage": [], "directions": []}
-    for stage, tree, (area, union) in zip(stages, trees, results):
+    for stage, tree, area in zip(stages, trees, results):
         covered = fractal.verify_direction_coverage(tree)
         series["union-area"].append((stage, area))
         series["direction-coverage"].append((stage, 1.0 if covered else 0.0))
@@ -522,7 +531,7 @@ def _kakeya_compression(p, seed, out_dir):
         verdicts.append(_at_most("stage-compression", 0.35, compression))
     coverage = min(v for _, v in series["direction-coverage"])
     verdicts.append(_at_least("direction-coverage", 1.0, coverage))
-    return series, verdicts, _pgm(union, "kakeya-compression", 0.0, out_dir)
+    return series, verdicts, artifacts
 
 
 # ---------------------------------------------------------------------------

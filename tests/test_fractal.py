@@ -117,14 +117,12 @@ def test_product_cloud_counts_weights_exponent():
     ps = fr.product_point_cloud(c6, c6, 1, seed=0)
     assert len(ps.points) == 4096
     assert abs(ps.weights.sum() - 1.0) <= 1e-12
-    assert ps.claimed_exponent == pytest.approx(2 * LOG32, abs=1e-12)
     assert ps.points.min() >= 0.0 and ps.points.max() <= 1.0
 
 
 def test_product_cloud_line_factor_exponent():
     ps = cantor_line_cloud(6)
     assert len(ps.points) == 64
-    assert ps.claimed_exponent == pytest.approx(LOG32, abs=1e-12)
     assert np.all(ps.points[:, 1] == 0.0)
 
 
@@ -296,7 +294,7 @@ def moved_apex_tree():
     """perron_tree(3) with the apex of wedge 2 moved 5 units to the right."""
     tris = fr.perron_tree(3).triangles.copy()
     tris[2, 2, 0] += 5.0
-    return fr.TriangleSet(tris, 3)
+    return fr.TriangleSet(tris)
 
 
 def test_perron_direction_coverage_exact():

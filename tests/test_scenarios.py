@@ -81,6 +81,40 @@ def test_out_dir_collects_pgm_artifact(tmp_path):
     assert (tmp_path / rep.artifacts[0]).stat().st_size > 0
 
 
+def test_scenario_jobs_return_numbers_and_write_the_serial_pgm(monkeypatch, tmp_path):
+    # a job writes its PGM where it computes the union, so no raster crosses
+    # back from it; the file holds the same bytes as the serial union's
+    real = ra.fan_out
+    results = []
+
+    def recorded(fn, calls, workers=None):
+        out = real(fn, calls, workers)
+        if fn in (sc._union_job, sc._incidence_job, sc._triangles_job):
+            results.extend(out)
+        return out
+
+    def holds_array(value):
+        if isinstance(value, tuple):
+            return any(map(holds_array, value))
+        return isinstance(value, (ra.GridRaster, np.ndarray))
+
+    monkeypatch.setattr(ra, "fan_out", recorded)
+    kakeya = sc.run_scenario("kakeya-compression", {"n": 256}, out_dir=tmp_path)
+    incidence = sc.run_scenario("discrete-incidence", {"n": 256, "qs": [8, 16]},
+                                out_dir=tmp_path)
+    assert len(results) == 6 + 2
+    assert not any(map(holds_array, results))
+
+    triangles = ra.rasterize_triangles(
+        fr.perron_tree(5).triangles, ra.GridSpec(((-2.0, -1.0), (2.0, 1.5)), 256))
+    lattice = ra.Circle(fr.separated_lattice(16, seed=0).points / 16, 1.0)
+    circles = ra.rasterize_circles(lattice, fr.thickening_radius(16, 1.5),
+                                   ra.GridSpec(((-1.1, -1.1), (2.1, 2.1)), 256))[0]
+    for rep, union in [(kakeya, triangles), (incidence, circles)]:
+        ra.write_pgm(union, tmp_path / "serial.pgm")
+        assert (tmp_path / rep.artifacts[0]).read_bytes() == (tmp_path / "serial.pgm").read_bytes()
+
+
 # every scenario at a small size; ladders unsorted and boxes as int lists, so
 # the reports show the normalised values
 SMALL = {
@@ -585,7 +619,7 @@ def test_kakeya_unslid_tree_fails_stage_compression(monkeypatch):
 def test_kakeya_moved_apex_fails_direction_coverage(monkeypatch):
     tris = fr.perron_tree(3).triangles.copy()
     tris[2, 2, 0] += 5.0            # wedge 2 no longer covers its directions
-    monkeypatch.setattr(fr, "perron_tree", lambda stage: fr.TriangleSet(tris, 3))
+    monkeypatch.setattr(fr, "perron_tree", lambda stage: fr.TriangleSet(tris))
     # the grid must hold the moved apex (x about 5.33), or the box check refuses it
     rep = sc.run_scenario("kakeya-compression",
                           {"n": 256, "stages": [3], "box": (-2.0, -1.0, 6.0, 1.5)})
