@@ -14,9 +14,10 @@ SquareBoundary hold k shapes (one center and size gives a batch of one), a
 CircleFamily holds one shape per center interval.  GridSpec.index_range maps
 a span to the cells whose center it contains, and spans_to_cells turns the
 spans of a batch into cells with a difference array (np.add.at, then a
-cumulative sum) per block of rows.  It gives the union (union_scanline), the
-exact per-cell cover counts (rasterize_circles), each shape's cell total
-and a weighted deposit.  Every call runs its row blocks as fan_out jobs that
+cumulative sum) per block of rows.  It gives the union and each shape's
+cell total (union_scanline, which the scenarios' unions go through), the
+exact per-cell cover counts (rasterize_circles, which the tests read) and a
+weighted deposit.  Every call runs its row blocks as fan_out jobs that
 write into outputs in shared anonymous mappings: first the union walk, which
 returns the per-shape totals, then for a deposit a second walk that writes
 the deposit alone.  Inside a fan_out worker the blocks run serially there,
@@ -399,11 +400,14 @@ def _block_cells(grid: GridSpec, count: int, spans, j0: int, j1: int, bits, cove
     return totals
 
 
-def union_scanline(shapes, delta: float, grid: GridSpec) -> GridRaster:
-    """Union of a span shape batch without building per-shape rasters."""
+def union_scanline(shapes, delta: float, grid: GridSpec):
+    """(union: GridRaster, per-shape cell totals) of a span batch's delta-bands, in one walk.
+
+    The totals add up to sum_z I(z), I(z) = #{bands covering z}, over the cell centers z.
+    """
     _check_delta(delta, grid)
-    bits = spans_to_cells(grid, len(shapes), lambda ys: shapes.spans(ys, delta))[0]
-    return GridRaster(grid, bits)
+    bits, _, totals, _ = spans_to_cells(grid, len(shapes), lambda ys: shapes.spans(ys, delta))
+    return GridRaster(grid, bits), totals
 
 
 def rasterize_circles(circles: Circle, delta: float, grid: GridSpec):
@@ -454,11 +458,6 @@ def intersection_raster(a: GridRaster, b: GridRaster) -> GridRaster:
     return GridRaster(grid, a.bits & b.bits)
 
 
-def intersection_area(a: GridRaster, b: GridRaster) -> float:
-    grid = _check_same_grid(a, b)
-    return int(np.count_nonzero(a.bits & b.bits)) * grid.cell_volume
-
-
 # ---------------------------------------------------------------------------
 # interior probes
 # ---------------------------------------------------------------------------
@@ -466,8 +465,8 @@ def intersection_area(a: GridRaster, b: GridRaster) -> float:
 def max_inscribed_interval(shape, delta: float, grid: GridSpec, within=None) -> float:
     """Longest horizontal run of a span shape batch's delta-band cells, in length units.
 
-    It equals the longest run of filled cells in a row of
-    union_scanline(shape, delta, grid), read from the spans with
+    It equals the longest run of filled cells in a row of the union
+    union_scanline(shape, delta, grid) gives, read from the spans with
     no raster: a row's cell ranges (_cell_ranges) are sorted by i0, and
     ranges that touch (i0 <= running max i1 + 1) merge.  within = (lo, hi)
     keeps only the rows whose y-center lies in that range.  Runs never cross

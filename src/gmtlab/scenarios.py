@@ -136,24 +136,33 @@ def _area(union, pgm):
 
 
 def _union_job(shapes, delta: float, grid: GridSpec, pgm=None):
-    """Area of a span batch's delta-band union, written as a PGM to pgm if given.
+    """(area, summed per-shape cell totals) of a span batch's delta-band union.
 
-    This and the jobs below are raster.fan_out jobs: each writes its PGM
-    where it computes the union and returns only numbers, so no raster
-    crosses back.
+    The union is written as a PGM to pgm if given.  This and _triangles_job
+    are raster.fan_out jobs: each writes its PGM where it computes the union
+    and returns only numbers, so no raster crosses back.
     """
-    return _area(raster.union_scanline(shapes, delta, grid), pgm)
-
-
-def _incidence_job(circles, delta: float, grid: GridSpec, pgm=None):
-    """(area, summed per-band cell totals) of a Circle batch's union."""
-    union, _, per_band = raster.rasterize_circles(circles, delta, grid)
-    return _area(union, pgm), per_band.sum()
+    union, totals = raster.union_scanline(shapes, delta, grid)
+    return _area(union, pgm), totals.sum()
 
 
 def _triangles_job(triangles, grid: GridSpec, pgm=None):
     """Area of the filled triangles' union."""
     return _area(raster.rasterize_triangles(triangles, grid), pgm)
+
+
+def _by_key(job, calls: dict, pgm_key, pgm):
+    """{key: job(*call, pgm or None)} for calls {key: call}, run in order by raster.fan_out.
+
+    Only the call under pgm_key gets the PGM path pgm; the others get None.
+    """
+    args = [call + (pgm if key == pgm_key else None,) for key, call in calls.items()]
+    return dict(zip(calls, raster.fan_out(job, args)))
+
+
+def _areas(calls: dict, pgm_key, pgm):
+    """{key: area} of the _union_job calls {key: (shapes, delta, grid)}."""
+    return {key: area for key, (area, _) in _by_key(_union_job, calls, pgm_key, pgm).items()}
 
 
 def _step_ratios(rows):
@@ -183,41 +192,37 @@ def _fixed_level_positivity(p, seed, out_dir):
 
     # per depth and delta, the cloud's union and then the line's; the
     # deepest, finest cloud union is the PGM
-    pgm, artifacts = _pgm("fixed-level-positivity", grid, deltas[-1], out_dir)
-    calls = []
+    deep, d_lo = depths[-1], deltas[-1]
+    pgm, artifacts = _pgm("fixed-level-positivity", grid, d_lo, out_dir)
+    calls = {}
     for depth in depths:
         cloud = raster.Circle(_cantor_cloud(depth, seed).points, 1.0)
         line = raster.Circle(_cantor_cloud(depth, seed, on_line=True).points, 1.0)
         for d in deltas:
-            last = depth == depths[-1] and d == deltas[-1]
-            calls += [(cloud, d, grid, pgm if last else None), (line, d, grid)]
-    results = iter(raster.fan_out(_union_job, calls))
+            calls["cxc", depth, d] = cloud, d, grid
+            calls["line", depth, d] = line, d, grid
+    area = _areas(calls, ("cxc", deep, d_lo), pgm)
 
     series = {}
     for depth in depths:
-        cxc_rows, line_rows = [], []
-        for d in deltas:
-            area, line_area = next(results), next(results)
-            cxc_rows.append((d, area))
-            line_rows.append((d, line_area))
+        cxc_rows = [(d, area["cxc", depth, d]) for d in deltas]
         series[f"cxc-area-depth{depth}"] = cxc_rows
-        series[f"line-area-depth{depth}"] = line_rows
+        series[f"line-area-depth{depth}"] = [(d, area["line", depth, d]) for d in deltas]
         series[f"cxc-stability-depth{depth}"] = [
             (fine, abs(1.0 - af / ac))
             for (coarse, ac), (fine, af) in zip(cxc_rows, cxc_rows[1:])
         ]
 
-    # the loop leaves the deepest depth's rows behind
-    verdicts = [_at_least("union-area-floor", 0.5, cxc_rows[-1][1])]
-    changes = [v for _, v in series[f"cxc-stability-depth{depth}"]]
+    verdicts = [_at_least("union-area-floor", 0.5, area["cxc", deep, d_lo])]
+    changes = [v for _, v in series[f"cxc-stability-depth{deep}"]]
     if changes:
         verdicts.append(_at_most("union-area-stability", 0.05, max(changes)))
     # control pair: finest delta against the entry nearest 4x coarser
-    d_lo, a_lo = line_rows[-1]
-    d_hi, a_hi = min(line_rows, key=lambda row: abs(row[0] - 4.0 * d_lo))
+    a_lo = area["line", deep, d_lo]
+    d_hi, a_hi = min(series[f"line-area-depth{deep}"], key=lambda row: abs(row[0] - 4.0 * d_lo))
     if d_hi > d_lo and a_hi > 0.0:
         shrink = a_lo / a_hi
-        series[f"line-shrink-depth{depth}"] = [(d_lo, shrink)]
+        series[f"line-shrink-depth{deep}"] = [(d_lo, shrink)]
         verdicts.append(_at_most("control-shrink", 0.5, shrink))
 
     return series, verdicts, artifacts
@@ -242,25 +247,20 @@ def _flat_counterexample(p, seed, out_dir):
     grid = _grid(p)
     _require_box(grid, (-1.5, -1.5), (2.5, 2.5), "[-1.5, 2.5]^2")
 
-    d_min = deltas[-1]
+    deep, d_min = depths[-1], deltas[-1]
     # per depth the squares' union at d_min and the circles', then the
-    # deepest squares at the ladder's coarser deltas
+    # deepest squares at the ladder's coarser deltas (d_min's call is kept)
     pgm, artifacts = _pgm("flat-counterexample", grid, d_min, out_dir)
-    calls = []
+    calls = {}
     for depth in depths:
         cloud = _cantor_cloud(depth, seed)
-        squares = raster.SquareBoundary(cloud.points, 1.0)
-        calls += [(squares, d_min, grid, pgm if depth == depths[-1] else None),
-                  (raster.Circle(cloud.points, 1.0), d_min, grid)]
-    coarse = [d for d in deltas if d != d_min]
-    calls += [(squares, d, grid) for d in coarse]
-    results = iter(raster.fan_out(_union_job, calls))
-    square_rows, circle_rows = [], []
-    for depth in depths:
-        area, circle_area = next(results), next(results)
-        square_rows.append((depth, area))
-        circle_rows.append((depth, circle_area))
-    ladder_areas = dict(zip(coarse, results))
+        calls["square", depth, d_min] = raster.SquareBoundary(cloud.points, 1.0), d_min, grid
+        calls["circle", depth, d_min] = raster.Circle(cloud.points, 1.0), d_min, grid
+    for d in deltas:
+        calls["square", deep, d] = calls["square", deep, d_min][0], d, grid
+    area = _areas(calls, ("square", deep, d_min), pgm)
+    square_rows = [(depth, area["square", depth, d_min]) for depth in depths]
+    circle_rows = [(depth, area["circle", depth, d_min]) for depth in depths]
     series = {f"square-area-d{d_min:g}": square_rows,
               f"circle-area-d{d_min:g}": circle_rows}
 
@@ -275,8 +275,8 @@ def _flat_counterexample(p, seed, out_dir):
         verdicts.append(_at_least("curved-growth", 1.0, min(v for _, v in ci_ratios)))
 
     # delta ladder over the deepest level's squares, extrapolated to delta = 0
-    ladder = [(d, square_rows[-1][1] if d == d_min else ladder_areas[d]) for d in deltas]
-    series[f"square-ladder-depth{depths[-1]}"] = ladder
+    ladder = [(d, area["square", deep, d]) for d in deltas]
+    series[f"square-ladder-depth{deep}"] = ladder
     if len(ladder) >= 2:
         xs = np.array([d for d, _ in ladder])
         ys = np.array([a for _, a in ladder])
@@ -310,11 +310,12 @@ def _discrete_incidence(p, seed, out_dir):
 
     series = {"unit-area": [], "incidence-integral": [], "incidence-slack": [],
               "band-width": []}
-    rhos = [fractal.thickening_radius(q, s) for q in qs]
-    pgm, artifacts = _pgm("discrete-incidence", grid, rhos[-1], out_dir)
-    calls = [(raster.Circle(fractal.separated_lattice(q, seed=seed).points / q, r), rho, grid,
-              pgm if q == qs[-1] else None) for q, rho in zip(qs, rhos)]
-    for q, rho, (area, cells) in zip(qs, rhos, raster.fan_out(_incidence_job, calls)):
+    calls = {q: (raster.Circle(fractal.separated_lattice(q, seed=seed).points / q, r),
+                 fractal.thickening_radius(q, s), grid) for q in qs}
+    pgm, artifacts = _pgm("discrete-incidence", grid, calls[qs[-1]][1], out_dir)
+    unions = _by_key(_union_job, calls, qs[-1], pgm)
+    for q in qs:
+        (area, cells), rho = unions[q], calls[q][1]
         integral = float(cells * grid.cell_volume)
         series["unit-area"].append((q, area))
         series["incidence-integral"].append((q, integral))
@@ -459,24 +460,21 @@ def _interior_failure(p, seed, out_dir):
 
     families = [raster.CircleFamily(fractal.fat_cantor(depth), 0.0, 1.0) for depth in depths]
     # the union per depth at d_min, then the deepest family's delta ladder
-    coarse = [d for d in deltas if d != d_min]
+    deep = depths[-1]
     pgm, artifacts = _pgm("interior-failure", grid, d_min, out_dir)
-    unions = iter(raster.fan_out(
-        _union_job, [(fam, d_min, grid, pgm if fam is families[-1] else None) for fam in families]
-        + [(families[-1], d, grid) for d in coarse]))
+    calls = {(depth, d_min): (fam, d_min, grid) for depth, fam in zip(depths, families)}
+    for d in deltas:
+        calls[deep, d] = families[-1], d, grid
+    area = _areas(calls, (deep, d_min), pgm)
     within = (-p["run_band"], p["run_band"])
     run_lengths = raster.fan_out(raster.max_inscribed_interval,
                                  [(fam, d_run, probe, within) for fam in families])
-    areas, bounds = [], []
-    for depth, family in zip(depths, families):
-        areas.append((depth, next(unions)))
-        bounds.append((depth, 2.0 * family.intervals.max_interval_length()
-                       + 4.0 * float(probe.cell_sizes[0])))
-    ladder_areas = dict(zip(coarse, unions))
+    areas = [(depth, area[depth, d_min]) for depth in depths]
+    bounds = [(depth, 2.0 * family.intervals.max_interval_length()
+               + 4.0 * float(probe.cell_sizes[0])) for depth, family in zip(depths, families)]
     runs = list(zip(depths, run_lengths))
     series = {f"area-d{d_min:g}": areas, "max-run": runs, "run-bound": bounds}
-    series[f"area-ladder-depth{depths[-1]}"] = [
-        (d, areas[-1][1] if d == d_min else ladder_areas[d]) for d in deltas]
+    series[f"area-ladder-depth{deep}"] = [(d, area[deep, d]) for d in deltas]
 
     verdicts = [_at_least("area-floor", 0.3, areas[-1][1])]
     ratios = _step_ratios(runs)
@@ -507,13 +505,13 @@ def _kakeya_compression(p, seed, out_dir):
         _require_box(grid, tris.min(axis=(0, 1)), tris.max(axis=(0, 1)),
                      f"the stage-{stage} triangles")
     pgm, artifacts = _pgm("kakeya-compression", grid, 0.0, out_dir)
-    calls = [(tree.triangles, grid, pgm if tree is trees[-1] else None) for tree in trees]
-    results = raster.fan_out(_triangles_job, calls)
+    calls = {stage: (tree.triangles, grid) for stage, tree in zip(stages, trees)}
+    area = _by_key(_triangles_job, calls, stages[-1], pgm)
 
     series = {"union-area": [], "direction-coverage": [], "directions": []}
-    for stage, tree, area in zip(stages, trees, results):
+    for stage, tree in zip(stages, trees):
         covered = fractal.verify_direction_coverage(tree)
-        series["union-area"].append((stage, area))
+        series["union-area"].append((stage, area[stage]))
         series["direction-coverage"].append((stage, 1.0 if covered else 0.0))
         series["directions"].append((stage, float(len(tree.triangles))))
 

@@ -25,7 +25,7 @@ ANNULUS_AREA = math.pi * ((1.1) ** 2 - (0.9) ** 2)   # = pi * 0.4
 
 def annulus(n=1024, delta=0.1, box=BOX2):
     grid = ra.GridSpec(box, n)
-    return ra.union_scanline(ra.Circle((0.0, 0.0), 1.0), delta, grid)
+    return ra.union_scanline(ra.Circle((0.0, 0.0), 1.0), delta, grid)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +107,7 @@ def test_square_boundary_band_area():
     # quantized value on an n=1024 grid; exact Euclidean band area is
     # 16*h*delta + (pi - 4)*delta^2 = 0.797854, strip rounding pushes it up
     grid = ra.GridSpec(BOX2, 1024)
-    band = ra.union_scanline(ra.SquareBoundary((0.0, 0.0), 1.0), 0.05, grid)
+    band, _ = ra.union_scanline(ra.SquareBoundary((0.0, 0.0), 1.0), 0.05, grid)
     assert abs(band.area() / 0.81 - 1.0) <= 0.05
 
 
@@ -116,7 +116,7 @@ def test_scanline_matches_phase_predicate_bitwise():
     grid = ra.GridSpec(BOX2, 256)
     spec = PhaseSpec("unit-distance", 2)
     via_phase = ra.rasterize_band(spec, (0.0, 0.0), 1.0, 0.1, grid)
-    via_scan = ra.union_scanline(ra.Circle((0.0, 0.0), 1.0), 0.1, grid)
+    via_scan, _ = ra.union_scanline(ra.Circle((0.0, 0.0), 1.0), 0.1, grid)
     assert np.array_equal(via_phase.bits, via_scan.bits)
 
 
@@ -174,8 +174,8 @@ def test_unknown_shape_rejected():
 
 def two_offset_circles(n=256):
     grid = ra.GridSpec(BOX2, n)
-    a = ra.union_scanline(ra.Circle((-0.3, 0.0), 1.0), 0.1, grid)
-    b = ra.union_scanline(ra.Circle((0.3, 0.1), 1.0), 0.1, grid)
+    a, _ = ra.union_scanline(ra.Circle((-0.3, 0.0), 1.0), 0.1, grid)
+    b, _ = ra.union_scanline(ra.Circle((0.3, 0.1), 1.0), 0.1, grid)
     return grid, a, b
 
 
@@ -185,7 +185,6 @@ def test_inclusion_exclusion_exact():
     inter = ra.intersection_raster(a, b)
     # cell counts are integers, so the identity is exact
     assert a.filled_count + b.filled_count == union.filled_count + inter.filled_count
-    assert ra.intersection_area(a, b) == pytest.approx(inter.area(), rel=1e-15)
 
 
 def test_union_algebra():
@@ -194,7 +193,7 @@ def test_union_algebra():
     ba = ra.union_raster([b, a])
     assert np.array_equal(ab.bits, ba.bits)
     assert np.array_equal(ra.union_raster([a, a]).bits, a.bits)
-    c = ra.union_scanline(ra.Circle((0.0, -0.4), 0.8), 0.1, a.grid)
+    c, _ = ra.union_scanline(ra.Circle((0.0, -0.4), 0.8), 0.1, a.grid)
     left = ra.union_raster([ra.union_raster([a, b]), c])
     right = ra.union_raster([a, ra.union_raster([b, c])])
     assert np.array_equal(left.bits, right.bits)
@@ -206,7 +205,7 @@ def test_grid_mismatch_rejected():
     a = annulus(n=256)
     b = annulus(n=512)
     with pytest.raises(GridMismatchError):
-        ra.intersection_area(a, b)
+        ra.intersection_raster(a, b).area()
     c = annulus(n=256, box=((-2.0, -2.0), (2.0, 2.0)))
     with pytest.raises(GridMismatchError):
         ra.union_raster([a, c])
@@ -222,7 +221,7 @@ def test_circle_batch_matches_scanline_per_circle():
     batch = ra.Circle([c[:2] for c in circles], [c[2] for c in circles])
     union, counts, per_band = ra.rasterize_circles(batch, 0.1, grid)
     singles = [
-        ra.union_scanline(ra.Circle((cx, cy), r), 0.1, grid)
+        ra.union_scanline(ra.Circle((cx, cy), r), 0.1, grid)[0]
         for cx, cy, r in circles
     ]
     stacked = np.sum([s.bits.astype(np.int32) for s in singles], axis=0)
@@ -231,6 +230,10 @@ def test_circle_batch_matches_scanline_per_circle():
     for s, cells in zip(singles, per_band):
         assert s.filled_count == cells
     assert counts.sum() == per_band.sum()
+    # the union walk alone gives the same union and per-circle totals
+    scan_union, scan_totals = ra.union_scanline(batch, 0.1, grid)
+    assert np.array_equal(scan_union.bits, union.bits)
+    assert np.array_equal(scan_totals, per_band)
 
 
 def test_circle_batch_incidence_integral_bounds_union():
@@ -257,16 +260,16 @@ def test_circle_family_covers_sampled_union():
     # every sampled center is in the intervals, so sampled bits are a subset
     grid = ra.GridSpec(((-2.0, -2.0), (2.0, 2.0)), 256)
     ivals = fr.IntervalSet(((0.0, 0.2), (0.5, 0.6)), 0)
-    fam = ra.union_scanline(ra.CircleFamily(ivals, 0.0, 1.0), 0.12, grid)
+    fam, _ = ra.union_scanline(ra.CircleFamily(ivals, 0.0, 1.0), 0.12, grid)
     centers = np.concatenate([np.linspace(a, b, 1500) for a, b in ivals.intervals])
     circles = ra.Circle(np.column_stack([centers, np.zeros_like(centers)]), 1.0)
-    sampled = ra.union_scanline(circles, 0.12, grid)
+    sampled, _ = ra.union_scanline(circles, 0.12, grid)
     assert not np.any(sampled.bits & ~fam.bits)
     assert sampled.area() >= 0.99 * fam.area()
 
 
 @pytest.mark.parametrize("measure", [
-    lambda shapes, grid: ra.union_scanline(shapes, 0.05, grid).bits,
+    lambda shapes, grid: ra.union_scanline(shapes, 0.05, grid)[0].bits,
     lambda shapes, grid: ra.max_inscribed_interval(shapes, 0.05, grid),
 ], ids=["union_scanline", "max_inscribed_interval"])
 def test_circle_family_spans_come_a_chunk_at_a_time(monkeypatch, measure):
@@ -396,8 +399,8 @@ def test_refinement_series_tracks_truth():
     # the annulus area converges as the grid refines
     errs = []
     for n in (64, 128, 256, 512):
-        band = ra.union_scanline(ra.Circle((0.0, 0.0), 1.0), 0.1,
-                                 ra.GridSpec(BOX2, n))
+        band, _ = ra.union_scanline(ra.Circle((0.0, 0.0), 1.0), 0.1,
+                                    ra.GridSpec(BOX2, n))
         errs.append(abs(band.area() - ANNULUS_AREA))
     assert errs[-1] <= errs[0]
     assert errs[-1] / ANNULUS_AREA <= 0.01
@@ -414,9 +417,9 @@ def mc_family(offset=0.3):
 
 def test_monte_carlo_agrees_with_grid_intersection():
     grid = ra.GridSpec(BOX2, 2048)
-    a = ra.union_scanline(ra.Circle((-0.3, 0.0), 1.0), 0.1, grid)
-    b = ra.union_scanline(ra.Circle((0.3, 0.0), 1.0), 0.1, grid)
-    truth = ra.intersection_area(a, b)
+    a, _ = ra.union_scanline(ra.Circle((-0.3, 0.0), 1.0), 0.1, grid)
+    b, _ = ra.union_scanline(ra.Circle((0.3, 0.0), 1.0), 0.1, grid)
+    truth = ra.intersection_raster(a, b).area()
     res = ra.monte_carlo_intersection(mc_family(), 0.1, BOX2, 400_000, seed=11)
     assert not res.low_confidence
     assert abs(res.estimate - truth) <= max(3.0 * res.std_error, 0.01)
@@ -644,13 +647,13 @@ def test_union_in_a_forked_job_is_private_and_equals_the_serial_bytes(monkeypatc
     deltas = [0.1, 0.05]
 
     def job(delta):
-        bits = ra.union_scanline(circles, delta, grid).bits
+        bits = ra.union_scanline(circles, delta, grid)[0].bits
         return in_mapping(bits), bits.tobytes(), os.getpid()
 
     got = ra.fan_out(job, [(d,) for d in deltas])
     assert [mapped for mapped, _, _ in got] == [False, False]
     assert os.getpid() not in {pid for _, _, pid in got}
-    serial = [ra.union_scanline(circles, d, grid).bits for d in deltas]
+    serial = [ra.union_scanline(circles, d, grid)[0].bits for d in deltas]
     assert all(in_mapping(bits) for bits in serial)
     assert [bits for _, bits, _ in got] == [bits.tobytes() for bits in serial]
     assert multiprocessing.active_children() == []

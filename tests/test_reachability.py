@@ -73,9 +73,9 @@ ALLOWED = {
     # run only in forked fan_out workers, which this pinned run never starts
     "raster._run_job": "perfbench:run-all, perfbench:spectral-profile",
     "raster._take_jobs": "perfbench:run-all, perfbench:spectral-profile",
-    "raster.intersection_area": "oracle of monte_carlo_intersection",
     "raster.intersection_raster": "criterion 12",
     "raster.rasterize_band": "oracle of union_scanline",
+    "raster.rasterize_circles": "roadmap:src holds what runs",
     "raster.union_raster": "criterion 12",
     "reporting.read_report": "roadmap:one telemetry source",
     "spectral.GriddedDensity.__post_init__":

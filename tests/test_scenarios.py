@@ -89,7 +89,7 @@ def test_scenario_jobs_return_numbers_and_write_the_serial_pgm(monkeypatch, tmp_
 
     def recorded(fn, calls, workers=None):
         out = real(fn, calls, workers)
-        if fn in (sc._union_job, sc._incidence_job, sc._triangles_job):
+        if fn in (sc._union_job, sc._triangles_job):
             results.extend(out)
         return out
 
@@ -318,19 +318,19 @@ def test_discrete_incidence_integral_dominates_each_q():
 
 
 def doctored_circles(monkeypatch, doctor):
-    """rasterize_circles with its (union, counts, per_band) passed through doctor."""
-    real = ra.rasterize_circles
-    monkeypatch.setattr(ra, "rasterize_circles",
+    """union_scanline with its (union, per_band) passed through doctor."""
+    real = ra.union_scanline
+    monkeypatch.setattr(ra, "union_scanline",
                         lambda circles, delta, grid: doctor(*real(circles, delta, grid)))
 
 
 def test_discrete_incidence_first_band_only_fails_incidence_dominates(monkeypatch):
     # per-band totals that keep only the first annulus: the integral drops
     # to one band's area, below the union of all of them
-    def first_band_only(union, counts, per_band):
+    def first_band_only(union, per_band):
         kept = np.zeros_like(per_band)
         kept[0] = per_band[0]
-        return union, counts, kept
+        return union, kept
 
     doctored_circles(monkeypatch, first_band_only)
     rep = sc.run_scenario("discrete-incidence", {"n": 512, "qs": [8, 16]})
@@ -341,17 +341,33 @@ def test_discrete_incidence_first_band_only_fails_incidence_dominates(monkeypatc
 def test_discrete_incidence_thinned_union_fails_area_spread(monkeypatch):
     # the q = 16 union keeps one cell row in four: its area falls about
     # fourfold while q = 8 keeps its own, so the spread passes 2
-    def thinned_at_16(union, counts, per_band):
+    def thinned_at_16(union, per_band):
         if len(per_band) == 16 ** 2:
             bits = union.bits.copy()
             bits[np.arange(len(bits)) % 4 != 0] = False
             union = ra.GridRaster(union.grid, bits)
-        return union, counts, per_band
+        return union, per_band
 
     doctored_circles(monkeypatch, thinned_at_16)
     rep = sc.run_scenario("discrete-incidence", {"n": 512, "qs": [8, 16]})
     v = verdict(rep, "area-spread")
     assert v.measured == pytest.approx(4.0, rel=0.1) and not v.passed
+
+
+def test_discrete_incidence_builds_no_cover_grid(monkeypatch):
+    # the union walk gives the per-band totals, so no int32 cover counts are
+    # built; one usable CPU runs the kernels here, where the wrapper sees them
+    monkeypatch.setattr(ra, "_usable_cpus", lambda: 1)
+    real = ra.spans_to_cells
+    asked = []
+
+    def recorded(*args, **kwargs):
+        asked.append(kwargs.get("counts", False))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ra, "spans_to_cells", recorded)
+    sc.run_scenario("discrete-incidence", {"n": 256, "qs": [8, 16]})
+    assert asked == [False, False]
 
 
 def test_discrete_incidence_one_center_fails_area_floor(monkeypatch):

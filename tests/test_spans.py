@@ -137,10 +137,10 @@ def test_span_kernel_matches_brute_force(obj, n, delta, rows, chunk, weights):
             mock.patch.object(ra, "_usable_cpus", lambda: 1):
         bits, cover, totals, mass = ra.spans_to_cells(
             grid, len(obj), lambda ys: obj.spans(ys, delta), weights=w, counts=True)
-        union = ra.union_scanline(obj, delta, grid)
+        union, union_totals = ra.union_scanline(obj, delta, grid)
     brute = [d <= delta for d in dist]
     sure = _check(bits, cover, totals, brute, [np.abs(d - delta) <= EDGE_TOL for d in dist])
-    assert np.array_equal(union.bits, bits)
+    assert np.array_equal(union.bits, bits) and np.array_equal(union_totals, totals)
 
     # weighted deposit: weight k spread evenly over shape k's cells
     ref = np.zeros((n, n))
@@ -162,7 +162,7 @@ def test_circle_family_union_matches_brute_force(fam, n, delta, rows, chunk):
     with mock.patch.object(ra, "_BLOCK_CELLS", rows * n), \
             mock.patch.object(ra, "_SPAN_CHUNK", chunk), \
             mock.patch.object(ra, "_usable_cpus", lambda: 1):
-        union = ra.union_scanline(fam, delta, grid)
+        union, _ = ra.union_scanline(fam, delta, grid)
     sure = np.abs(dist - delta) > EDGE_TOL
     assert np.array_equal(union.bits[sure], (dist <= delta)[sure])
 

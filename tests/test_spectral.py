@@ -396,7 +396,7 @@ def test_incidence_support_inside_union_raster():
     c4 = fr.cantor_middle_thirds(4)
     cloud = fr.product_point_cloud(c4, c4, 1, seed=0)
     nu = sp.incidence_density(ra.Circle, cloud, 1.0, 0.01, grid)
-    union = ra.union_scanline(ra.Circle(cloud.points, 1.0), 0.01, grid)
+    union, _ = ra.union_scanline(ra.Circle(cloud.points, 1.0), 0.01, grid)
     assert not np.any((nu.values > 0) & ~union.bits)
     assert abs(nu.total_mass - 1.0) <= 1e-9
 
