@@ -107,13 +107,13 @@ def diffeo_jacobian(spec: PhaseSpec, y):
     return jac
 
 
-def diffeo_inverse(spec: PhaseSpec, z, tol=1e-13, max_iter=60):
+def diffeo_inverse(spec: PhaseSpec, z):
     """Solve Phi(y) = z by Newton iteration.  Converges for |kappa| < 1."""
     z = np.asarray(z, dtype=float)
     y = z.copy()
-    for _ in range(max_iter):
+    for _ in range(60):
         res = diffeo_map(spec, y) - z
-        if np.max(np.abs(res)) < tol:
+        if np.max(np.abs(res)) < 1e-13:
             break
         y = y - np.linalg.solve(diffeo_jacobian(spec, y), res)
     return y
@@ -258,10 +258,10 @@ def gradients(spec: PhaseSpec, x, y):
     return gx, gy, mixed
 
 
-def gradients_fd(spec: PhaseSpec, x, y, h: float = FD_STEP):
-    """Central finite differences; independent oracle for the analytic path."""
+def gradients_fd(spec: PhaseSpec, x, y):
+    """Central differences of step FD_STEP; independent oracle for the analytic path."""
     x, y = _check_pair(spec, x, y)
-    d = spec.dim
+    d, h = spec.dim, FD_STEP
     eye = h * np.eye(d)
     gx = np.array([
         (eval_phase(spec, x + eye[i], y) - eval_phase(spec, x - eye[i], y)) / (2 * h)
@@ -298,9 +298,9 @@ def rotational_curvature(spec: PhaseSpec, x, y) -> float:
     return float(np.linalg.det(bordered_matrix(gx, gy, mixed)))
 
 
-def rotational_curvature_fd(spec: PhaseSpec, x, y, h: float = FD_STEP) -> float:
+def rotational_curvature_fd(spec: PhaseSpec, x, y) -> float:
     """Same determinant built entirely from finite differences."""
-    gx, gy, mixed = gradients_fd(spec, x, y, h=h)
+    gx, gy, mixed = gradients_fd(spec, x, y)
     return float(np.linalg.det(bordered_matrix(gx, gy, mixed)))
 
 

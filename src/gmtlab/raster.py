@@ -12,17 +12,16 @@ row centers ys to (shape, row, lo, hi) arrays, shape[i] covering the
 x-interval [lo[i], hi[i]] on the row at ys[row[i]].  Circle and
 SquareBoundary hold k shapes (one center and size gives a batch of one), a
 CircleFamily holds one shape per center interval.  GridSpec.index_range maps
-a span to the cells whose center it contains, and spans_to_cells turns the
-spans of a batch into cells with a difference array (np.add.at, then a
-cumulative sum) per block of rows.  It gives the union and each shape's
-cell total (union_scanline, which the scenarios' unions go through), the
-exact per-cell cover counts (rasterize_circles, which the tests read) and a
-weighted deposit.  Every call runs its row blocks as fan_out jobs that
-write into outputs in shared anonymous mappings: first the union walk, which
-returns the per-shape totals, then for a deposit a second walk that writes
-the deposit alone.  Inside a fan_out worker the blocks run serially there,
-into private outputs.  The interior probe max_inscribed_interval
-reads its runs from the same cell ranges, with no raster.  One walk,
+a span to the cells whose center it contains.  Two walks turn the spans of
+a batch into cells with a difference array (np.add.at, then a cumulative
+sum) per block of rows, each into one output: spans_to_cells gives the union
+and each shape's cell total (union_scanline, which the scenarios' unions go
+through), and deposit sums a per-shape value over the cells of the union
+(spectral.incidence_density's measure, and rasterize_circles' cover counts).
+Each walk runs its row blocks as fan_out jobs that write into its output in
+a shared anonymous mapping; inside a fan_out worker the blocks run serially
+there, into a private output.  The interior probe max_inscribed_interval
+reads its runs from the same cell ranges, with no raster.  One generator,
 _cell_ranges, asks for _SPAN_CHUNK // len(batch) rows of spans at a time
 and so bounds the span memory of every consumer, the probe included.
 
@@ -39,10 +38,10 @@ runs only on the samples the screen keeps.
 
 fan_out runs independent calls on forked worker processes, one per usable
 CPU, and returns their results in input order: each scenario hands it the
-unions, probes, rasters or Monte Carlo volumes it needs, spans_to_cells its
-row blocks, spectral.mollified_l2 its radii, spectral.surface_spectrum its
-frequencies, and the CLI its scenarios under --jobs.  The
-workers' initializer gets the calls, which fork hands over without pickling,
+unions, probes, rasters or Monte Carlo volumes it needs, both span walks
+their row blocks, spectral.mollified_l2 its radii, spectral.surface_spectrum
+its frequencies, and the CLI its scenarios under --jobs.  The workers'
+initializer gets the calls, which fork hands over without pickling,
 so nothing but a job's index goes to them; a job writes its one output
 where it computes it (a PGM, a block of shared rows) and returns only the
 numbers its caller reads (an area, a cell total, a volume, a radius's
@@ -324,53 +323,54 @@ def _shared(n: int, dtype):
     return np.frombuffer(mmap.mmap(-1, n * n * np.dtype(dtype).itemsize), dtype).reshape(n, n)
 
 
-def spans_to_cells(grid: GridSpec, count: int, spans, weights=None, counts=False):
-    """Cells whose center lies in the row spans of `count` 2-D shapes.
-
-    spans(ys) -> (shape, row, lo, hi) arrays: shape[i] covers [lo[i], hi[i]]
-    on the grid row whose center is ys[row[i]].
-    Returns (union bits, int32 cover counts if counts else None, per-shape
-    cell totals, weighted deposit if weights is given else None).  Spans
-    count one by one: a cell under two overlapping spans of one shape (as a
-    CircleFamily gives) counts twice in the cover counts, totals and deposit,
-    and only the union ignores the overlap.  The
-    deposit spreads weights[k] evenly over the cells of shape k as a density
-    (weight per cell volume) and is zero off the union.
-
-    Rows go a block at a time (_block_cells), one fan_out job per block, so
-    the only full-grid arrays are the outputs.  They live in anonymous shared
-    mappings, so that the workers' writes reach this process, and are
-    returned as they are.  The union walk fills bits and cover and returns
-    the blocks' cell totals.  A deposit needs each shape's cell total over
-    all rows before it can spread its weight, so it then walks the spans
-    again with mass and density, into the deposit alone.
-    """
+def _walk_blocks(grid: GridSpec, count: int, spans, *args) -> list:
+    """_block_cells(grid, count, spans, j0, j1, *args) per block of rows, by fan_out."""
     n = grid.cells_per_axis
     block = min(n, max(1, _BLOCK_CELLS // n))
-    jobs = [(grid, count, spans, j0, min(j0 + block, n)) for j0 in range(0, n, block)]
-    bits, cover = _shared(n, bool), _shared(n, np.int32) if counts else None
-    totals = sum(fan_out(_block_cells, [job + (bits, cover) for job in jobs]))
-    mass = None
-    if weights is not None:
-        density = np.divide(weights, totals * grid.cell_volume, out=np.zeros(count),
-                            where=totals > 0)
-        mass = _shared(n, float)
-        fan_out(_block_cells, [job + (bits, None, mass, density) for job in jobs])
-    return bits, cover, totals, mass
+    return fan_out(_block_cells, [(grid, count, spans, j0, min(j0 + block, n)) + args
+                                  for j0 in range(0, n, block)])
 
 
-def _block_cells(grid: GridSpec, count: int, spans, j0: int, j1: int, bits, cover,
+def spans_to_cells(grid: GridSpec, count: int, spans):
+    """(union bits, per-shape cell totals) of the row spans of `count` 2-D shapes.
+
+    spans(ys) -> (shape, row, lo, hi) arrays: shape[i] covers [lo[i], hi[i]]
+    on the grid row whose center is ys[row[i]].  A cell is in the union if
+    its center lies in a span.  Spans count one by one: a cell under two
+    overlapping spans of one shape (as a CircleFamily gives) counts twice in
+    the totals, and only the union ignores the overlap.
+
+    Rows go a block at a time, one fan_out job (_block_cells) per block, so
+    the only full-grid array is the union, in an anonymous shared mapping
+    that the workers' writes reach; the jobs return their blocks' totals.
+    """
+    bits = _shared(grid.cells_per_axis, bool)
+    return bits, sum(_walk_blocks(grid, count, spans, bits))
+
+
+def deposit(grid: GridSpec, count: int, spans, bits, density):
+    """Sum of density[k] over the spans of shape k, per cell, zero off bits.
+
+    spans is as for spans_to_cells and bits its union.  The row blocks walk
+    the spans again as fan_out jobs, into a float array in a shared mapping.
+    """
+    mass = _shared(grid.cells_per_axis, float)
+    _walk_blocks(grid, count, spans, bits, mass, density)
+    return mass
+
+
+def _block_cells(grid: GridSpec, count: int, spans, j0: int, j1: int, bits,
                  mass=None, density=None):
-    """Walk the spans on rows j0:j1 into bits and cover, or with mass into mass alone.
+    """Walk the spans on rows j0:j1 into bits, or with mass into mass alone.
 
-    The union walk returns the rows' per-shape cell totals, a deposit's
-    second walk (with mass) None.  Either walk sums one difference array
-    (np.add.at, then a cumulative sum) over the block's cells plus one, in
-    place: np.bincount would allocate a block-sized array per chunk of
-    spans.  The union walk adds 1 per span into an integer buffer, the
-    deposit walk density[k] per span of shape k into a float one; the
-    union's bits then pin the deposit's support, so prefix-sum roundoff dust
-    cannot leak outside the banded cells, as its rows are copied into mass.
+    The union walk returns the rows' per-shape cell totals, the deposit walk
+    (with mass) None.  Either walk sums one difference array (np.add.at,
+    then a cumulative sum) over the block's cells plus one, in place:
+    np.bincount would allocate a block-sized array per chunk of spans.  The
+    union walk adds 1 per span into an integer buffer, the deposit walk
+    density[k] per span of shape k into a float one; the union's bits then
+    pin the deposit's support, so prefix-sum roundoff dust cannot leak
+    outside the banded cells, as its rows are copied into mass.
     """
     n = grid.cells_per_axis
     size = (j1 - j0) * n
@@ -395,8 +395,6 @@ def _block_cells(grid: GridSpec, count: int, spans, j0: int, j1: int, bits, cove
         np.copyto(mass[j0:j1], summed, where=bits[j0:j1])
         return None
     np.greater(summed, 0, out=bits[j0:j1])
-    if cover is not None:
-        cover[j0:j1] = summed
     return totals
 
 
@@ -406,7 +404,7 @@ def union_scanline(shapes, delta: float, grid: GridSpec):
     The totals add up to sum_z I(z), I(z) = #{bands covering z}, over the cell centers z.
     """
     _check_delta(delta, grid)
-    bits, _, totals, _ = spans_to_cells(grid, len(shapes), lambda ys: shapes.spans(ys, delta))
+    bits, totals = spans_to_cells(grid, len(shapes), lambda ys: shapes.spans(ys, delta))
     return GridRaster(grid, bits), totals
 
 
@@ -415,18 +413,20 @@ def rasterize_circles(circles: Circle, delta: float, grid: GridSpec):
 
     Returns (union: GridRaster, counts: int32 array, band_cell_counts:
     per-circle filled-cell totals).  The counts field is the incidence
-    function I(z) = #{bands covering z} sampled at cell centers.
+    function I(z) = #{bands covering z} at cell centers, the deposit of 1
+    per band: its prefix sums of +-1.0 are exact.
     """
     _check_delta(delta, grid)
-    bits, counts, per_band, _ = spans_to_cells(
-        grid, len(circles), lambda ys: circles.spans(ys, delta), counts=True)
+    spans = lambda ys: circles.spans(ys, delta)
+    bits, per_band = spans_to_cells(grid, len(circles), spans)
+    counts = deposit(grid, len(circles), spans, bits, np.ones(len(circles))).astype(np.int32)
     return GridRaster(grid, bits), counts, per_band
 
 
 def rasterize_triangles(triangles, grid: GridSpec) -> GridRaster:
     """Exact filled union of 2-D triangles (no band thickness) by spans."""
     triangles = np.asarray(triangles, dtype=float).reshape(-1, 3, 2)
-    bits = spans_to_cells(grid, len(triangles), lambda ys: _triangle_spans(triangles, ys))[0]
+    bits, _ = spans_to_cells(grid, len(triangles), lambda ys: _triangle_spans(triangles, ys))
     return GridRaster(grid, bits)
 
 

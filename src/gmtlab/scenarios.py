@@ -151,18 +151,14 @@ def _triangles_job(triangles, grid: GridSpec, pgm=None):
     return _area(raster.rasterize_triangles(triangles, grid), pgm)
 
 
-def _by_key(job, calls: dict, pgm_key, pgm):
-    """{key: job(*call, pgm or None)} for calls {key: call}, run in order by raster.fan_out.
-
-    Only the call under pgm_key gets the PGM path pgm; the others get None.
-    """
-    args = [call + (pgm if key == pgm_key else None,) for key, call in calls.items()]
-    return dict(zip(calls, raster.fan_out(job, args)))
+def _by_key(job, calls: dict):
+    """{key: job(*call)} for calls {key: call}, run in order by raster.fan_out."""
+    return dict(zip(calls, raster.fan_out(job, list(calls.values()))))
 
 
-def _areas(calls: dict, pgm_key, pgm):
-    """{key: area} of the _union_job calls {key: (shapes, delta, grid)}."""
-    return {key: area for key, (area, _) in _by_key(_union_job, calls, pgm_key, pgm).items()}
+def _areas(calls: dict):
+    """{key: area} of the _union_job calls {key: (shapes, delta, grid[, pgm])}."""
+    return {key: area for key, (area, _) in _by_key(_union_job, calls).items()}
 
 
 def _step_ratios(rows):
@@ -201,7 +197,8 @@ def _fixed_level_positivity(p, seed, out_dir):
         for d in deltas:
             calls["cxc", depth, d] = cloud, d, grid
             calls["line", depth, d] = line, d, grid
-    area = _areas(calls, ("cxc", deep, d_lo), pgm)
+    calls["cxc", deep, d_lo] += (pgm,)
+    area = _areas(calls)
 
     series = {}
     for depth in depths:
@@ -258,7 +255,8 @@ def _flat_counterexample(p, seed, out_dir):
         calls["circle", depth, d_min] = raster.Circle(cloud.points, 1.0), d_min, grid
     for d in deltas:
         calls["square", deep, d] = calls["square", deep, d_min][0], d, grid
-    area = _areas(calls, ("square", deep, d_min), pgm)
+    calls["square", deep, d_min] += (pgm,)
+    area = _areas(calls)
     square_rows = [(depth, area["square", depth, d_min]) for depth in depths]
     circle_rows = [(depth, area["circle", depth, d_min]) for depth in depths]
     series = {f"square-area-d{d_min:g}": square_rows,
@@ -313,7 +311,8 @@ def _discrete_incidence(p, seed, out_dir):
     calls = {q: (raster.Circle(fractal.separated_lattice(q, seed=seed).points / q, r),
                  fractal.thickening_radius(q, s), grid) for q in qs}
     pgm, artifacts = _pgm("discrete-incidence", grid, calls[qs[-1]][1], out_dir)
-    unions = _by_key(_union_job, calls, qs[-1], pgm)
+    calls[qs[-1]] += (pgm,)
+    unions = _by_key(_union_job, calls)
     for q in qs:
         (area, cells), rho = unions[q], calls[q][1]
         integral = float(cells * grid.cell_volume)
@@ -381,43 +380,40 @@ def _intersection_hypothesis(p, seed, out_dir):
     sphere = phase.PhaseSpec(phase.KIND_DIFFEO_DISTANCE, 3, {"kappa": p["kappa"]})
     parab = phase.PhaseSpec(phase.KIND_PARABOLOID, 3)
     d_max = max(deltas)
-    calls = []
+    calls = {}      # keyed by (family, delta index, separation index)
     for i, d in enumerate(deltas):
         for j, sep in enumerate(separations):
             dbox, pbox = _mc_boxes(sep, d_max)
             sub = seed * 1_000_003 + i * 101 + j
             fam = ((sphere, (0.0, 0.0, 0.0), 1.0), (sphere, (sep, 0.0, 0.0), 1.0))
-            calls.append((fam, d, dbox, samples, sub))
+            calls["diffeo", i, j] = fam, d, dbox, samples, sub
             # same surface at both parameters: t(x) = 1 - x3 on a vertical segment
             fam = ((parab, (0.0, 0.0, 0.0), 1.0), (parab, (0.0, 0.0, sep), 1.0 - sep))
-            calls.append((fam, d, pbox, samples, sub + 17))
-    volumes = raster.fan_out(raster.monte_carlo_intersection, calls)
-    p["mc_samples"] = sum(mc.samples for mc in volumes)
-    p["mc_hits"] = sum(mc.hits for mc in volumes)
+            calls["paraboloid", i, j] = fam, d, pbox, samples, sub + 17
+    volumes = _by_key(raster.monte_carlo_intersection, calls)
+    p["mc_samples"] = sum(mc.samples for mc in volumes.values())
+    p["mc_hits"] = sum(mc.hits for mc in volumes.values())
 
     series = {}
-    ratios = {"diffeo": [], "paraboloid": []}     # per delta, (sep, ratio) rows
-    unsure = dict.fromkeys(ratios, 0)           # low-confidence cells off sep = 0
-    results = iter(volumes)
-    for d in deltas:
-        # the volumes of a separation come as a (diffeo, paraboloid) pair
-        pairs = [(next(results), next(results)) for _ in separations]
-        for family, mcs in zip(ratios, zip(*pairs)):
-            cells = list(zip(separations, mcs))
+    ratio = {}      # by the keys of the volumes
+    unsure = {"diffeo": 0, "paraboloid": 0}     # low-confidence cells off sep = 0
+    for i, d in enumerate(deltas):
+        for family in unsure:
+            cells = [(sep, volumes[family, i, j]) for j, sep in enumerate(separations)]
             rows = [(sep, mc.estimate * (d + sep) / d**2) for sep, mc in cells]
-            ratios[family].append(rows)
+            ratio.update(((family, i, j), r) for j, (_, r) in enumerate(rows))
             series[f"{family}-ratio-d{d:g}"] = rows
             series[f"{family}-relerr-d{d:g}"] = [
                 (sep, mc.std_error / mc.estimate if mc.estimate else np.inf)
                 for sep, mc in cells]
             unsure[family] += sum(mc.low_confidence for sep, mc in cells if sep != 0.0)
 
-    diffeo_vals = [r for rows in ratios["diffeo"] for sep, r in rows if sep != 0.0]
-    growth = []
-    for coarse, fine in zip(ratios["paraboloid"], ratios["paraboloid"][1:]):
-        rc, rf = dict(coarse), dict(fine)
-        growth += [(sep, rf[sep] / rc[sep]) for sep in separations
-                   if sep != 0.0 and rc[sep] != 0.0]
+    diffeo_vals = [r for (family, _, j), r in ratio.items()
+                   if family == "diffeo" and separations[j] != 0.0]
+    # each separation's paraboloid ratio against its own at the next coarser delta
+    growth = [(sep, ratio["paraboloid", i, j] / ratio["paraboloid", i - 1, j])
+              for i in range(1, len(deltas)) for j, sep in enumerate(separations)
+              if sep != 0.0 and ratio["paraboloid", i - 1, j] != 0.0]
     if growth:
         series["paraboloid-growth"] = growth
 
@@ -465,7 +461,8 @@ def _interior_failure(p, seed, out_dir):
     calls = {(depth, d_min): (fam, d_min, grid) for depth, fam in zip(depths, families)}
     for d in deltas:
         calls[deep, d] = families[-1], d, grid
-    area = _areas(calls, (deep, d_min), pgm)
+    calls[deep, d_min] += (pgm,)
+    area = _areas(calls)
     within = (-p["run_band"], p["run_band"])
     run_lengths = raster.fan_out(raster.max_inscribed_interval,
                                  [(fam, d_run, probe, within) for fam in families])
@@ -506,7 +503,8 @@ def _kakeya_compression(p, seed, out_dir):
                      f"the stage-{stage} triangles")
     pgm, artifacts = _pgm("kakeya-compression", grid, 0.0, out_dir)
     calls = {stage: (tree.triangles, grid) for stage, tree in zip(stages, trees)}
-    area = _by_key(_triangles_job, calls, stages[-1], pgm)
+    calls[stages[-1]] += (pgm,)
+    area = _by_key(_triangles_job, calls)
 
     series = {"union-area": [], "direction-coverage": [], "directions": []}
     for stage, tree in zip(stages, trees):

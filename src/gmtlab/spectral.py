@@ -1,7 +1,7 @@
 """Frequency-side diagnostics for gridded measures.
 
 Densities live on 2-D grids (see raster.GridSpec); the incidence measure is
-the weighted deposit of a span batch's bands (raster.spans_to_cells).  Every
+each center's weight spread over its band's cells (raster.deposit).  Every
 L2 norm here is read off one half-spectrum power array P = |rfft2(values)|^2
 by the discrete Parseval identity.  P lives in the real parts of the
 spectrum it is squared out of, whose y transform is written over its x
@@ -41,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ArgumentError, EmptyLevelError, FitError
-from .raster import GridSpec, fan_out, spans_to_cells
+from .raster import GridSpec, deposit, fan_out, spans_to_cells
 
 # Relative half-width of each window's cosine transition.  Wider transitions
 # smear band energy across neighbours: for a flat spectrum the deficit in
@@ -221,8 +221,8 @@ def incidence_density(obj, centers, level, delta: float, grid: GridSpec) -> Grid
     """Weighted superposition of level bands, one per center.
 
     obj is a span shape class such as Circle, built once as the batch
-    obj(centers, levels) and deposited by raster.spans_to_cells.  Each
-    center's weight is spread uniformly over its band's filled cells.
+    obj(centers, levels) and deposited by raster.deposit.  Each center's
+    weight is spread uniformly over its band's filled cells (spans_to_cells).
     Centers whose band misses the grid are dropped with a warning count; if
     all bands are empty the measure is undefined.
     """
@@ -237,14 +237,16 @@ def incidence_density(obj, centers, level, delta: float, grid: GridSpec) -> Grid
     weights = np.asarray(centers.weights, float)
     levels = np.broadcast_to(np.asarray(level, float), (len(pts),))
     shapes = obj(pts, levels)
-    _, _, cells, values = spans_to_cells(
-        grid, len(shapes), lambda ys: shapes.spans(ys, delta), weights=weights)
+    spans = lambda ys: shapes.spans(ys, delta)
+    bits, cells = spans_to_cells(grid, len(shapes), spans)
     dropped = int(np.count_nonzero(cells == 0))
     if dropped == len(pts):
         raise EmptyLevelError("every center's band misses the grid")
     if dropped:
         warnings.warn(f"{dropped} of {len(pts)} centers had empty bands; mass dropped")
-    return GriddedDensity(grid, values)
+    density = np.divide(weights, cells * grid.cell_volume, out=np.zeros(len(shapes)),
+                        where=cells > 0)
+    return GriddedDensity(grid, deposit(grid, len(shapes), spans, bits, density))
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,7 @@ ALLOWED = {
     # run only in forked fan_out workers, which this pinned run never starts
     "raster._run_job": "perfbench:run-all, perfbench:spectral-profile",
     "raster._take_jobs": "perfbench:run-all, perfbench:spectral-profile",
+    "raster.deposit": "perfbench:spectral-profile",
     "raster.intersection_raster": "criterion 12",
     "raster.rasterize_band": "oracle of union_scanline",
     "raster.rasterize_circles": "roadmap:src holds what runs",

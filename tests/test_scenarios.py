@@ -355,19 +355,24 @@ def test_discrete_incidence_thinned_union_fails_area_spread(monkeypatch):
 
 
 def test_discrete_incidence_builds_no_cover_grid(monkeypatch):
-    # the union walk gives the per-band totals, so no int32 cover counts are
-    # built; one usable CPU runs the kernels here, where the wrapper sees them
+    # the union walk gives the per-band totals, so no deposit walk builds
+    # cover counts; one usable CPU runs the kernels here, where the wrappers
+    # see them
     monkeypatch.setattr(ra, "_usable_cpus", lambda: 1)
     real = ra.spans_to_cells
-    asked = []
+    walks = []
 
-    def recorded(*args, **kwargs):
-        asked.append(kwargs.get("counts", False))
-        return real(*args, **kwargs)
+    def recorded(*args):
+        walks.append(args[1])
+        return real(*args)
+
+    def no_deposit(*args):
+        raise AssertionError("discrete-incidence walked a deposit")
 
     monkeypatch.setattr(ra, "spans_to_cells", recorded)
+    monkeypatch.setattr(ra, "deposit", no_deposit)
     sc.run_scenario("discrete-incidence", {"n": 256, "qs": [8, 16]})
-    assert asked == [False, False]
+    assert walks == [8 ** 2, 16 ** 2]
 
 
 def test_discrete_incidence_one_center_fails_area_floor(monkeypatch):
@@ -469,6 +474,19 @@ def test_intersection_coincident_spheres_fail_intersection_bound(monkeypatch):
     assert "inconclusive" not in [v.name for v in rep.verdicts]
     v = verdict(rep, "intersection-bound")
     assert v.measured > 2 * v.threshold and not v.passed
+
+
+def test_intersection_repeated_separations_keep_their_volumes():
+    # a separation given twice gets two seeds, so two volumes; each row of
+    # paraboloid-growth divides one separation's ratios at the two deltas
+    rep = sc.run_scenario("intersection-hypothesis",
+                          {"separations": [0.25, 0.25], "samples": 200_000})
+    coarse = [r for _, r in rep.series["paraboloid-ratio-d0.04"]]
+    fine = [r for _, r in rep.series["paraboloid-ratio-d0.02"]]
+    assert coarse[0] != coarse[1]
+    growth = rep.series["paraboloid-growth"]
+    assert growth == [(0.25, f / c) for c, f in zip(coarse, fine)]
+    assert verdict(rep, "degenerate-growth").measured == min(v for _, v in growth)
 
 
 def test_intersection_low_confidence_withholds_verdicts():

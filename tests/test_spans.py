@@ -1,18 +1,19 @@
 """Differential test of the span kernel against brute-force cell centers.
 
 Random batches of circles, of square boundaries and of triangles, and
-random circle families, are turned into cells by raster.spans_to_cells and,
+random circle families, are turned into cells by the union walk
+raster.spans_to_cells and the deposit walk raster.deposit and,
 independently, by evaluating each shape's distance function at every cell
-center.  Union bits, int32 cover counts, per-shape cell totals and the
-weighted incidence deposit must agree except at centers within EDGE_TOL of a
-band edge, where rounding decides.  A circle family's spans may overlap, so
-for families only the union is compared.  The interior probe
-raster.max_inscribed_interval, which merges a batch's spans row by row, must
-read the longest row run of the same cells.  The kernel's block and chunk
-sizes are shrunk so that every example crosses row-block and row-chunk
-boundaries.  Row blocks run on forked workers, which must give the bytes of
-the same blocks run serially; the hypothesis tests pin one usable CPU, so
-that an example forks no worker pool.
+center.  Union bits, cover counts (the deposit of 1 per shape), per-shape
+cell totals and the weighted incidence deposit must agree except at centers
+within EDGE_TOL of a band edge, where rounding decides.  A circle family's
+spans may overlap, so for families only the union is compared.  The
+interior probe raster.max_inscribed_interval, which merges a batch's spans
+row by row, must read the longest row run of the same cells.  The kernel's
+block and chunk sizes are shrunk so that every example crosses row-block
+and row-chunk boundaries.  Row blocks run on forked workers, which must give
+the bytes of the same blocks run serially; the hypothesis tests pin one
+usable CPU, so that an example forks no worker pool.
 """
 
 import multiprocessing
@@ -103,6 +104,19 @@ def _centers(grid):
     return np.meshgrid(grid.centers(0), grid.centers(1), indexing="xy")
 
 
+def _cover(grid, count, spans, bits):
+    """The int32 cover counts: the deposit of 1 per shape, which must be whole."""
+    ones = ra.deposit(grid, count, spans, bits, np.ones(count))
+    assert np.array_equal(ones, np.round(ones))
+    return ones.astype(np.int32)
+
+
+def _density(grid, weights, totals):
+    """weights[k] per unit volume of shape k's cells, 0 for a shape with none."""
+    return np.divide(weights, totals * grid.cell_volume, out=np.zeros(len(totals)),
+                     where=totals > 0)
+
+
 def _check(bits, cover, totals, brute, near):
     """Kernel outputs against per-shape brute-force bits.
 
@@ -135,8 +149,10 @@ def test_span_kernel_matches_brute_force(obj, n, delta, rows, chunk, weights):
     with mock.patch.object(ra, "_BLOCK_CELLS", rows * n), \
             mock.patch.object(ra, "_SPAN_CHUNK", chunk), \
             mock.patch.object(ra, "_usable_cpus", lambda: 1):
-        bits, cover, totals, mass = ra.spans_to_cells(
-            grid, len(obj), lambda ys: obj.spans(ys, delta), weights=w, counts=True)
+        spans = lambda ys: obj.spans(ys, delta)       # noqa: E731
+        bits, totals = ra.spans_to_cells(grid, len(obj), spans)
+        cover = _cover(grid, len(obj), spans, bits)
+        mass = ra.deposit(grid, len(obj), spans, bits, _density(grid, w, totals))
         union, union_totals = ra.union_scanline(obj, delta, grid)
     brute = [d <= delta for d in dist]
     sure = _check(bits, cover, totals, brute, [np.abs(d - delta) <= EDGE_TOL for d in dist])
@@ -195,8 +211,9 @@ def test_triangle_spans_match_brute_force(triangles, n, rows, chunk):
     with mock.patch.object(ra, "_BLOCK_CELLS", rows * n), \
             mock.patch.object(ra, "_SPAN_CHUNK", chunk), \
             mock.patch.object(ra, "_usable_cpus", lambda: 1):
-        bits, cover, totals, _ = ra.spans_to_cells(
-            grid, len(tris), lambda ys: ra._triangle_spans(tris, ys), counts=True)
+        spans = lambda ys: ra._triangle_spans(tris, ys)   # noqa: E731
+        bits, totals = ra.spans_to_cells(grid, len(tris), spans)
+        cover = _cover(grid, len(tris), spans, bits)
         union = ra.rasterize_triangles(triangles, grid)
     _check(bits, cover, totals, inside, [e <= EDGE_TOL for e in edge])
     assert np.array_equal(union.bits, bits)
@@ -205,7 +222,7 @@ def test_triangle_spans_match_brute_force(triangles, n, rows, chunk):
 def separate_buffer_deposit(grid, count, spans, weights, bits):
     """The weighted deposit summed in its own buffer of block * n + 1 cells.
 
-    This is spans_to_cells' deposit as it was before it was written in place:
+    This is raster.deposit as it was before it was written in place:
     every span adds its density at its first cell and subtracts it one past
     its last, even where that is one past the block's last cell.  Also
     returns, per row block, how many spans end on the block's last cell.
@@ -253,7 +270,8 @@ def test_in_place_deposit_is_byte_equal_to_separate_buffer(n, rows):
         spans = lambda ys: obj.spans(ys, 0.3)       # noqa: E731
         with mock.patch.object(ra, "_BLOCK_CELLS", rows * n), \
                 mock.patch.object(ra, "_SPAN_CHUNK", 2):
-            bits, _, _, mass = ra.spans_to_cells(grid, len(obj), spans, weights=w)
+            bits, totals = ra.spans_to_cells(grid, len(obj), spans)
+            mass = ra.deposit(grid, len(obj), spans, bits, _density(grid, w, totals))
             want, edge_ends = separate_buffer_deposit(grid, len(obj), spans, w, bits)
         assert len(edge_ends) == -(-n // rows) and n % rows
         assert edge_ends[-1] > 0 and any(edge_ends[:-1])
@@ -276,34 +294,34 @@ def test_forked_blocks_give_the_bytes_of_serial_blocks(monkeypatch, tmp_path, ki
     # four workers on fewer cores write their rows into the same mappings
     for cpus in (4, 2, 1):
         monkeypatch.setattr(ra, "_usable_cpus", lambda: cpus)
-        for tag, w in (("plain", None), ("deposit", weights)):
+        walk = {}
+        for tag in ("union", "deposit"):
             def spans(ys, tag=tag, cpus=cpus):
                 # the process that walks these rows leaves its pid
                 (tmp_path / f"{cpus}-{tag}-{os.getpid()}").touch()
                 return shape_spans(ys)
+            walk[tag] = spans
 
-            with mock.patch.object(ra, "_BLOCK_CELLS", 4 * 45), \
-                    mock.patch.object(ra, "_SPAN_CHUNK", 3):
-                runs[cpus, tag] = ra.spans_to_cells(grid, 6, spans, weights=w, counts=True)
+        with mock.patch.object(ra, "_BLOCK_CELLS", 4 * 45), \
+                mock.patch.object(ra, "_SPAN_CHUNK", 3):
+            bits, totals = ra.spans_to_cells(grid, 6, walk["union"])
+            cover = ra.deposit(grid, 6, walk["deposit"], bits, np.ones(6))
+            mass = ra.deposit(grid, 6, walk["deposit"], bits, _density(grid, weights, totals))
+        runs[cpus] = bits, totals, cover, mass
     assert multiprocessing.active_children() == []
     for cpus in (4, 2):
-        for tag in ("plain", "deposit"):
-            for forked, serial in zip(runs[cpus, tag], runs[1, tag]):
-                assert type(forked) is type(serial)
-                if forked is not None:
-                    assert forked.dtype == serial.dtype and forked.tobytes() == serial.tobytes()
-    # the deposit's union, cover and totals are those of the plain call
-    for deposit, plain in zip(runs[2, "deposit"][:3], runs[2, "plain"][:3]):
-        assert deposit.tobytes() == plain.tobytes()
-    assert runs[2, "deposit"][3].any()
+        for forked, serial in zip(runs[cpus], runs[1]):
+            assert forked.dtype == serial.dtype and forked.tobytes() == serial.tobytes()
+    bits, _, cover, mass = runs[2]
+    assert np.array_equal(cover > 0, bits) and mass.any()
 
     def pids(prefix):
         return {int(f.name.rpartition("-")[2]) for f in tmp_path.glob(prefix + "-*")}
 
     for cpus in (4, 2):
         assert pids(f"{cpus}-deposit") and os.getpid() not in pids(f"{cpus}-deposit")
-        assert pids(f"{cpus}-plain") and os.getpid() not in pids(f"{cpus}-plain")
-    assert pids("1-plain") == pids("1-deposit") == {os.getpid()}
+        assert pids(f"{cpus}-union") and os.getpid() not in pids(f"{cpus}-union")
+    assert pids("1-union") == pids("1-deposit") == {os.getpid()}
 
 
 def _longest_run(bits):

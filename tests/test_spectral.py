@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import multiprocessing
@@ -399,6 +400,22 @@ def test_incidence_support_inside_union_raster():
     union, _ = ra.union_scanline(ra.Circle(cloud.points, 1.0), 0.01, grid)
     assert not np.any((nu.values > 0) & ~union.bits)
     assert abs(nu.total_mass - 1.0) <= 1e-9
+
+
+def test_incidence_density_bytes_are_golden():
+    # the density's float64 bytes at a small size, with one center whose band
+    # misses the grid: a change of the deposit's order or normalisation moves
+    # them, which is a behaviour change that records a new digest
+    grid = ra.GridSpec(((-1.2, -1.3), (2.2, 1.3)), 256)
+    c4 = fr.cantor_middle_thirds(4)
+    cloud = fr.product_point_cloud(c4, c4, 1, seed=0)
+    centers = fr.PointSet(np.vstack([cloud.points, [(50.0, 0.0)]]),
+                          np.r_[cloud.weights * 0.75, 0.25])
+    with pytest.warns(UserWarning, match="1 of 257 centers"):
+        nu = sp.incidence_density(ra.Circle, centers, 1.0, 0.02, grid)
+    assert nu.values.dtype == np.float64
+    assert hashlib.sha256(nu.values.tobytes()).hexdigest() == (
+        "ec15575ec55ca0af0b167d9deb344d5014f72eb7a53552784558c59ef9888bb9")
 
 
 # ---------------------------------------------------------------------------
