@@ -163,8 +163,10 @@ def _run_one(sid: str, config: RunConfig):
     sub = config.output_dir / sid
     try:
         sub.mkdir(parents=True, exist_ok=True)
-        # a marker left by an earlier run (under --force) must not outlive it
-        (sub / "FAILED").unlink(missing_ok=True)
+        # a marker or report left by an earlier run (under --force) must not
+        # outlive it, so a failed run never sits beside a passing report
+        for stale in ("FAILED", "report.json"):
+            (sub / stale).unlink(missing_ok=True)
         defaults, _ = SCENARIOS[sid]
         local = {k: v for k, v in config.overrides.items() if k in defaults}
         report = run_scenario(sid, local, seed=config.seed, out_dir=sub)

@@ -14,16 +14,19 @@ SquareBoundary hold k shapes (one center and size gives a batch of one), a
 CircleFamily holds one shape per center interval.  GridSpec.index_range maps
 a span to the cells whose center it contains.  Two walks turn the spans of
 a batch into cells with a difference array (np.add.at, then a cumulative
-sum) per block of rows, each into one output: spans_to_cells gives the union
-and each shape's cell total (union_scanline, which the scenarios' unions go
-through), and deposit sums a per-shape value over the cells of the union
-(spectral.incidence_density's measure, and rasterize_circles' cover counts).
-Each walk runs its row blocks as fan_out jobs that write into its output in
-a shared anonymous mapping; inside a fan_out worker the blocks run serially
-there, into a private output.  The interior probe max_inscribed_interval
-reads its runs from the same cell ranges, with no raster.  One generator,
-_cell_ranges, asks for _SPAN_CHUNK // len(batch) rows of spans at a time
-and so bounds the span memory of every consumer, the probe included.
+sum) per block of rows (_row_blocks), each into one output: the union walk
+gives the union and each shape's cell total, and the deposit walk sums a
+per-shape value over the cells of the union (spectral.incidence_density's
+measure, and rasterize_circles' cover counts).  spans_to_cells and deposit
+run their row blocks as fan_out jobs that write into their output in a
+shared anonymous mapping; inside a fan_out worker the blocks run serially
+there, into a private output.  union_areas, which the scenarios' unions go
+through, runs the union walk of every row block of many unions as the jobs
+of one fan_out and builds no full raster; union_scanline is its one-union
+reference.  The interior probe max_inscribed_interval reads its runs from
+the same cell ranges, with no raster.  One generator, _cell_ranges, asks
+for _SPAN_CHUNK // len(batch) rows of spans at a time and so bounds the
+span memory of every consumer, the probe included.
 
 rasterize_band is the phase predicate: it tests |phi(x, c) - t| <= delta at
 every cell center c.  No run calls it: it is the brute-force reference the
@@ -37,15 +40,18 @@ phase has a float32 screen (phase.screen_margin), the exact test of band A
 runs only on the samples the screen keeps.
 
 fan_out runs independent calls on forked worker processes, one per usable
-CPU, and returns their results in input order: each scenario hands it the
-unions, probes, rasters or Monte Carlo volumes it needs, both span walks
-their row blocks, spectral.mollified_l2 its radii, spectral.surface_spectrum
-its frequencies, and the CLI its scenarios under --jobs.  The workers'
+CPU, and returns their results in input order: union_areas hands it the row
+blocks of all the unions of a scenario, so the blocks of one large union
+spread over the workers; each scenario hands it the probes, triangle rasters
+or Monte Carlo volumes it needs, spans_to_cells and deposit their row
+blocks, spectral.mollified_l2 its radii, spectral.surface_spectrum its
+frequencies, and the CLI its scenarios under --jobs.  The workers'
 initializer gets the calls, which fork hands over without pickling,
 so nothing but a job's index goes to them; a job writes its one output
-where it computes it (a PGM, a block of shared rows) and returns only the
-numbers its caller reads (an area, a cell total, a volume, a radius's
-per-block sums, a frequency's peak), which keeps the pickled results small.
+where it computes it (a PGM or its rows of one, a block of shared rows) and
+returns only the numbers its caller reads (a block's filled cells and cell
+total, an area, a volume, a radius's per-block sums, a frequency's peak),
+which keeps the pickled results small.
 Where forking is unsafe or pointless (one CPU, no fork, another live thread,
 or already inside a worker) the calls run serially in the calling process,
 so the results never depend on the worker count.
@@ -58,6 +64,7 @@ import os
 import threading
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -323,12 +330,11 @@ def _shared(n: int, dtype):
     return np.frombuffer(mmap.mmap(-1, n * n * np.dtype(dtype).itemsize), dtype).reshape(n, n)
 
 
-def _walk_blocks(grid: GridSpec, count: int, spans, *args) -> list:
-    """_block_cells(grid, count, spans, j0, j1, *args) per block of rows, by fan_out."""
+def _row_blocks(grid: GridSpec):
+    """(j0, j1) row ranges of at most _BLOCK_CELLS cells (at least one row) each."""
     n = grid.cells_per_axis
     block = min(n, max(1, _BLOCK_CELLS // n))
-    return fan_out(_block_cells, [(grid, count, spans, j0, min(j0 + block, n)) + args
-                                  for j0 in range(0, n, block)])
+    return [(j0, min(j0 + block, n)) for j0 in range(0, n, block)]
 
 
 def spans_to_cells(grid: GridSpec, count: int, spans):
@@ -345,7 +351,8 @@ def spans_to_cells(grid: GridSpec, count: int, spans):
     that the workers' writes reach; the jobs return their blocks' totals.
     """
     bits = _shared(grid.cells_per_axis, bool)
-    return bits, sum(_walk_blocks(grid, count, spans, bits))
+    return bits, sum(fan_out(_block_cells, [(grid, count, spans, j0, j1, bits[j0:j1])
+                                            for j0, j1 in _row_blocks(grid)]))
 
 
 def deposit(grid: GridSpec, count: int, spans, bits, density):
@@ -355,7 +362,8 @@ def deposit(grid: GridSpec, count: int, spans, bits, density):
     the spans again as fan_out jobs, into a float array in a shared mapping.
     """
     mass = _shared(grid.cells_per_axis, float)
-    _walk_blocks(grid, count, spans, bits, mass, density)
+    fan_out(_block_cells, [(grid, count, spans, j0, j1, bits[j0:j1], mass[j0:j1], density)
+                           for j0, j1 in _row_blocks(grid)])
     return mass
 
 
@@ -363,9 +371,10 @@ def _block_cells(grid: GridSpec, count: int, spans, j0: int, j1: int, bits,
                  mass=None, density=None):
     """Walk the spans on rows j0:j1 into bits, or with mass into mass alone.
 
-    The union walk returns the rows' per-shape cell totals, the deposit walk
-    (with mass) None.  Either walk sums one difference array (np.add.at,
-    then a cumulative sum) over the block's cells plus one, in place:
+    bits (and mass) hold the block's rows only.  The union walk returns the
+    rows' per-shape cell totals, the deposit walk (with mass) None.  Either
+    walk sums one difference array (np.add.at, then a cumulative sum) over
+    the block's cells plus one, in place:
     np.bincount would allocate a block-sized array per chunk of spans.  The
     union walk adds 1 per span into an integer buffer, the deposit walk
     density[k] per span of shape k into a float one; the union's bits then
@@ -392,9 +401,9 @@ def _block_cells(grid: GridSpec, count: int, spans, j0: int, j1: int, bits,
     if mass is not None:
         np.maximum(summed, 0.0, out=summed)
         # mass starts zeroed, so the cells off the union stay 0
-        np.copyto(mass[j0:j1], summed, where=bits[j0:j1])
+        np.copyto(mass, summed, where=bits)
         return None
-    np.greater(summed, 0, out=bits[j0:j1])
+    np.greater(summed, 0, out=bits)
     return totals
 
 
@@ -406,6 +415,57 @@ def union_scanline(shapes, delta: float, grid: GridSpec):
     _check_delta(delta, grid)
     bits, totals = spans_to_cells(grid, len(shapes), lambda ys: shapes.spans(ys, delta))
     return GridRaster(grid, bits), totals
+
+
+def union_areas(calls) -> list:
+    """[(area, summed per-shape cell totals)] of union_scanline calls (shapes, delta, grid[, pgm]).
+
+    Each pair is what union_scanline's union and totals give, and a call's
+    pgm path gets the bytes write_pgm would write.  All deltas are checked
+    and every PGM file is created at its full size before the row blocks of
+    all the calls run as _union_block jobs of one fan_out; if a job raises,
+    the PGM files are removed.  No full raster is built.
+    """
+    calls = [tuple(call) + (None,) * (4 - len(call)) for call in calls]
+    for _, delta, grid, _ in calls:
+        _check_delta(delta, grid)
+    jobs, owner = [], []
+    for k, (shapes, delta, grid, pgm) in enumerate(calls):
+        for j0, j1 in _row_blocks(grid):
+            jobs.append((shapes, delta, grid, j0, j1, pgm))
+            owner.append(k)
+    pgms = [(pgm, grid.cells_per_axis) for _, _, grid, pgm in calls if pgm is not None]
+    try:
+        for pgm, n in pgms:
+            with open(pgm, "wb") as fh:
+                fh.write(_pgm_header(n))
+                fh.truncate(len(_pgm_header(n)) + n * n)
+        blocks = fan_out(_union_block, jobs)
+    except BaseException:
+        for pgm, _ in pgms:
+            Path(pgm).unlink(missing_ok=True)
+        raise
+    filled, cells = [0] * len(calls), [0] * len(calls)
+    for k, (f, c) in zip(owner, blocks):
+        filled[k] += f
+        cells[k] += c
+    return [(f * grid.cell_volume, c) for f, c, (_, _, grid, _) in zip(filled, cells, calls)]
+
+
+def _union_block(shapes, delta: float, grid: GridSpec, j0: int, j1: int, pgm):
+    """(filled cells, summed cell totals) of rows j0:j1 of a union_areas call.
+
+    With pgm, the rows are written over their place in that file, whose
+    first image row is the grid's last row.
+    """
+    n = grid.cells_per_axis
+    bits = np.empty((j1 - j0, n), bool)
+    totals = _block_cells(grid, len(shapes), lambda ys: shapes.spans(ys, delta), j0, j1, bits)
+    if pgm is not None:
+        with open(pgm, "r+b") as fh:
+            fh.seek(len(_pgm_header(n)) + (n - j1) * n)
+            fh.write(np.where(bits[::-1], np.uint8(255), np.uint8(0)))
+    return int(np.count_nonzero(bits)), int(totals.sum())
 
 
 def rasterize_circles(circles: Circle, delta: float, grid: GridSpec):
@@ -638,8 +698,13 @@ def write_pgm(raster: GridRaster, path):
     """
     img = np.where(raster.bits[::-1, :], np.uint8(255), np.uint8(0))
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
+        fh.write(_pgm_header(len(img)))
         fh.write(img)
+
+
+def _pgm_header(n: int) -> bytes:
+    """The P5 header of an n x n image with maxval 255."""
+    return f"P5\n{n} {n}\n255\n".encode()
 
 
 def pgm_band_filename(scenario: str, n: int, delta: float) -> str:

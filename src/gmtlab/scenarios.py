@@ -128,27 +128,16 @@ def _cantor_cloud(depth: int, seed: int, on_line: bool = False):
     return fractal.product_point_cloud(c, cols, seed=seed)
 
 
-def _area(union, pgm):
-    """union's area, after writing it as a PGM to the path pgm unless that is None."""
+def _triangles_job(triangles, grid: GridSpec, pgm=None):
+    """Area of the filled triangles' union, written as a PGM to pgm if given.
+
+    A raster.fan_out job: it writes its PGM where it computes the union and
+    returns only the area, so no raster crosses back.
+    """
+    union = raster.rasterize_triangles(triangles, grid)
     if pgm is not None:
         raster.write_pgm(union, pgm)
     return union.area()
-
-
-def _union_job(shapes, delta: float, grid: GridSpec, pgm=None):
-    """(area, summed per-shape cell totals) of a span batch's delta-band union.
-
-    The union is written as a PGM to pgm if given.  This and _triangles_job
-    are raster.fan_out jobs: each writes its PGM where it computes the union
-    and returns only numbers, so no raster crosses back.
-    """
-    union, totals = raster.union_scanline(shapes, delta, grid)
-    return _area(union, pgm), totals.sum()
-
-
-def _triangles_job(triangles, grid: GridSpec, pgm=None):
-    """Area of the filled triangles' union."""
-    return _area(raster.rasterize_triangles(triangles, grid), pgm)
 
 
 def _by_key(job, calls: dict):
@@ -157,8 +146,8 @@ def _by_key(job, calls: dict):
 
 
 def _areas(calls: dict):
-    """{key: area} of the _union_job calls {key: (shapes, delta, grid[, pgm])}."""
-    return {key: area for key, (area, _) in _by_key(_union_job, calls).items()}
+    """{key: area} of the raster.union_areas calls {key: (shapes, delta, grid[, pgm])}."""
+    return {key: area for key, (area, _) in zip(calls, raster.union_areas(calls.values()))}
 
 
 def _step_ratios(rows):
@@ -312,7 +301,7 @@ def _discrete_incidence(p, seed, out_dir):
                  fractal.thickening_radius(q, s), grid) for q in qs}
     pgm, artifacts = _pgm("discrete-incidence", grid, calls[qs[-1]][1], out_dir)
     calls[qs[-1]] += (pgm,)
-    unions = _by_key(_union_job, calls)
+    unions = dict(zip(calls, raster.union_areas(calls.values())))
     for q in qs:
         (area, cells), rho = unions[q], calls[q][1]
         integral = float(cells * grid.cell_volume)

@@ -285,6 +285,19 @@ def test_forced_rerun_that_passes_clears_failed_marker(tmp_path, capsys):
     assert not (sub / "FAILED").exists()
 
 
+def test_forced_rerun_that_fails_leaves_no_passing_report(tmp_path, capsys):
+    # the first run's report.json held three passing verdicts; beside the
+    # second run's FAILED marker it would read as a pass
+    args = ["run", "kakeya-compression", "--out", str(tmp_path / "r")]
+    sub = tmp_path / "r" / "kakeya-compression"
+    assert run_cli(args + ["--set", "n=256"]) == 0
+    assert json.loads((sub / "report.json").read_text())["verdicts"]
+    assert run_cli(args + ["--force", "--set", "stages=7"]) == 3
+    assert (sub / "FAILED").exists()
+    assert not (sub / "report.json").exists()
+    assert "ERROR" in capsys.readouterr().out
+
+
 def test_unwritable_out_dir_exits_three(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory")
@@ -372,15 +385,19 @@ def test_scenario_that_raises_in_a_worker_exits_three(tmp_path, capsys, monkeypa
     assert multiprocessing.active_children() == []
 
 
-def test_union_job_that_raises_in_a_worker_exits_three(tmp_path, capsys, monkeypatch):
-    # delta 0.001 is below a quarter cell: its union job raises in a worker
+def test_union_delta_below_a_quarter_cell_exits_three_before_any_fork(tmp_path, capsys,
+                                                                     monkeypatch):
+    # delta 0.001 is below a quarter cell: union_areas refuses it in the
+    # scenario's process, before a worker starts or a PGM is created
     monkeypatch.setattr(raster, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(raster, "fan_out", lambda *a, **k: pytest.fail("forked"))
     code = run_cli(["run", "fixed-level-positivity", "--out", str(tmp_path / "r"),
                     "--set", "n=64", "--set", "deltas=0.04,0.001"])
     assert code == 3
     marker = tmp_path / "r" / "fixed-level-positivity" / "FAILED"
     assert "delta 0.001 below cell_size/4" in marker.read_text()
     assert "ERROR" in capsys.readouterr().out
+    assert list(marker.parent.glob("*.pgm")) == []
     assert multiprocessing.active_children() == []
 
 

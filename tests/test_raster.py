@@ -11,6 +11,7 @@ from concurrent.futures.process import ProcessPoolExecutor
 import numpy as np
 import pytest
 
+from gmtlab import cli
 from gmtlab import fractal as fr
 from gmtlab import phase as ph
 from gmtlab import raster as ra
@@ -733,6 +734,80 @@ def test_monte_carlo_result_independent_of_chunk_size(monkeypatch, chunk):
     default = [ra.monte_carlo_intersection(*call) for call in calls]
     monkeypatch.setattr(ra, "_MC_CHUNK", chunk)
     assert [ra.monte_carlo_intersection(*call) for call in calls] == default
+
+
+# ---------------------------------------------------------------------------
+# union_areas: the row blocks of many unions as the jobs of one fan_out
+# ---------------------------------------------------------------------------
+
+def union_calls(tmp_path):
+    """A Circle, a SquareBoundary and a CircleFamily batch, each with a PGM path,
+    on a 100-row grid, and a circle batch without one on a 64-row grid."""
+    rng = np.random.default_rng(11)
+    grid = ra.GridSpec(BOX2, 100)
+    centers, sizes = rng.uniform(-1.0, 1.0, (8, 2)), rng.uniform(0.2, 0.8, 8)
+    return [(ra.Circle(centers, sizes), 0.05, grid, tmp_path / "circles.pgm"),
+            (ra.SquareBoundary(centers, sizes), 0.05, grid, tmp_path / "squares.pgm"),
+            (ra.CircleFamily(fr.fat_cantor(2), -0.3, 0.6), 0.05, grid,
+             tmp_path / "family.pgm"),
+            (ra.Circle(centers[:3], sizes[:3]), 0.08, ra.GridSpec(BOX2, 64))]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_union_areas_equal_union_scanline_and_write_pgm(monkeypatch, tmp_path, cpus):
+    calls = union_calls(tmp_path)
+    want = []
+    for shapes, delta, grid, *pgm in calls:
+        union, totals = ra.union_scanline(shapes, delta, grid)
+        ra.write_pgm(union, tmp_path / "serial.pgm")
+        want.append((union.area(), totals.sum(),
+                     (tmp_path / "serial.pgm").read_bytes() if pgm else None))
+    monkeypatch.setattr(ra, "_usable_cpus", lambda: cpus)
+    # blocks of 30 rows at n = 100 and of 46 at n = 64, so the last block of
+    # every grid is shorter and a PGM's first rows come from it
+    monkeypatch.setattr(ra, "_BLOCK_CELLS", 3000)
+    assert ra._row_blocks(calls[0][2]) == [(0, 30), (30, 60), (60, 90), (90, 100)]
+    assert ra._row_blocks(calls[3][2]) == [(0, 46), (46, 64)]
+    real = ra._block_cells
+
+    def walk(*args):
+        # the process that walks these rows leaves its pid
+        (tmp_path / f"walk-{os.getpid()}").touch()
+        return real(*args)
+
+    monkeypatch.setattr(ra, "_block_cells", walk)
+    got = ra.union_areas(calls)
+    pgms = [call[3] if len(call) == 4 else None for call in calls]
+    assert [(area, cells, pgm and pgm.read_bytes())
+            for (area, cells), pgm in zip(got, pgms)] == want
+    assert all(isinstance(v, (int, float)) for pair in got for v in pair)
+    walkers = {int(f.name[5:]) for f in tmp_path.glob("walk-*")}
+    assert (os.getpid() in walkers) == (cpus == 1) and len(walkers) == cpus
+    assert multiprocessing.active_children() == []
+
+
+def test_block_that_raises_in_a_worker_exits_three_and_leaves_no_pgm(monkeypatch, tmp_path,
+                                                                      capsys):
+    # four blocks per 64-row union; every block but the first fails, and
+    # only in a forked worker, after the first block may have written its rows
+    monkeypatch.setattr(ra, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ra, "_BLOCK_CELLS", 16 * 64)
+    parent, real = os.getpid(), ra._block_cells
+
+    def walk(grid, count, spans, j0, j1, *out):
+        if j0 > 0 and os.getpid() != parent:
+            raise ArgumentError(f"rows {j0}:{j1} failed in a worker")
+        return real(grid, count, spans, j0, j1, *out)
+
+    monkeypatch.setattr(ra, "_block_cells", walk)
+    code = cli.main(["run", "fixed-level-positivity", "--out", str(tmp_path / "r"),
+                     "--set", "n=64", "--set", "depths=2", "--set", "deltas=0.1,0.2"])
+    assert code == 3
+    sub = tmp_path / "r" / "fixed-level-positivity"
+    assert "failed in a worker" in (sub / "FAILED").read_text()
+    assert [p.name for p in sub.iterdir()] == ["FAILED"]
+    assert "ERROR" in capsys.readouterr().out
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,7 @@ ALLOWED = {
     "raster.rasterize_band": "oracle of union_scanline",
     "raster.rasterize_circles": "roadmap:src holds what runs",
     "raster.union_raster": "criterion 12",
+    "raster.union_scanline": "oracle of union_areas",
     "reporting.read_report": "roadmap:one telemetry source",
     "spectral.GriddedDensity.__post_init__":
         "perfbench:spectral-profile, criterion 02, criterion 12",

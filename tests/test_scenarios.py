@@ -82,14 +82,14 @@ def test_out_dir_collects_pgm_artifact(tmp_path):
 
 
 def test_scenario_jobs_return_numbers_and_write_the_serial_pgm(monkeypatch, tmp_path):
-    # a job writes its PGM where it computes the union, so no raster crosses
+    # a job writes its PGM rows where it computes them, so no raster crosses
     # back from it; the file holds the same bytes as the serial union's
     real = ra.fan_out
     results = []
 
     def recorded(fn, calls, workers=None):
         out = real(fn, calls, workers)
-        if fn in (sc._union_job, sc._triangles_job):
+        if fn in (ra._union_block, sc._triangles_job):
             results.extend(out)
         return out
 
@@ -102,6 +102,7 @@ def test_scenario_jobs_return_numbers_and_write_the_serial_pgm(monkeypatch, tmp_
     kakeya = sc.run_scenario("kakeya-compression", {"n": 256}, out_dir=tmp_path)
     incidence = sc.run_scenario("discrete-incidence", {"n": 256, "qs": [8, 16]},
                                 out_dir=tmp_path)
+    # six triangle jobs, and one row block per 256-row union
     assert len(results) == 6 + 2
     assert not any(map(holds_array, results))
 
@@ -318,19 +319,24 @@ def test_discrete_incidence_integral_dominates_each_q():
 
 
 def doctored_circles(monkeypatch, doctor):
-    """union_scanline with its (union, per_band) passed through doctor."""
-    real = ra.union_scanline
-    monkeypatch.setattr(ra, "union_scanline",
-                        lambda circles, delta, grid: doctor(*real(circles, delta, grid)))
+    """The union walk of each row block, with its rows and per-band totals
+    passed through doctor(first row, rows, per_band), which edits the rows in
+    place and returns the totals."""
+    real = ra._block_cells
+
+    def walk(grid, count, spans, j0, j1, bits):
+        return doctor(j0, bits, real(grid, count, spans, j0, j1, bits))
+
+    monkeypatch.setattr(ra, "_block_cells", walk)
 
 
 def test_discrete_incidence_first_band_only_fails_incidence_dominates(monkeypatch):
     # per-band totals that keep only the first annulus: the integral drops
     # to one band's area, below the union of all of them
-    def first_band_only(union, per_band):
+    def first_band_only(j0, bits, per_band):
         kept = np.zeros_like(per_band)
         kept[0] = per_band[0]
-        return union, kept
+        return kept
 
     doctored_circles(monkeypatch, first_band_only)
     rep = sc.run_scenario("discrete-incidence", {"n": 512, "qs": [8, 16]})
@@ -341,12 +347,10 @@ def test_discrete_incidence_first_band_only_fails_incidence_dominates(monkeypatc
 def test_discrete_incidence_thinned_union_fails_area_spread(monkeypatch):
     # the q = 16 union keeps one cell row in four: its area falls about
     # fourfold while q = 8 keeps its own, so the spread passes 2
-    def thinned_at_16(union, per_band):
+    def thinned_at_16(j0, bits, per_band):
         if len(per_band) == 16 ** 2:
-            bits = union.bits.copy()
-            bits[np.arange(len(bits)) % 4 != 0] = False
-            union = ra.GridRaster(union.grid, bits)
-        return union, per_band
+            bits[(j0 + np.arange(len(bits))) % 4 != 0] = False
+        return per_band
 
     doctored_circles(monkeypatch, thinned_at_16)
     rep = sc.run_scenario("discrete-incidence", {"n": 512, "qs": [8, 16]})
@@ -359,20 +363,23 @@ def test_discrete_incidence_builds_no_cover_grid(monkeypatch):
     # cover counts; one usable CPU runs the kernels here, where the wrappers
     # see them
     monkeypatch.setattr(ra, "_usable_cpus", lambda: 1)
-    real = ra.spans_to_cells
+    real = ra._block_cells
     walks = []
 
-    def recorded(*args):
-        walks.append(args[1])
-        return real(*args)
+    def recorded(grid, count, spans, j0, j1, bits, *deposit):
+        if deposit:
+            raise AssertionError("discrete-incidence walked a deposit")
+        walks.append((count, j0, j1))
+        return real(grid, count, spans, j0, j1, bits)
 
     def no_deposit(*args):
         raise AssertionError("discrete-incidence walked a deposit")
 
-    monkeypatch.setattr(ra, "spans_to_cells", recorded)
+    monkeypatch.setattr(ra, "_block_cells", recorded)
     monkeypatch.setattr(ra, "deposit", no_deposit)
     sc.run_scenario("discrete-incidence", {"n": 256, "qs": [8, 16]})
-    assert walks == [8 ** 2, 16 ** 2]
+    # one union walk per q, each over all 256 rows in one block
+    assert walks == [(8 ** 2, 0, 256), (16 ** 2, 0, 256)]
 
 
 def test_discrete_incidence_one_center_fails_area_floor(monkeypatch):
