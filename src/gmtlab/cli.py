@@ -163,10 +163,11 @@ def _run_one(sid: str, config: RunConfig):
     sub = config.output_dir / sid
     try:
         sub.mkdir(parents=True, exist_ok=True)
-        # a marker or report left by an earlier run (under --force) must not
-        # outlive it, so a failed run never sits beside a passing report
-        for stale in ("FAILED", "report.json"):
-            (sub / stale).unlink(missing_ok=True)
+        # what an earlier run (under --force) wrote here must not outlive it,
+        # so a failed run never sits beside a passing report or its series
+        for pattern in ("*.csv", "*.pgm", "report.json", "FAILED"):
+            for stale in sub.glob(pattern):
+                stale.unlink()
         defaults, _ = SCENARIOS[sid]
         local = {k: v for k, v in config.overrides.items() if k in defaults}
         report = run_scenario(sid, local, seed=config.seed, out_dir=sub)

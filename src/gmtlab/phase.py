@@ -124,52 +124,71 @@ SCREEN_MAX_COORD = 2.0 ** 20  # largest |y_i| the float32 screen is used for
 
 
 def screen_margin(spec: PhaseSpec, x, t: float, bound: float):
-    """Bound on |screened_distance - eval_phase_batch| over |y_i| <= bound, or None.
+    """Bound on |screened_distance - eval_phase_batch| in boxes inside [-bound, bound]^d.
 
     None means the kind has no screen (only diffeo-distance has one), or
-    bound exceeds SCREEN_MAX_COORD, or the margin is not finite.  The
-    screened Phi'(y) takes float32 sines s'_j = sin32(f32(y_j)), and
-        |s'_j - sin y_j| <= |sin32(f32 y_j) - sin(f32 y_j)| + |f32 y_j - y_j|
-                         <= SIN32_ERROR + bound * 2**-24,
-    since sin is 1-Lipschitz and a float32 cast is off by at most |y| * 2**-24
-    (2**-150 below float32's normal range, which the slack covers).  Every
-    coordinate of Phi' - Phi is kappa * (s'_j - sin y_j), and |Phi - x| is
-    1-Lipschitz in Phi, so the exact distances differ by at most
-    sqrt(d) * |kappa| * (SIN32_ERROR + bound * 2**-24).  Rounding in the two
-    float64 evaluations and in the comparison with t stays below a few d**1.5
-    units of 2**-53 times S = 1 + bound + |kappa| + max|x_i| + |t|; the slack
-    d**2 * 2**-40 * S covers it many times over.
+    bound exceeds SCREEN_MAX_COORD, or the margin is not finite.  Write
+    e = 2**-24 (float32's unit roundoff), y = lo + u * w for the float64 row
+    the exact test sees, and R = bound + |kappa| + max|x_i|.  The bounds are
+    to first order in e; the slack at the end covers the rest.
+
+    Coordinates: y' = f32(f32(f32(u) * f32(w)) + f32(lo)), three casts and
+    two roundings, is within e * (3|w| + |lo| + |y|) <= 8 * bound * e = E of y,
+    as |w| <= 2 * bound and |lo|, |y| <= bound (below float32's normal range
+    a cast or a product is off by at most 2**-149 more).
+    Sines: sin is 1-Lipschitz, so s'_j = sin32(y'_j) is within
+    SIN32_ERROR + E of sin y_j (y'_j passes bound by at most E, which the
+    sine assumption's test range is taken to cover).
+    Phi' - x: coordinate i is c_i = f32(f32(y'_i - f32(x_i)) + f32(f32(kappa) * s'_j))
+    with j = i + 1 mod d.  y'_i brings E, the sine |kappa| * (SIN32_ERROR + E),
+    and the casts of x_i and kappa and the three roundings at most
+    e * (3|x_i| + 2 * bound + 3|kappa|) <= 3 * R * e.  So each c_i is within
+    (1 + |kappa|) * E + |kappa| * SIN32_ERROR + 3 * R * e of (Phi(y) - x)_i,
+    and |c| within sqrt(d) times that of |Phi(y) - x|.
+    Norm: d squares, d - 1 additions and a sqrt in float32 are off by at
+    most (d / 2 + 1) * e * |c| <= (d / 2 + 1) * e * sqrt(d) * R (squares that
+    underflow add at most sqrt(d * 2**-149)).
+    In all, the screen is off by at most
+        sqrt(d) * ((1 + |kappa|) * E + |kappa| * SIN32_ERROR + (d / 2 + 4) * R * e).
+    monte_carlo_intersection rounds the band's edges t -+ (delta + margin)
+    outward to float32, so its float32 comparison adds nothing.  Rounding in
+    the float64 evaluation and its comparison with t and delta, and the
+    terms of second order in e, stay below the slack
+    d**2 * 2**-40 * (1 + R + |t|).
     """
     if spec.kind != KIND_DIFFEO_DISTANCE or not bound <= SCREEN_MAX_COORD:
         return None
     d, kappa = spec.dim, abs(spec.kappa)
-    scale = 1.0 + bound + kappa + float(np.max(np.abs(x))) + abs(t)
-    margin = (np.sqrt(d) * kappa * (SIN32_ERROR + bound * 2.0 ** -24)
-              + d * d * scale * 2.0 ** -40)
+    reach = bound + kappa + float(np.max(np.abs(x)))
+    e = 2.0 ** -24
+    margin = (np.sqrt(d) * ((1.0 + kappa) * 8.0 * bound * e + kappa * SIN32_ERROR
+                            + (d / 2 + 4) * reach * e)
+              + d * d * (1.0 + reach + abs(t)) * 2.0 ** -40)
     return margin if np.isfinite(margin) else None
 
 
-def screened_distance(spec: PhaseSpec, x, ys) -> np.ndarray:
-    """|Phi'(y) - x| for (m, d) rows ys, with the sines of Phi' taken in float32.
+def screened_distance(spec: PhaseSpec, x, us, lo, width) -> np.ndarray:
+    """|Phi'(y) - x| in float32 at y = lo + u * width for the (m, d) unit rows us.
 
-    The sines come from one cast of ys to a transposed (d, m) float32 array
-    and one sin call on it.  Phi' and the distance are formed in float64 a
-    column at a time, so no op runs over the (m, d) layout.  screen_margin
-    bounds the difference from eval_phase_batch.
+    One cast of us to a transposed (d, m) float32 array, which is scaled
+    and shifted in float32 and takes one float32 sin; Phi' - x and the
+    distance are formed in float32 a contiguous row at a time.
+    screen_margin bounds the difference from eval_phase_batch at the float64
+    points rng.uniform(lo, lo + width) gives for the same draws.
     """
-    m, d = ys.shape
-    s = np.array(ys.T, dtype=np.float32, order="C")
-    np.sin(s, out=s)
-    kappa = np.float64(spec.kappa)      # a float64 scalar keeps the products float64
-    acc, term = np.empty(m), np.empty(m)
-    for i in range(d):
-        col = acc if i == 0 else term
-        np.multiply(s[(i + 1) % d], kappa, out=col)
-        col += ys[:, i]
-        col -= x[i]
-        col *= col
-        if i:
-            acc += term
+    f32 = np.float32
+    y = np.array(us.T, dtype=f32, order="C")
+    y *= np.asarray(width, f32)[:, None]
+    y += np.asarray(lo, f32)[:, None]
+    s = np.sin(y)
+    s *= f32(spec.kappa)
+    y -= np.asarray(x, f32)[:, None]
+    y[:-1] += s[1:]
+    y[-1] += s[0]
+    y *= y
+    acc = y[0]
+    for row in y[1:]:
+        acc += row
     return np.sqrt(acc, out=acc)
 
 

@@ -298,6 +298,24 @@ def test_forced_rerun_that_fails_leaves_no_passing_report(tmp_path, capsys):
     assert "ERROR" in capsys.readouterr().out
 
 
+def test_forced_rerun_that_fails_leaves_only_its_marker(tmp_path, capsys):
+    # the first run's CSVs and PGM beside the second run's FAILED would read
+    # as that run's output
+    args = ["run", "kakeya-compression", "--out", str(tmp_path / "r")]
+    sub = tmp_path / "r" / "kakeya-compression"
+    assert run_cli(args + ["--set", "n=256"]) == 0
+    first = sorted(path.name for path in sub.iterdir())
+    assert "kakeya-compression_256_0.pgm" in first
+    assert sum(name.endswith(".csv") for name in first) == 5
+    assert run_cli(args + ["--force", "--set", "stages=7"]) == 3
+    assert [path.name for path in sub.iterdir()] == ["FAILED"]
+    assert "ERROR" in capsys.readouterr().out
+    # a file no run writes is not the run's to remove
+    (sub / "notes.txt").write_text("kept")
+    assert run_cli(args + ["--force", "--set", "stages=7"]) == 3
+    assert sorted(path.name for path in sub.iterdir()) == ["FAILED", "notes.txt"]
+
+
 def test_unwritable_out_dir_exits_three(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory")

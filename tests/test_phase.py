@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from gmtlab import phase as ph
 from gmtlab.errors import ArgumentError, EmptyLevelError, SingularityError
+from gmtlab.scenarios import _mc_boxes
 
 BOX = ((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0))
 
@@ -283,18 +284,86 @@ def test_diffeo_jacobian_matches_fd():
 def test_screened_distance_within_margin(dim, kappa, bound, seed):
     spec = ph.PhaseSpec("diffeo-distance", dim, {"kappa": kappa})
     rng = np.random.default_rng(seed)
-    ys = rng.uniform(-bound, bound, (515, dim))
-    ys[0], ys[1] = bound, -bound                # corners of the box
+    us = rng.random((515, dim))
+    us[0], us[1] = 1.0, 0.0                     # corners of the box
+    lo, width = np.full(dim, -bound), np.full(dim, 2.0 * bound)
+    ys = us * width + lo                        # rng.uniform(-bound, bound) of these draws
     x = rng.uniform(-bound, bound, dim)
     exact = ph.eval_phase_batch(spec, x, ys)
     t = exact[2]                                # a level through one sample
     margin = ph.screen_margin(spec, x, t, bound)
-    screened = ph.screened_distance(spec, x, ys)
+    screened = ph.screened_distance(spec, x, us, lo, width)
     assert np.max(np.abs(screened - exact)) <= margin
     # the screen keeps every row the exact test keeps, at the tightest delta
     # that keeps it: |exact - t| itself
     tight = np.abs(exact - t)
     assert np.all(np.abs(screened - t) <= tight + margin)
+
+
+def exact_keeps(spec, x, t, delta, us, lo, width):
+    """monte_carlo_intersection's exact test of unit rows us, scaled as it scales them."""
+    return np.abs(ph.eval_phase_batch(spec, x, us * width + lo) - t) <= delta
+
+
+def band_edge_rows(spec, x, t, delta, lo, width, seed):
+    """Unit rows at both edges of the band |phi(x, y) - t| <= delta.
+
+    Each row starts at a draw the exact test keeps, and one coordinate is
+    bisected toward a box face the exact test drops, down to adjacent
+    doubles.  Returns the rows with that coordinate at one ulp before the
+    last value the exact test keeps, at that value, at the first value it
+    drops and one ulp past it, in four blocks; and phi - t at the kept value.
+    """
+    rng = np.random.default_rng(seed)
+    us = rng.random((1 << 16, spec.dim))
+    us = us[exact_keeps(spec, x, t, delta, us, lo, width)]
+    k = rng.integers(spec.dim, size=len(us))
+    b = np.where(rng.random(len(us)) < 0.5, 0.0, np.nextafter(1.0, 0.0))
+    faces = us.copy()
+    faces[np.arange(len(us)), k] = b
+    drops = ~exact_keeps(spec, x, t, delta, faces, lo, width)
+    us, k, b = us[drops], k[drops], b[drops]
+    rows = np.arange(len(us))
+    a = us[rows, k]
+
+    def moved(values):
+        out = us.copy()
+        out[rows, k] = values
+        return out
+
+    while np.any(np.nextafter(a, b) != b):
+        mid = 0.5 * (a + b)
+        keep = exact_keeps(spec, x, t, delta, moved(mid), lo, width)
+        a, b = np.where(keep, mid, a), np.where(keep, b, mid)
+    outward = np.where(b > a, np.inf, -np.inf)
+    edge = [np.nextafter(a, -outward), a, b, np.nextafter(b, outward)]
+    dev = ph.eval_phase_batch(spec, x, moved(a) * width + lo) - t
+    return np.concatenate([moved(values) for values in edge]), dev
+
+
+FAR = np.array([1e5, -1e5, 1e5])
+EDGE_BOXES = [(_mc_boxes(sep, 0.04)[0], (0.0, 0.0, 0.0)) for sep in (0.0, 0.25, 0.5, 1.0)]
+EDGE_BOXES.append(((FAR - 1.45, FAR + 1.45), FAR))
+
+
+@pytest.mark.parametrize("kappa", [0.3, 0.95, -0.95])
+@pytest.mark.parametrize("box, x", EDGE_BOXES)
+def test_screen_keeps_every_row_at_the_band_edges(kappa, box, x):
+    # rows within an ulp of t -+ delta are where a margin that missed an
+    # error term would drop a row the exact test keeps; the scenario's band A
+    # in its boxes, and one far out
+    spec = ph.PhaseSpec("diffeo-distance", 3, {"kappa": kappa})
+    lo, hi = np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float)
+    width, x, t, delta = hi - lo, np.asarray(x), 1.0, 0.02
+    us, dev = band_edge_rows(spec, x, t, delta, lo, width, seed=len(EDGE_BOXES))
+    n = len(dev)
+    assert np.sum(dev > 0) >= 200 and np.sum(dev < 0) >= 200   # both edges
+    assert np.max(np.abs(np.abs(dev) - delta)) <= 1e-9
+    kept = exact_keeps(spec, x, t, delta, us, lo, width)
+    assert kept[n:2 * n].all() and not kept[2 * n:3 * n].any()
+    margin = ph.screen_margin(spec, x, t, float(np.max(np.abs(box))))
+    screened = ph.screened_distance(spec, x, us, lo, width).astype(float)
+    assert np.all(np.abs(screened[kept] - t) <= delta + margin)
 
 
 def test_float32_sin_within_assumed_error():
@@ -316,7 +385,7 @@ def test_float32_sin_within_assumed_error():
 def test_screen_margin_only_for_diffeo_in_range():
     x, t = (0.0, 0.0, 0.0), 1.0
     diffeo = ph.PhaseSpec("diffeo-distance", 3, {"kappa": 0.3})
-    assert 0.0 < ph.screen_margin(diffeo, x, t, 1.45) < 1e-6
+    assert 0.0 < ph.screen_margin(diffeo, x, t, 1.45) < 2.8e-6
     assert ph.screen_margin(diffeo, x, t, 2.0 * ph.SCREEN_MAX_COORD) is None
     assert ph.screen_margin(diffeo, x, t, float("nan")) is None
     for kind in ("unit-distance", "translated-paraboloid"):

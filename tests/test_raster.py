@@ -727,6 +727,30 @@ def test_screened_hits_equal_unscreened_on_random_boxes():
     assert sum(h > 0 for h in hits) >= 20
 
 
+def test_screened_rows_are_the_uniform_draws(monkeypatch):
+    # the screen reads unit draws and only its kept rows are scaled: band A's
+    # exact test must see rng.uniform's rows bit for bit, all of band A among them
+    spec = PhaseSpec("diffeo-distance", 3, {"kappa": 0.3})
+    xa = (0.0, 0.0, 0.0)
+    family = ((spec, xa, 1.0), (spec, (0.5, 0.0, 0.0), 1.0))
+    box = ((-0.3, -1.45, -1.45), (0.8, 1.45, 1.45))
+    samples, delta, seed = 3 * ra._MC_CHUNK + 123, 0.02, 5
+    seen = []
+
+    def recording(spec, x, ys):
+        if x is xa:
+            seen.extend(row.tobytes() for row in ys)
+        return eval_phase_batch(spec, x, ys)
+
+    monkeypatch.setattr(ra, "eval_phase_batch", recording)
+    ra.monte_carlo_intersection(family, delta, box, samples, seed)
+    ref = np.random.default_rng(seed).uniform(box[0], box[1], (samples, 3))
+    in_a = np.abs(eval_phase_batch(spec, xa, ref) - 1.0) <= delta
+    assert set(seen) <= {row.tobytes() for row in ref}
+    assert {row.tobytes() for row in ref[in_a]} <= set(seen)
+    assert 1000 < np.count_nonzero(in_a) <= len(seen) < samples // 10
+
+
 @pytest.mark.parametrize("chunk", [1000, 4097])
 def test_monte_carlo_result_independent_of_chunk_size(monkeypatch, chunk):
     # the 3-D calls end on a short chunk at both sizes
