@@ -47,13 +47,13 @@ blocks of all the unions of a scenario, so the blocks of one large union
 spread over the workers; each scenario hands it the probes, triangle rasters
 or Monte Carlo volumes it needs, spans_to_cells and deposit their row
 blocks, spectral.mollified_l2 its radii, spectral.surface_spectrum its
-frequencies, and the CLI its scenarios under --jobs.  The workers'
-initializer gets the calls, which fork hands over without pickling,
-so nothing but a job's index goes to them; a job writes its one output
-where it computes it (a PGM or its rows of one, a block of shared rows) and
-returns only the numbers its caller reads (a block's filled cells and cell
-total, an area, a volume, a radius's per-block sums, a frequency's peak),
-which keeps the pickled results small.
+frequencies, and the CLI its scenarios under --jobs.  fan_out forks the
+workers itself (os.fork and pipes, no process pool), so each inherits the
+calls without pickling and nothing but a job's index goes to it; a job
+writes its one output where it computes it (a PGM or its rows of one, a
+block of shared rows) and returns only the numbers its caller reads (a
+block's filled cells and cell total, an area, a volume, a radius's
+per-block sums, a frequency's peak), which keeps the pickled results small.
 Where forking is unsafe or pointless (one CPU, no fork, another live thread,
 or already inside a worker) the calls run serially in the calling process,
 so the results never depend on the worker count.
@@ -63,6 +63,8 @@ from __future__ import annotations
 
 import mmap
 import os
+import pickle
+import sys
 import threading
 import warnings
 from dataclasses import dataclass, field
@@ -326,8 +328,7 @@ def _shared(n: int, dtype):
 
     Inside a worker no fan_out forks, so the array is private there.
     """
-    import multiprocessing
-    if multiprocessing.parent_process() is not None:
+    if _IN_WORKER:
         return np.zeros((n, n), dtype)
     return np.frombuffer(mmap.mmap(-1, n * n * np.dtype(dtype).itemsize), dtype).reshape(n, n)
 
@@ -656,46 +657,110 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-_JOBS = None     # (fn, calls) of a fan_out worker, set by _take_jobs
+_IN_WORKER = False   # set in fan_out's forked workers, whose fan_outs run serially
 
 
-def _take_jobs(fn, calls):
-    global _JOBS
-    _JOBS = fn, calls
-
-
-def _run_job(i: int):
-    fn, calls = _JOBS
-    return fn(*calls[i])
+def _serve(fn, calls, jobs: int, replies: int, ends):
+    """A forked fan_out worker, which never returns: after closing the parent's pipe
+    ends, it runs calls[i] for each index i read from jobs, and writes (True, result)
+    or (False, (exception, its traceback)) pickled to replies, until jobs closes."""
+    global _IN_WORKER
+    try:
+        _IN_WORKER = True
+        for end in ends:
+            end.close()
+        with open(jobs, "rb") as inbox, open(replies, "wb") as outbox:
+            while index := inbox.read(4):
+                i = int.from_bytes(index, "little")
+                try:
+                    reply = True, fn(*calls[i])
+                except Exception as exc:
+                    import traceback
+                    reply = False, (exc, traceback.format_exc())
+                try:
+                    reply = pickle.dumps(reply)
+                except Exception as exc:         # a result or exception that will not pickle
+                    reply = pickle.dumps((False, (RuntimeError(f"fan_out job {i}: {exc!r}"), "")))
+                outbox.write(reply)
+                outbox.flush()
+    finally:
+        # nothing may unwind into the caller's frames, which the fork copied
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(0)
 
 
 def fan_out(fn, calls, workers=None) -> list:
     """[fn(*call) for call in calls], run on forked worker processes.
 
-    The workers' initializer _take_jobs gets fn and calls, which under fork
-    are inherited, not pickled, so fn may be a lambda and a call may hold a
-    closure or an array in a shared mapping; each job is sent as its index
-    and only its result is pickled, so a job should return only what its
-    caller reads.  min(len(calls), usable CPUs, workers) processes run the
-    calls and the results come back in input order.  The calls run serially
-    in this process instead where one worker would do, where the platform
-    cannot fork, while another thread is alive (a forked child would inherit
-    that thread's locks in whatever state they are), and inside a worker
-    process, so workers never start workers.  The workers are joined before
-    this returns, also when a job raises; its exception then re-raises here.
+    min(len(calls), usable CPUs, workers) workers are forked; each inherits
+    fn and calls, which are never pickled (fn may be a lambda, a call may
+    hold an array in a shared mapping), takes the next job's index over a
+    pipe whenever it is free and sends back only the pickled result, so a
+    job should return only what its caller reads.  Results come in input
+    order.  The calls run serially in this process where one worker would
+    do, where the platform cannot fork, while another thread is alive (a
+    forked child would inherit that thread's locks in whatever state they
+    are), and inside a worker.  Every worker is reaped before this returns
+    or raises.  After a failed job no job starts, and the first failed job's
+    exception in input order re-raises here, caused by one that holds the
+    worker's traceback; a dead worker or a result that will not pickle
+    raises a RuntimeError naming the job.
     """
     calls = list(calls)
     workers = min(len(calls), _usable_cpus(), workers or len(calls))
-    # imported here to keep them off the import of raster
-    import multiprocessing
-    if (workers <= 1 or threading.active_count() > 1
-            or multiprocessing.parent_process() is not None
-            or "fork" not in multiprocessing.get_all_start_methods()):
+    if (workers <= 1 or _IN_WORKER or not hasattr(os, "fork")
+            or threading.active_count() > 1):
         return [fn(*call) for call in calls]
-    from concurrent.futures.process import ProcessPoolExecutor
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_take_jobs, initargs=(fn, calls)) as pool:
-        return list(pool.map(_run_job, range(len(calls))))
+    import select       # imported here to keep it off the import of raster
+    results, errors, todo = [None] * len(calls), {}, iter(range(len(calls)))
+    pids, ends, running, poll = [], [], {}, select.poll()
+    # a child would write again what the parent's buffers hold
+    sys.stdout.flush()
+    sys.stderr.flush()
+    try:
+        for _ in range(workers):
+            (jobs_r, jobs_w), (replies_r, replies_w) = os.pipe(), os.pipe()
+            send, recv = open(jobs_w, "wb", buffering=0), open(replies_r, "rb")
+            ends += [send, recv]
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(fn, calls, jobs_r, replies_w, ends)
+            finally:
+                os.close(jobs_r)
+                os.close(replies_w)
+            pids.append(pid)
+            i = next(todo)
+            send.write(i.to_bytes(4, "little"))
+            running[recv.fileno()] = send, recv, i
+            poll.register(recv, select.POLLIN)
+        while running:
+            for fd, _ in poll.poll():
+                send, recv, i = running.pop(fd)
+                try:
+                    ok, value = pickle.load(recv)
+                except (EOFError, pickle.UnpicklingError):    # the reply ends early
+                    raise RuntimeError(f"fan_out job {i} ended its worker process") from None
+                (results if ok else errors)[i] = value
+                i = None if errors else next(todo, None)
+                if i is None:
+                    poll.unregister(fd)
+                    send.close()            # the worker reads EOF and exits
+                else:
+                    send.write(i.to_bytes(4, "little"))
+                    running[fd] = send, recv, i
+    finally:
+        for end in ends:
+            end.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+    if errors:
+        exc, trace = errors[min(errors)]
+        raise exc from RuntimeError(f"in a fan_out worker:\n{trace}")
+    return results
 
 
 # ---------------------------------------------------------------------------

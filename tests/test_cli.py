@@ -1,6 +1,5 @@
 import hashlib
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -13,6 +12,8 @@ from gmtlab import cli, raster
 from gmtlab.cli import RunConfig, UsageError, parse_config
 from gmtlab.reporting import ExperimentReport
 from gmtlab.scenarios import SCENARIOS
+
+from children import assert_no_child
 
 
 FAST_KAKEYA = ["--set", "n=256", "--set", "stages=0,1,2"]
@@ -384,7 +385,7 @@ def test_jobs_two_writes_the_bytes_of_jobs_one(tmp_path, capsys, monkeypatch):
     (digests, verdicts), _ = runs["2"]
     assert runs["1"] == runs["2"]
     assert len(digests) == 42 and len(verdicts) == 8
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
 def test_scenario_that_raises_in_a_worker_exits_three(tmp_path, capsys, monkeypatch):
@@ -400,7 +401,7 @@ def test_scenario_that_raises_in_a_worker_exits_three(tmp_path, capsys, monkeypa
         failed = sid == "kakeya-compression"
         assert (tmp_path / "r" / sid / "FAILED").exists() == failed
         assert (tmp_path / "r" / sid / "report.json").exists() != failed
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
 def test_union_delta_below_a_quarter_cell_exits_three_before_any_fork(tmp_path, capsys,
@@ -416,7 +417,7 @@ def test_union_delta_below_a_quarter_cell_exits_three_before_any_fork(tmp_path, 
     assert "delta 0.001 below cell_size/4" in marker.read_text()
     assert "ERROR" in capsys.readouterr().out
     assert list(marker.parent.glob("*.pgm")) == []
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
 def test_zero_fd_step_exits_three_by_name(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """The runtime needs numpy and the standard library, nothing else."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -34,3 +36,19 @@ def test_guard_sees_every_kind_of_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_runtime_imports_only_stdlib_and_numpy(path):
     assert foreign_imports(path.read_text()) == []
+
+
+# a fresh interpreter: the CLI's imports and a forked two-job fan_out
+_FAN_OUT = """
+import os, sys
+from gmtlab import cli, raster
+raster._usable_cpus = lambda: 2
+pids = raster.fan_out(os.getpid, [(), ()])
+print(os.getpid() not in pids, sorted({"concurrent.futures", "multiprocessing"} & set(sys.modules)))
+"""
+
+
+def test_fan_out_forks_without_a_process_pool():
+    out = subprocess.run([sys.executable, "-c", _FAN_OUT], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.stdout.splitlines()[-1] == "True []"

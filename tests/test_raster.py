@@ -1,12 +1,12 @@
 import math
 import mmap
-import multiprocessing
 import os
+import signal
+import sys
 import threading
 import time
 import tracemalloc
 import warnings
-from concurrent.futures.process import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,6 +18,8 @@ from gmtlab import raster as ra
 from gmtlab import spectral as sp
 from gmtlab.errors import ArgumentError, GridMismatchError
 from gmtlab.phase import PhaseSpec, eval_phase_batch
+
+from children import assert_no_child
 
 BOX2 = ((-1.5, -1.5), (1.5, 1.5))
 
@@ -526,7 +528,7 @@ def test_fan_out_equals_serial_calls_in_input_order(monkeypatch):
     grid = ra.GridSpec(((-1.1, -1.1), (2.1, 2.1)), 128)
     calls = [(circles, d, grid) for d in (0.1, 0.05, 0.03)]
     got = ra.fan_out(ra.rasterize_circles, calls)
-    assert multiprocessing.active_children() == []
+    assert_no_child()
     for (union, counts, totals), call in zip(got, calls):
         want_union, want_counts, want_totals = ra.rasterize_circles(*call)
         assert np.array_equal(union.bits, want_union.bits)
@@ -539,7 +541,7 @@ def test_fan_out_runs_on_forked_workers(monkeypatch):
     got = ra.fan_out(pid_of, [(i,) for i in range(5)])
     assert [i for i, _ in got] == list(range(5))
     assert os.getpid() not in {pid for _, pid in got}
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
 def test_fan_out_caps_workers(monkeypatch):
@@ -554,7 +556,7 @@ def test_fan_out_runs_serially_on_one_cpu(monkeypatch):
 
 def test_fan_out_runs_serially_without_fork(monkeypatch):
     forks_to(monkeypatch, 2)
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.delattr(os, "fork")
     assert ra.fan_out(pid_of, [(0,), (1,)]) == [(0, os.getpid()), (1, os.getpid())]
 
 
@@ -569,21 +571,90 @@ def test_fan_out_runs_serially_beside_another_thread(monkeypatch):
         release.set()
         other.join(timeout=10)
     assert not other.is_alive()
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
 def test_fan_out_runs_serially_inside_a_worker(monkeypatch):
     forks_to(monkeypatch, 2)
     for worker, inner in ra.fan_out(nested, [(0,), (1,)]):
         assert worker != os.getpid() and inner == [worker, worker]
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
 def test_fan_out_reraises_a_failed_job_after_joining(monkeypatch):
     forks_to(monkeypatch, 2)
-    with pytest.raises(ArgumentError, match="job 2 failed"):
+    with pytest.raises(ArgumentError, match="job 2 failed") as failed:
         ra.fan_out(fail_on, [(i,) for i in range(4)])
-    assert multiprocessing.active_children() == []
+    # the cause holds the traceback from the worker's side
+    assert ", in fail_on\n" in str(failed.value.__cause__)
+    assert_no_child()
+
+
+def exit_seven():
+    os._exit(7)
+
+
+def kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def unpicklable():
+    return lambda: None
+
+
+@pytest.mark.parametrize("end", [exit_seven, kill_self, unpicklable])
+def test_fan_out_names_the_job_that_breaks_its_worker(monkeypatch, end):
+    # job 3 ends its worker only if it runs in one; an alarm fails a hang
+    forks_to(monkeypatch, 2)
+    parent = os.getpid()
+
+    def job(i):
+        return end() if i == 3 and os.getpid() != parent else i
+
+    def hang(*_):
+        raise AssertionError("fan_out hung on a broken worker")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(30)
+    try:
+        with pytest.raises(RuntimeError, match=r"fan_out job 3\b"):
+            ra.fan_out(job, [(i,) for i in range(6)])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert_no_child()
+
+
+def test_fan_out_reaps_its_first_worker_when_the_second_fork_fails(monkeypatch):
+    forks_to(monkeypatch, 2)
+    forked, real = [], os.fork
+
+    def fork():
+        if forked:
+            raise OSError("no second fork")
+        forked.append(real())
+        return forked[-1]
+
+    monkeypatch.setattr(os, "fork", fork)
+    with pytest.raises(OSError, match="no second fork"):
+        ra.fan_out(pid_of, [(i,) for i in range(4)])
+    assert len(forked) == 1
+    assert_no_child()
+
+
+def test_fan_out_writes_buffered_text_once_and_keeps_job_prints(monkeypatch, capfd):
+    # a buffered stdout, as a file or a pipe gives: text left in its buffer
+    # at the fork must not come out again from the workers
+    forks_to(monkeypatch, 2)
+    with open(os.dup(1), "w") as stream, monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", stream)
+        sys.stdout.write("before ")
+        pids = ra.fan_out(lambda i: (print(f"job {i}"), os.getpid())[1], [(0,), (1,)])
+    out = capfd.readouterr().out
+    assert os.getpid() not in pids
+    assert out.startswith("before ") and out.count("before") == 1
+    assert sorted(out[len("before "):].splitlines()) == ["job 0", "job 1"]
+    assert_no_child()
 
 
 def test_fan_out_runs_a_lambda_on_forked_workers(monkeypatch):
@@ -593,7 +664,7 @@ def test_fan_out_runs_a_lambda_on_forked_workers(monkeypatch):
     got = ra.fan_out(lambda i: (i + offset, os.getpid()), [(i,) for i in range(4)])
     assert [i for i, _ in got] == [10, 11, 12, 13]
     assert os.getpid() not in {pid for _, pid in got}
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
 def test_fan_out_workers_write_into_a_shared_array(monkeypatch):
@@ -602,25 +673,13 @@ def test_fan_out_workers_write_into_a_shared_array(monkeypatch):
     assert ra.fan_out(lambda i: shared.__setitem__(i, os.getpid()),
                       [(i,) for i in range(6)]) == [None] * 6
     assert np.all(shared > 0) and os.getpid() not in set(shared.tolist())
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
 def test_nested_fan_out_keeps_the_outer_jobs(monkeypatch):
     # six jobs on two workers: some worker runs a job after its first job's
-    # serial inner fan_out has finished, and must still find the outer calls
+    # serial inner fan_out has finished, and must still run the outer calls
     forks_to(monkeypatch, 2)
-    # the caller's job slot, read as the pool is handed the jobs and as each
-    # result comes back: only the workers' initializer fills a slot
-    slots = []
-    pool_map = ProcessPoolExecutor.map
-
-    def watched_map(self, *args, **kwargs):
-        slots.append(ra._JOBS)
-        for result in pool_map(self, *args, **kwargs):
-            slots.append(ra._JOBS)
-            yield result
-
-    monkeypatch.setattr(ProcessPoolExecutor, "map", watched_map)
 
     def job(i):
         return i, ra.fan_out(lambda k: k * i, [(1,), (2,)]), os.getpid()
@@ -628,9 +687,8 @@ def test_nested_fan_out_keeps_the_outer_jobs(monkeypatch):
     got = ra.fan_out(job, [(i,) for i in range(6)])
     assert [(i, inner) for i, inner, _ in got] == [(i, [i, 2 * i]) for i in range(6)]
     assert len({pid for _, _, pid in got}) < 6
-    assert slots == [None] * 7
-    assert ra._JOBS is None
-    assert multiprocessing.active_children() == []
+    assert os.getpid() not in {pid for _, _, pid in got}
+    assert_no_child()
 
 
 def in_mapping(array):
@@ -657,7 +715,7 @@ def test_union_in_a_forked_job_is_private_and_equals_the_serial_bytes(monkeypatc
     serial = [ra.union_scanline(circles, d, grid)[0].bits for d in deltas]
     assert all(in_mapping(bits) for bits in serial)
     assert [bits for _, bits, _ in got] == [bits.tobytes() for bits in serial]
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
 def test_fan_out_calls_from_two_threads_run_their_own_jobs(monkeypatch):
@@ -677,7 +735,7 @@ def test_fan_out_calls_from_two_threads_run_their_own_jobs(monkeypatch):
         thread.join(timeout=30)
     assert not any(thread.is_alive() for thread in threads)
     assert got == {tag: [(tag, i) for i in range(20)] for tag in "ab"}
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
 def test_monte_carlo_hits_pinned():
@@ -807,7 +865,7 @@ def test_union_areas_equal_union_scanline_and_write_pgm(monkeypatch, tmp_path, c
     assert all(isinstance(v, (int, float)) for pair in got for v in pair)
     walkers = {int(f.name[5:]) for f in tmp_path.glob("walk-*")}
     assert (os.getpid() in walkers) == (cpus == 1) and len(walkers) == cpus
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
 def test_block_that_raises_in_a_worker_exits_three_and_leaves_no_pgm(monkeypatch, tmp_path,
@@ -829,9 +887,10 @@ def test_block_that_raises_in_a_worker_exits_three_and_leaves_no_pgm(monkeypatch
     assert code == 3
     sub = tmp_path / "r" / "fixed-level-positivity"
     assert "failed in a worker" in (sub / "FAILED").read_text()
+    assert ", in walk\n" in (sub / "FAILED").read_text()
     assert [p.name for p in sub.iterdir()] == ["FAILED"]
     assert "ERROR" in capsys.readouterr().out
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
 # ---------------------------------------------------------------------------

@@ -71,8 +71,7 @@ ALLOWED = {
     "phase.rotational_curvature_fd": "criterion 01, oracle of rotational_curvature",
     "raster._check_same_grid": "criterion 12",
     # run only in forked fan_out workers, which this pinned run never starts
-    "raster._run_job": "perfbench:run-all, perfbench:spectral-profile",
-    "raster._take_jobs": "perfbench:run-all, perfbench:spectral-profile",
+    "raster._serve": "perfbench:run-all, perfbench:spectral-profile",
     "raster.deposit": "perfbench:spectral-profile",
     "raster.intersection_raster": "criterion 12",
     "raster.rasterize_band": "oracle of union_scanline",

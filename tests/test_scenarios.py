@@ -2,7 +2,6 @@ import copy
 import dataclasses
 import functools
 import math
-import multiprocessing
 import os
 import warnings
 
@@ -14,6 +13,8 @@ from gmtlab import raster as ra
 from gmtlab import scenarios as sc
 from gmtlab.errors import ArgumentError
 from gmtlab.phase import bourgain_curve
+
+from children import assert_no_child
 
 
 # small grids keep the suite quick; acceptance reruns the full defaults
@@ -547,7 +548,7 @@ def test_intersection_volumes_run_on_forked_workers(monkeypatch, tmp_path):
     assert pids[0] == {str(os.getpid())}
     assert pids[1] and str(os.getpid()) not in pids[1]
     assert dataclasses.replace(two, wall_time=one.wall_time) == one
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
 def test_intersection_deterministic_per_seed():

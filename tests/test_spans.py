@@ -16,7 +16,6 @@ the bytes of the same blocks run serially; the hypothesis tests pin one
 usable CPU, so that an example forks no worker pool.
 """
 
-import multiprocessing
 import os
 from unittest import mock
 
@@ -27,6 +26,8 @@ from hypothesis import strategies as st
 
 from gmtlab import raster as ra
 from gmtlab.fractal import IntervalSet
+
+from children import assert_no_child
 
 EDGE_TOL = 1e-9
 BOX = ((-2.0, -2.0), (2.0, 2.0))
@@ -308,7 +309,7 @@ def test_forked_blocks_give_the_bytes_of_serial_blocks(monkeypatch, tmp_path, ki
             cover = ra.deposit(grid, 6, walk["deposit"], bits, np.ones(6))
             mass = ra.deposit(grid, 6, walk["deposit"], bits, _density(grid, weights, totals))
         runs[cpus] = bits, totals, cover, mass
-    assert multiprocessing.active_children() == []
+    assert_no_child()
     for cpus in (4, 2):
         for forked, serial in zip(runs[cpus], runs[1]):
             assert forked.dtype == serial.dtype and forked.tobytes() == serial.tobytes()

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -17,6 +16,8 @@ from gmtlab import fractal as fr
 from gmtlab import raster as ra
 from gmtlab import spectral as sp
 from gmtlab.errors import ArgumentError, EmptyLevelError, FitError
+
+from children import assert_no_child
 
 UNIT_BOX = ((0.0, 0.0), (1.0, 1.0))
 
@@ -258,7 +259,7 @@ def test_spectral_floats_do_not_depend_on_usable_cpus(monkeypatch):
         # the radii and each spectrum's frequencies fork on two CPUs only
         assert (fork.call_count > 0) == (cpus == 2)
     assert runs[1] == runs[2]
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
 def test_negative_frequency_is_refused_before_forking(monkeypatch):
